@@ -20,14 +20,24 @@ identity B(T) = g(W_1) - E[g(W_1)] directly (the time-changed path itself is
 never needed).  Randomness comes from counter-based Philox streams keyed by
 (seed, block index) over fixed-size path blocks, so results are bit-identical
 for a given (seed, n_paths, n_steps) no matter how many workers process the
-blocks.
+blocks or how the steps are chunked.
+
+Memory is bounded per chunk, not per problem.  The simulation streams the
+steps in row chunks of a few MB: while the calling thread interpolates the
+integrand rows of the current chunk and steps every path side by side in
+one vector, worker threads draw the next chunk's increments block by block
+into reused buffers (Philox fills release the GIL).  The Clark grid is built
+in small tau chunks on the same kind of pool.  The worker count is the
+number of CPUs the process may run on, capped by the BL_EMBED_THREADS
+environment variable; a cap of 1 runs everything on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +59,8 @@ __all__ = [
 
 _BLOCK_PATHS = 4096            # fixed: part of the random-stream layout
 _DIRECT_EVAL_BAND = 1e-6       # 1 - s below which a(s, y) = g'(y) directly
+_CHUNK_VALUES = 1 << 19        # float64 values per step-chunk buffer (4 MB)
+_GRID_TAU_ROWS = 8             # tau rows per Clark-grid chunk (~4 MB of nodes)
 ENV_THREADS = "BL_EMBED_THREADS"
 
 
@@ -105,11 +117,11 @@ class ClarkIntegrand:
 
         self._tau = np.linspace(0.0, 1.0, int(tau_cells) + 1)
         self._y = np.linspace(y_range[0], y_range[1], int(y_cells) + 1)
-        disp = self._tau[:, None, None] * self._gh_z[None, :, None]
-        pts = self._y[None, None, :] + disp
-        gp = self._interp_gprime(pts.reshape(len(self._tau), -1))
-        gp = gp.reshape(len(self._tau), self.hermite_nodes, len(self._y))
-        self._grid = np.einsum("k,tky->ty", self._gh_w, gp)
+        self._grid = np.empty((len(self._tau), len(self._y)))
+        with _submitter(_worker_count()) as submit:
+            for job in [submit(self._fill_grid, t0)
+                        for t0 in range(0, len(self._tau), _GRID_TAU_ROWS)]:
+                job.result()
         self._grid[0] = self._interp_gprime(self._y)  # tau = 0: a(1, y) = g'(y)
 
         self.mean_g = float(np.dot(self._gh_w,
@@ -119,6 +131,14 @@ class ClarkIntegrand:
         # constant continuation beyond the table matches the transport's
         # linear extrapolation of g
         return np.interp(x, self._fine_x, self._fine_gp)
+
+    def _fill_grid(self, t0: int) -> None:
+        # Gauss-Hermite smoothing of g' for tau rows t0 .. t0 + _GRID_TAU_ROWS
+        tau = self._tau[t0:t0 + _GRID_TAU_ROWS]
+        disp = tau[:, None, None] * self._gh_z[None, :, None]
+        pts = self._y[None, None, :] + disp
+        np.einsum("k,tky->ty", self._gh_w, self._interp_gprime(pts),
+                  out=self._grid[t0:t0 + len(tau)])
 
     def a(self, s, y):
         """Direct Gauss-Hermite evaluation of a(s, y) for 0 <= s <= 1."""
@@ -134,9 +154,15 @@ class ClarkIntegrand:
             out = self._gh_w @ self._interp_gprime(pts)
         return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
-    def rows_for_steps(self, n_steps: int) -> np.ndarray:
-        """Integrand rows at s_i = i / n_steps, pre-interpolated in tau."""
-        s = np.arange(n_steps + 1) / n_steps
+    def rows_for_steps(self, n_steps: int, start: int = 0,
+                       stop: int | None = None) -> np.ndarray:
+        """Integrand rows at s_i = i / n_steps for start <= i < stop.
+
+        The rows are interpolated linearly in tau; `stop` defaults to
+        n_steps + 1, so the default range covers every grid time.
+        """
+        stop = n_steps + 1 if stop is None else stop
+        s = np.arange(start, stop) / n_steps
         tau = np.sqrt(1.0 - s)
         dtau = self._tau[1] - self._tau[0]
         pos = np.clip(tau / dtau, 0.0, len(self._tau) - 1.001)
@@ -145,18 +171,37 @@ class ClarkIntegrand:
         return self._grid[j] * (1.0 - frac) + self._grid[j + 1] * frac
 
 
-def mean_of_g(clark: ClarkIntegrand) -> float:
-    """E[g(W_1)] by Gauss-Hermite; agrees with the transport mean of mu."""
-    return clark.mean_g
-
-
 def _worker_count() -> int:
-    env = os.environ.get(ENV_THREADS, "")
+    """CPUs this process may run on, capped by BL_EMBED_THREADS if it is set.
+
+    An empty or non-integer BL_EMBED_THREADS is ignored.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    n_cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     try:
-        cap = int(env) if env else 1
+        cap = int(os.environ.get(ENV_THREADS, ""))
     except ValueError:
-        cap = 1
-    return max(1, min(cap, os.cpu_count() or 1))
+        cap = n_cpus
+    return max(1, min(cap, n_cpus))
+
+
+def _completed(fn, *args) -> Future:
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+@contextlib.contextmanager
+def _submitter(workers: int):
+    """Yield `submit(fn, *args) -> Future` backed by `workers` threads.
+
+    With one worker, submit runs fn inline and no thread is started.
+    """
+    if workers == 1:
+        yield _completed
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.submit
 
 
 def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
@@ -187,11 +232,11 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     if rule not in ("trapezoid", "left"):
         raise ValueError(f"unknown integration rule {rule!r}")
 
-    rows = clark.rows_for_steps(n_steps)
     y0 = clark._y[0]
     inv_dy = (len(clark._y) - 1) / (clark._y[-1] - clark._y[0])
     n_y = len(clark._y)
     dt = 1.0 / n_steps
+    sqrt_dt = math.sqrt(dt)
     weights = np.full(n_steps + 1, dt)
     if rule == "trapezoid":
         weights[0] *= 0.5
@@ -199,62 +244,72 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     else:
         weights[-1] = 0.0
 
-    tmap = clark.transport
-    blocks = [(b, min(_BLOCK_PATHS, n_paths - b * _BLOCK_PATHS))
-              for b in range((n_paths + _BLOCK_PATHS - 1) // _BLOCK_PATHS)]
-
-    def run_block(block, scratch=None) -> tuple[np.ndarray, np.ndarray]:
-        index, size = block
-        gen = np.random.Generator(np.random.Philox(
-            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)))
-        if scratch is not None and scratch.shape == (n_steps, size):
-            incr = scratch
-            gen.standard_normal(out=incr)
-        else:
-            incr = gen.standard_normal((n_steps, size))
-        incr *= math.sqrt(dt)
-        t_acc = np.zeros(size)
-        w = np.zeros(size)
-        pos = np.empty(size)
-        frac = np.empty(size)
-        lo = np.empty(size)
-        hi = np.empty(size)
-        for i in range(n_steps + 1):
-            np.subtract(w, y0, out=pos)
-            pos *= inv_dy
-            np.clip(pos, 0.0, n_y - 1.001, out=pos)
-            j = pos.astype(np.int64)
-            np.subtract(pos, j, out=frac)
-            row = rows[i]
-            row.take(j, out=lo)
-            row.take(j + 1, out=hi)
-            hi -= lo
-            hi *= frac          # hi = frac * (row[j+1] - row[j])
-            lo += hi            # lo = a(s_i, w)
-            lo *= lo
-            lo *= weights[i]
-            t_acc += lo
-            if i < n_steps:
-                w += incr[i]
-        return t_acc, w
-
+    # block b owns paths [4096 b, 4096 (b + 1)) and the Philox stream keyed
+    # (seed, b), drawn row-major over (step, path) as one continuous stream
+    blocks = [(off, min(_BLOCK_PATHS, n_paths - off), np.random.Generator(
+                   np.random.Philox(key=np.array(
+                       [seed & 0xFFFFFFFFFFFFFFFF, off // _BLOCK_PATHS],
+                       dtype=np.uint64))))
+              for off in range(0, n_paths, _BLOCK_PATHS)]
+    chunk = max(1, _CHUNK_VALUES // max(n_paths, n_y))   # steps per chunk
+    starts = range(0, n_steps + 1, chunk)
     workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        # serial path reuses one increment buffer across full blocks; the
-        # generated stream is identical to the threaded path's
-        buf = np.empty((n_steps, _BLOCK_PATHS)) if len(blocks) > 1 else None
-        results = [run_block(b, scratch=buf) for b in blocks]
+    n_fill = min(workers, len(blocks))
+    incr_bufs = [np.empty((chunk, n_paths)) for _ in range(2)]
+    scratch = [np.empty(chunk * min(n_paths, _BLOCK_PATHS))
+               for _ in range(n_fill)]
 
-    T = np.concatenate([r[0] for r in results])
-    w1 = np.concatenate([r[1] for r in results])
-    bt = np.asarray(tmap.g(w1), float) - clark.mean_g
+    def fill(k: int, c: int) -> None:
+        # increments of chunk c for every n_fill-th block from k, so each
+        # block's generator is only ever used by one task at a time
+        start = starts[c]
+        n_rows = min(start + chunk, n_steps) - start
+        for off, size, gen in blocks[k::n_fill]:
+            normals = scratch[k][:n_rows * size].reshape(n_rows, size)
+            gen.standard_normal(out=normals)
+            np.multiply(normals, sqrt_dt,
+                        out=incr_bufs[c % 2][:n_rows, off:off + size])
+
+    t_acc = np.zeros(n_paths)
+    w = np.zeros(n_paths)
+    pos, frac, lo, hi = (np.empty(n_paths) for _ in range(4))
+    j = np.empty(n_paths, dtype=np.int64)
+    with _submitter(workers) as submit:
+        pending = [submit(fill, k, 0) for k in range(n_fill)]
+        for c, start in enumerate(starts):
+            for fut in pending:
+                fut.result()
+            if c + 1 < len(starts):   # draw the next chunk during this one
+                pending = [submit(fill, k, c + 1) for k in range(n_fill)]
+            incr = incr_bufs[c % 2]
+            rows = clark.rows_for_steps(n_steps, start,
+                                        min(start + chunk, n_steps + 1))
+            diffs = np.diff(rows, axis=1)     # diffs[r, j] = row[j+1] - row[j]
+            for r in range(len(rows)):
+                i = start + r
+                np.subtract(w, y0, out=pos)
+                pos *= inv_dy
+                np.clip(pos, 0.0, n_y - 1.001, out=pos)
+                np.copyto(j, pos, casting="unsafe")   # truncates like astype
+                np.subtract(pos, j, out=frac)
+                # 0 <= j <= n_y - 2 after the clip, so mode="clip" only
+                # skips the bounds check
+                rows[r].take(j, out=lo, mode="clip")
+                diffs[r].take(j, out=hi, mode="clip")
+                hi *= frac          # hi = frac * (row[j+1] - row[j])
+                lo += hi            # lo = a(s_i, w)
+                lo *= lo
+                lo *= weights[i]
+                t_acc += lo
+                if i < n_steps:
+                    w += incr[r]
+
+    tmap = clark.transport
+    bt = np.asarray(tmap.g(w), float) - clark.mean_g
     return EmbeddingEnsemble(
-        T=T, bt=bt, w1=w1, n_steps=int(n_steps), seed=int(seed),
+        T=t_acc, bt=bt, w1=w, n_steps=int(n_steps), seed=int(seed),
         A=float(tmap.A), mean_g=float(clark.mean_g),
-        clamp_count=int(np.count_nonzero(T > tmap.A)),
+        clamp_count=int(np.count_nonzero(t_acc > tmap.A)),
         potential_label=tmap.potential.label, rule=rule)
 
 

@@ -62,6 +62,10 @@ class TestClarkIntegrand:
         for i, s in enumerate(np.arange(65) / 64):
             direct = np.asarray(abs_clark.a(s, y_nodes), float)
             assert np.max(np.abs(rows[i] - direct)) <= 2e-4
+        # a step range is a slice of the full table, bit for bit
+        for start, stop in ((0, 7), (7, 65), (64, 65), (30, 30)):
+            assert np.array_equal(abs_clark.rows_for_steps(64, start, stop),
+                                  rows[start:stop])
 
     def test_mean_of_g_matches_transport_mean(self):
         for name in ("zero", "linear", "quadratic", "abs"):

@@ -1,0 +1,200 @@
+"""The streamed simulator and chunked Clark grid against one-shot references.
+
+The references below are the straightforward implementations: the Clark grid
+as one einsum over every (tau, node, y) point, and the simulation as one
+block of paths at a time with the block's whole increment array drawn up
+front.  Production code streams both in bounded chunks on worker threads;
+it must reproduce the references bit for bit.
+"""
+
+import math
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from blverify import bass_embedding
+from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
+
+from conftest import MATRIX_KEYS
+
+
+def reference_grid(clark: ClarkIntegrand) -> np.ndarray:
+    disp = clark._tau[:, None, None] * clark._gh_z[None, :, None]
+    pts = clark._y[None, None, :] + disp
+    gp = clark._interp_gprime(pts.reshape(len(clark._tau), -1))
+    gp = gp.reshape(len(clark._tau), clark.hermite_nodes, len(clark._y))
+    grid = np.einsum("k,tky->ty", clark._gh_w, gp)
+    grid[0] = clark._interp_gprime(clark._y)
+    return grid
+
+
+def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
+                         seed: int, rule: str = "trapezoid"):
+    """(T, bt, w1) stepping one 4096-path block at a time."""
+    rows = clark.rows_for_steps(n_steps)
+    y0 = clark._y[0]
+    inv_dy = (len(clark._y) - 1) / (clark._y[-1] - clark._y[0])
+    n_y = len(clark._y)
+    dt = 1.0 / n_steps
+    weights = np.full(n_steps + 1, dt)
+    if rule == "trapezoid":
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+    else:
+        weights[-1] = 0.0
+    block = bass_embedding._BLOCK_PATHS
+    t_parts, w_parts = [], []
+    for index in range((n_paths + block - 1) // block):
+        size = min(block, n_paths - index * block)
+        gen = np.random.Generator(np.random.Philox(
+            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)))
+        incr = gen.standard_normal((n_steps, size))
+        incr *= math.sqrt(dt)
+        t_acc = np.zeros(size)
+        w = np.zeros(size)
+        for i in range(n_steps + 1):
+            pos = np.clip((w - y0) * inv_dy, 0.0, n_y - 1.001)
+            j = pos.astype(np.int64)
+            frac = pos - j
+            lo = rows[i][j]
+            a = lo + (rows[i][j + 1] - lo) * frac
+            t_acc += a * a * weights[i]
+            if i < n_steps:
+                w += incr[i]
+        t_parts.append(t_acc)
+        w_parts.append(w)
+    w1 = np.concatenate(w_parts)
+    bt = np.asarray(clark.transport.g(w1), float) - clark.mean_g
+    return np.concatenate(t_parts), bt, w1
+
+
+THREAD_CAPS = ("1", "2", "4")
+
+
+def assert_matches_reference(monkeypatch, clark, n_paths, n_steps, seed,
+                             rule="trapezoid"):
+    T, bt, w1 = reference_simulation(clark, n_paths, n_steps, seed, rule)
+    for cap in THREAD_CAPS:
+        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+        ens = simulate_embedding(clark, n_paths, n_steps, seed, rule=rule)
+        assert np.array_equal(ens.T, T), cap
+        assert np.array_equal(ens.bt, bt), cap
+        assert np.array_equal(ens.w1, w1), cap
+
+
+@pytest.fixture(scope="module")
+def matrix_clarks(matrix_transports):
+    return {key: ClarkIntegrand(matrix_transports[key]) for key in MATRIX_KEYS}
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_grid_matches_one_shot_einsum(key, matrix_clarks, monkeypatch):
+    expected = reference_grid(matrix_clarks[key])
+    for cap in THREAD_CAPS:
+        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+        clark = ClarkIntegrand(matrix_clarks[key].transport)
+        assert np.array_equal(clark._grid, expected), cap
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_simulation_matches_reference_on_matrix(key, matrix_clarks,
+                                                monkeypatch):
+    assert_matches_reference(monkeypatch, matrix_clarks[key], 4113, 64, seed=7)
+
+
+@pytest.mark.parametrize("n_paths,n_steps", [
+    (3, 600), (4113, 200), (9000, 97), (12288, 130), (4096, 256)])
+def test_simulation_matches_reference_ragged(n_paths, n_steps, matrix_clarks,
+                                             monkeypatch):
+    # the chunks hold 511 steps for 3 paths, 127 for 4113, 58 for 9000, 42
+    # for 12288 and 128 for 4096: the first four step counts leave the last
+    # chunk part-full, and with 4096 paths it holds only the final grid time
+    assert_matches_reference(monkeypatch, matrix_clarks["abs"], n_paths,
+                             n_steps, seed=11)
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "left"])
+def test_simulation_matches_reference_rules_and_large_seed(rule, matrix_clarks,
+                                                           monkeypatch):
+    assert_matches_reference(monkeypatch, matrix_clarks["double_well_k"], 5000,
+                             300, seed=2**63 + 12345, rule=rule)
+
+
+def test_many_fill_threads_under_fast_switching(matrix_clarks, monkeypatch):
+    """Eight fill threads on a 1 us switch interval still match the reference.
+
+    Ten ragged blocks over eight fill tasks share tasks and scratch buffers;
+    a generator used out of order or a buffer refilled while being stepped
+    would change the ensemble.
+    """
+    monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 8)
+    clark = matrix_clarks["log_mixture_k"]
+    n_paths, n_steps = 9 * 4096 + 17, 120
+    result = {}
+    worker = threading.Thread(
+        target=lambda: result.update(
+            ens=simulate_embedding(clark, n_paths, n_steps, seed=5)),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "simulation did not finish in 120 s"
+    T, bt, w1 = reference_simulation(clark, n_paths, n_steps, seed=5)
+    assert np.array_equal(result["ens"].T, T)
+    assert np.array_equal(result["ens"].bt, bt)
+    assert np.array_equal(result["ens"].w1, w1)
+
+
+def test_cap_of_one_starts_no_thread(matrix_clarks, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setenv(bass_embedding.ENV_THREADS, "1")
+    monkeypatch.setattr(bass_embedding, "ThreadPoolExecutor", no_pool)
+    clark = ClarkIntegrand(matrix_clarks["abs"].transport)
+    simulate_embedding(clark, 5000, 64, seed=3)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_per_chunk(matrix_transports):
+    """Grid build and a long simulation stay far below one-shot sizes.
+
+    One-shot, the grid build holds two 257 x 64 x 1025 arrays (~270 MB) and
+    the simulation a 8192 x 4096 increment array plus 8193 integrand rows
+    (~330 MB).
+    """
+    bound = 48 * 2**20
+    tmap = matrix_transports["abs"]
+    assert _peak_bytes(lambda: ClarkIntegrand(tmap)) < bound
+    clark = ClarkIntegrand(tmap)
+    assert _peak_bytes(
+        lambda: simulate_embedding(clark, 4096, 8192, seed=3)) < bound
+
+
+@pytest.mark.parametrize("env,expected", [
+    (None, 6), ("", 6), ("1", 1), ("3", 3), ("16", 6), ("0", 1),
+    ("abc", 6)])
+def test_worker_count_follows_affinity_and_cap(env, expected, monkeypatch):
+    monkeypatch.setattr(bass_embedding.os, "sched_getaffinity",
+                        lambda pid: {0, 2, 3, 5, 7, 9}, raising=False)
+    monkeypatch.setattr(bass_embedding.os, "cpu_count", lambda: 64)
+    if env is None:
+        monkeypatch.delenv(bass_embedding.ENV_THREADS, raising=False)
+    else:
+        monkeypatch.setenv(bass_embedding.ENV_THREADS, env)
+    assert bass_embedding._worker_count() == expected
