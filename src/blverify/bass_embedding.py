@@ -22,14 +22,22 @@ never needed).  Randomness comes from counter-based Philox streams keyed by
 for a given (seed, n_paths, n_steps) no matter how many workers process the
 blocks or how the steps are chunked.
 
-Memory is bounded per chunk, not per problem.  The simulation streams the
-steps in row chunks of a few MB: while the calling thread interpolates the
-integrand rows of the current chunk and steps every path side by side in
-one vector, worker threads draw the next chunk's increments block by block
-into reused buffers (Philox fills release the GIL).  The Clark grid is built
-in small tau chunks on the same kind of pool.  The worker count is the
-number of CPUs the process may run on, capped by the BL_EMBED_THREADS
-environment variable; a cap of 1 runs everything on the calling thread.
+T is a functional of the path W alone, so one simulation serves several
+transports: `simulate_embeddings` draws the increments once, locates W on
+the integrands' common y grid once per step, and integrates each integrand
+along the same paths.  Each of its ensembles is bit-identical to a
+`simulate_embedding` call for that integrand alone.
+
+Memory is bounded per chunk, not per problem or per integrand.  The
+simulation streams the steps in row chunks of a few MB: while the calling
+thread interpolates the integrand rows of the current chunk and steps every
+path side by side in one vector, worker threads draw the next chunk's
+increments block by block into reused buffers (Philox fills release the
+GIL).  A chunk holds fewer steps the more integrands share it, so its row
+tables stay the same size.  The Clark grid is built in small tau chunks on
+the same kind of pool.  The worker count is the number of CPUs the process
+may run on, capped by the BL_EMBED_THREADS environment variable; a cap of 1
+runs everything on the calling thread.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ __all__ = [
     "TBoundReport",
     "KSReport",
     "simulate_embedding",
+    "simulate_embeddings",
     "wald_check",
     "t_bound_check",
     "embedded_law_check",
@@ -59,7 +68,7 @@ __all__ = [
 
 _BLOCK_PATHS = 4096            # fixed: part of the random-stream layout
 _DIRECT_EVAL_BAND = 1e-6       # 1 - s below which a(s, y) = g'(y) directly
-_CHUNK_VALUES = 1 << 19        # float64 values per step-chunk buffer (4 MB)
+_CHUNK_VALUES = 1 << 18        # float64 values per step-chunk table (2 MB)
 _GRID_TAU_ROWS = 8             # tau rows per Clark-grid chunk (~4 MB of nodes)
 ENV_THREADS = "BL_EMBED_THREADS"
 
@@ -225,6 +234,31 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
         Quadrature rule for the time integral; "left" is a diagnostics
         option that exposes the discretization sensitivity.
     """
+    return simulate_embeddings([clark], n_paths, n_steps, seed, rule)[0]
+
+
+def simulate_embeddings(clarks, n_paths: int, n_steps: int, seed: int,
+                        rule: str = "trapezoid") -> list[EmbeddingEnsemble]:
+    """Simulate one ensemble per integrand on one shared set of paths.
+
+    The stopping time is a functional of the Brownian path alone, so every
+    integrand is integrated along the same W: the increments are drawn once
+    and each step locates W on the common y grid once.  Each ensemble is
+    bit-identical to a `simulate_embedding` call for its integrand with the
+    same arguments (see there for the parameters).
+
+    Raises
+    ------
+    ValueError
+        On an empty integrand list, on integrands whose y grids differ, and
+        on the invalid arguments `simulate_embedding` rejects.
+    """
+    clarks = list(clarks)
+    if not clarks:
+        raise ValueError("simulate_embeddings needs at least one integrand")
+    y = clarks[0]._y
+    if any(not np.array_equal(c._y, y) for c in clarks[1:]):
+        raise ValueError("integrands must share one y grid")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if n_steps < 16:
@@ -232,9 +266,9 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     if rule not in ("trapezoid", "left"):
         raise ValueError(f"unknown integration rule {rule!r}")
 
-    y0 = clark._y[0]
-    inv_dy = (len(clark._y) - 1) / (clark._y[-1] - clark._y[0])
-    n_y = len(clark._y)
+    y0 = y[0]
+    inv_dy = (len(y) - 1) / (y[-1] - y[0])
+    n_y = len(y)
     dt = 1.0 / n_steps
     sqrt_dt = math.sqrt(dt)
     weights = np.full(n_steps + 1, dt)
@@ -251,7 +285,9 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
                        [seed & 0xFFFFFFFFFFFFFFFF, off // _BLOCK_PATHS],
                        dtype=np.uint64))))
               for off in range(0, n_paths, _BLOCK_PATHS)]
-    chunk = max(1, _CHUNK_VALUES // max(n_paths, n_y))   # steps per chunk
+    # steps per chunk: an increment buffer and the row tables of all the
+    # integrands each hold at most _CHUNK_VALUES values
+    chunk = max(1, _CHUNK_VALUES // max(n_paths, len(clarks) * n_y))
     starts = range(0, n_steps + 1, chunk)
     workers = _worker_count()
     n_fill = min(workers, len(blocks))
@@ -270,7 +306,7 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
             np.multiply(normals, sqrt_dt,
                         out=incr_bufs[c % 2][:n_rows, off:off + size])
 
-    t_acc = np.zeros(n_paths)
+    t_accs = [np.zeros(n_paths) for _ in clarks]
     w = np.zeros(n_paths)
     pos, frac, lo, hi = (np.empty(n_paths) for _ in range(4))
     j = np.empty(n_paths, dtype=np.int64)
@@ -282,35 +318,42 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
             if c + 1 < len(starts):   # draw the next chunk during this one
                 pending = [submit(fill, k, c + 1) for k in range(n_fill)]
             incr = incr_bufs[c % 2]
-            rows = clark.rows_for_steps(n_steps, start,
-                                        min(start + chunk, n_steps + 1))
-            diffs = np.diff(rows, axis=1)     # diffs[r, j] = row[j+1] - row[j]
-            for r in range(len(rows)):
+            stop = min(start + chunk, n_steps + 1)
+            tables = []
+            for clark in clarks:
+                rows = clark.rows_for_steps(n_steps, start, stop)
+                # diffs[r, j] = row[j+1] - row[j]
+                tables.append((rows, np.diff(rows, axis=1)))
+            for r in range(stop - start):
                 i = start + r
                 np.subtract(w, y0, out=pos)
                 pos *= inv_dy
                 np.clip(pos, 0.0, n_y - 1.001, out=pos)
                 np.copyto(j, pos, casting="unsafe")   # truncates like astype
                 np.subtract(pos, j, out=frac)
-                # 0 <= j <= n_y - 2 after the clip, so mode="clip" only
-                # skips the bounds check
-                rows[r].take(j, out=lo, mode="clip")
-                diffs[r].take(j, out=hi, mode="clip")
-                hi *= frac          # hi = frac * (row[j+1] - row[j])
-                lo += hi            # lo = a(s_i, w)
-                lo *= lo
-                lo *= weights[i]
-                t_acc += lo
+                for (rows, diffs), t_acc in zip(tables, t_accs):
+                    # 0 <= j <= n_y - 2 after the clip, so mode="clip" only
+                    # skips the bounds check
+                    rows[r].take(j, out=lo, mode="clip")
+                    diffs[r].take(j, out=hi, mode="clip")
+                    hi *= frac          # hi = frac * (row[j+1] - row[j])
+                    lo += hi            # lo = a(s_i, w)
+                    lo *= lo
+                    lo *= weights[i]
+                    t_acc += lo
                 if i < n_steps:
                     w += incr[r]
 
-    tmap = clark.transport
-    bt = np.asarray(tmap.g(w), float) - clark.mean_g
-    return EmbeddingEnsemble(
-        T=t_acc, bt=bt, w1=w, n_steps=int(n_steps), seed=int(seed),
-        A=float(tmap.A), mean_g=float(clark.mean_g),
-        clamp_count=int(np.count_nonzero(t_acc > tmap.A)),
-        potential_label=tmap.potential.label, rule=rule)
+    ensembles = []
+    for clark, t_acc in zip(clarks, t_accs):
+        tmap = clark.transport
+        ensembles.append(EmbeddingEnsemble(
+            T=t_acc, bt=np.asarray(tmap.g(w), float) - clark.mean_g,
+            w1=w.copy(), n_steps=int(n_steps), seed=int(seed),
+            A=float(tmap.A), mean_g=float(clark.mean_g),
+            clamp_count=int(np.count_nonzero(t_acc > tmap.A)),
+            potential_label=tmap.potential.label, rule=rule))
+    return ensembles
 
 
 # ---------------------------------------------------------------------------

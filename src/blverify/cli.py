@@ -25,15 +25,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,
+# simulate_embedding is not called here, but it stays importable from this
+# module: blbench's tracer wraps the simulator under this name
+from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,  # noqa: F401
                              embedded_law_check, simulate_embedding,
-                             t_bound_check, wald_check)
+                             simulate_embeddings, t_bound_check, wald_check)
 from .convex_tests import convex_test_from_spec
 from .local_time import est1_lower, est2_upper, local_time_gap_mc
 from .potentials import SlopeMap, builtin_potential, builtin_slope_map
 from .transport import (DivergentNormalizerError, NonFinitePotentialError,
                         TransportMap, build_transport)
-from .verifier import (SlopeBoundError, appendix_transport, format_float,
+from .verifier import (SlopeBoundError, appendix_transport,
+                       check_declared_slope_bounds, format_float,
                        mc_crosscheck, verify_appendix, verify_theorem)
 
 __all__ = ["ExperimentConfig", "default_matrix_config", "main", "run"]
@@ -130,9 +133,33 @@ def default_matrix_config(**overrides) -> ExperimentConfig:
 # config parsing helpers
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Entry:
+    """One potential of a run, built before anything is simulated or written.
+
+    ``improved_tmap`` is the transport at ``improved_alpha``, built once for
+    all psis.
+    """
+
+    kind: str                           # "theorem" or "appendix"
+    tmap: TransportMap
+    slope_map: SlopeMap | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    improved_alpha: float | None = None
+    improved_tmap: TransportMap | None = None
+
+
 def _parse_potential_entry(spec, variance: float, tol: float,
-                           build: bool = True):
-    """Returns (kind, tmap, slope_map, alpha, beta, improved_alpha)."""
+                           build: bool = True) -> _Entry | None:
+    """Check one potential entry; with ``build``, check its declared slope
+    bounds and build its transports.
+
+    Raises
+    ------
+    SlopeBoundError
+        When ``build`` and a declared slope bound fails on the grid.
+    """
     if not isinstance(spec, dict):
         raise ConfigError(f"potential entry must be an object, got {spec!r}")
     if "family" in spec:
@@ -140,10 +167,14 @@ def _parse_potential_entry(spec, variance: float, tol: float,
             pot = builtin_potential(spec["family"], spec.get("params"))
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad potential entry {spec!r}: {exc}") from exc
+        if not pot.convex:
+            # the theorem verdicts need convexity; non-convex measures go
+            # through their slope map
+            raise ConfigError(f"potential {pot.label!r} is not convex; give "
+                              "it as a 'slope_map' entry")
         if not build:
             return None
-        return ("theorem", build_transport(pot, variance, tol),
-                None, None, None, None)
+        return _Entry("theorem", build_transport(pot, variance, tol))
     if "slope_map" in spec:
         sm_spec = spec["slope_map"]
         try:
@@ -155,10 +186,20 @@ def _parse_potential_entry(spec, variance: float, tol: float,
         beta = None if beta is None else float(beta)
         improved = spec.get("improved_alpha")
         improved = None if improved is None else float(improved)
+        try:   # SlopeMap rejects alpha <= 0 and beta < alpha
+            dataclasses.replace(sm, alpha=alpha, beta=beta)
+            if improved is not None:
+                dataclasses.replace(sm, alpha=improved, beta=None)
+        except ValueError as exc:
+            raise ConfigError(f"bad slope bounds in {spec!r}: {exc}") from exc
         if not build:
             return None
-        return ("appendix", appendix_transport(sm, alpha, tol),
-                sm, alpha, beta, improved)
+        check_declared_slope_bounds(sm, alpha, beta)
+        return _Entry("appendix", appendix_transport(sm, alpha, tol),
+                      slope_map=sm, alpha=alpha, beta=beta,
+                      improved_alpha=improved,
+                      improved_tmap=None if improved is None
+                      else appendix_transport(sm, improved))
     raise ConfigError(f"potential entry needs 'family' or 'slope_map': {spec!r}")
 
 
@@ -177,43 +218,44 @@ def _check_dict(obj) -> dict:
     return out
 
 
-def _process_entry(spec, cfg: ExperimentConfig, with_mc: bool):
-    kind, tmap, sm, alpha, beta, improved = _parse_potential_entry(
-        spec, cfg.A, cfg.quadrature_tol)
-    entry = {
-        "kind": kind,
+def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
+                   cfg: ExperimentConfig, with_verdicts: bool):
+    """Ensemble checks plus, with ``with_verdicts``, one verification report
+    per psi (and per psi at ``improved_alpha``)."""
+    tmap = entry.tmap
+    record = {
+        "kind": entry.kind,
         "label": tmap.potential.label,
         "gaussian_variance": format_float(tmap.A),
         "mean_x": format_float(tmap.mean_mu),
         "var_x": format_float(tmap.var_mu),
     }
-    ensemble = None
-    if with_mc and cfg.n_paths > 0:
-        clark = ClarkIntegrand(tmap)
-        ensemble = simulate_embedding(clark, cfg.n_paths, cfg.n_steps,
-                                      cfg.seed)
-        entry["wald"] = _check_dict(wald_check(ensemble, tmap.var_mu))
-        entry["t_bound"] = _check_dict(t_bound_check(ensemble))
-        entry["embedded_law"] = _check_dict(embedded_law_check(ensemble, tmap))
+    if ensemble is not None:
+        record["wald"] = _check_dict(wald_check(ensemble, tmap.var_mu))
+        record["t_bound"] = _check_dict(t_bound_check(ensemble))
+        record["embedded_law"] = _check_dict(embedded_law_check(ensemble, tmap))
 
     reports = []
-    for psi_spec in cfg.psis:
+    for psi_spec in cfg.psis if with_verdicts else ():
         psi = convex_test_from_spec(psi_spec)
-        if kind == "theorem":
+        if entry.kind == "theorem":
             rep = verify_theorem(psi, tmap, p_list=tuple(cfg.p_list))
         else:
-            rep = verify_appendix(psi, sm, alpha=alpha, beta=beta,
-                                  p_list=tuple(cfg.p_list), tmap=tmap)
+            rep = verify_appendix(psi, entry.slope_map, alpha=entry.alpha,
+                                  beta=entry.beta, p_list=tuple(cfg.p_list),
+                                  tmap=tmap)
         if ensemble is not None:
             rep.mc = mc_crosscheck(psi, ensemble, tmap, reference=rep.rhs)
             rep.passes["mc"] = rep.mc.within_3se
         reports.append(rep)
-        if kind == "appendix" and improved is not None:
-            imp = verify_appendix(psi, sm, alpha=improved, p_list=(),
-                                  require_slope_bound=False)
+        if entry.improved_tmap is not None:
+            imp = verify_appendix(psi, entry.slope_map,
+                                  alpha=entry.improved_alpha, p_list=(),
+                                  require_slope_bound=False,
+                                  tmap=entry.improved_tmap)
             imp.psi_label += "~improved_alpha"
             reports.append(imp)
-    return entry, tmap, ensemble, reports
+    return record, reports
 
 
 def _ensemble_checks_pass(entry: dict) -> bool:
@@ -348,37 +390,52 @@ def run(cfg: ExperimentConfig, mode: str = "run") -> int:
     else:
         specs = cfg.potentials
 
+    # phase 1: every transport, slope bound and integrand; a configuration
+    # error raised here leaves nothing written
+    entries = [_parse_potential_entry(spec, cfg.A, cfg.quadrature_tol)
+               for spec in specs]
+    clarks = [ClarkIntegrand(e.tmap) for e in entries] if with_mc else []
+
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     plotdir = out / "plotdata"
     if mode != "embed":
         plotdir.mkdir(exist_ok=True)
 
-    entries = []
+    # phase 2: one simulation for every potential, on shared Brownian paths
+    ensembles = [None] * len(entries)
+    if with_mc:
+        ensembles = simulate_embeddings(clarks, cfg.n_paths, cfg.n_steps,
+                                        cfg.seed)
+
+    # phase 3: checks, verdicts and outputs, entry by entry
+    records = []
     all_reports = []
     all_ok = True
     single = len(specs) == 1
-    for idx, spec in enumerate(specs):
-        entry, tmap, ensemble, reports = _process_entry(spec, cfg, with_mc)
-        slug = _slug(entry["label"])
+    for idx, (entry, ensemble) in enumerate(zip(entries, ensembles)):
+        record, reports = _process_entry(entry, ensemble, cfg,
+                                         with_verdicts=mode != "embed")
+        slug = _slug(record["label"])
         if ensemble is not None:
             name = "ensemble.csv" if single else f"ensemble_{idx:02d}_{slug}.csv"
             ensemble.to_csv(out / name)
-            entry["ensemble_csv"] = name
-            all_ok &= _ensemble_checks_pass(entry)
+            record["ensemble_csv"] = name
+            all_ok &= _ensemble_checks_pass(record)
         if mode != "embed":
-            entry["reports"] = [rep.to_json_dict() for rep in reports]
+            record["reports"] = [rep.to_json_dict() for rep in reports]
             all_reports.extend(reports)
             all_ok &= all(rep.all_passed for rep in reports)
-            _write_transport_plotdata(plotdir / f"transport_{slug}.csv", tmap)
+            _write_transport_plotdata(plotdir / f"transport_{slug}.csv",
+                                      entry.tmap)
         if mode in ("run", "sandwich") and ensemble is not None:
             x_grid = getattr(cfg, "sandwich_x_grid", [0.0, 0.5, 1.0, 2.0])
-            rows, ok = _sandwich_rows(tmap, ensemble, x_grid, cfg.p_list)
+            rows, ok = _sandwich_rows(entry.tmap, ensemble, x_grid, cfg.p_list)
             _write_sandwich_plotdata(plotdir / f"sandwich_{slug}.csv",
                                      rows, cfg.p_list)
-            entry["sandwich_passed"] = ok
+            record["sandwich_passed"] = ok
             all_ok &= ok
-        entries.append(entry)
+        records.append(record)
 
     if mode != "embed":
         _write_margins_plotdata(plotdir / "margins.csv", all_reports)
@@ -386,7 +443,7 @@ def run(cfg: ExperimentConfig, mode: str = "run") -> int:
         report = {
             "config": cfg.to_dict(),
             "mode": mode,
-            "potentials": entries,
+            "potentials": records,
             "all_passed": bool(all_ok),
         }
         with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:

@@ -42,8 +42,8 @@ from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            builtin_convex_test, eval_psi,
                            integrate_against_second_derivative, p1_limit_bounds)
 from .gaussian_core import std_normal_cdf, std_normal_pdf
-from .potentials import Potential, SlopeMap, check_slope_bounds, \
-    potential_from_slope_map
+from .potentials import (Potential, SlopeBoundReport, SlopeMap,
+                         check_slope_bounds, potential_from_slope_map)
 from .transport import NonConvexPotentialError, TransportMap, build_transport
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "moment_rhs",
     "verify_theorem",
     "verify_appendix",
+    "check_declared_slope_bounds",
     "gaussianized_potential",
     "appendix_transport",
     "mc_crosscheck",
@@ -369,6 +370,34 @@ def appendix_transport(slope_map: SlopeMap, alpha: float | None = None,
                            quadrature_tol)
 
 
+def check_declared_slope_bounds(slope_map: SlopeMap,
+                                alpha: float | None = None,
+                                beta: float | None = None, grid=None,
+                                required: bool = True) -> SlopeBoundReport:
+    """Grid report of k' against the declared bounds sqrt(alpha) and
+    sqrt(beta) (|x| <= 8 by default).
+
+    Raises
+    ------
+    SlopeBoundError
+        When ``required`` and a declared bound fails on the grid.
+    """
+    a = float(alpha if alpha is not None else slope_map.alpha)
+    declared = dataclasses.replace(slope_map, alpha=a, beta=beta)
+    if grid is None:
+        grid = np.linspace(-8.0, 8.0, 1601)
+    report = check_slope_bounds(declared, grid)
+    if required and report.lower_violations:
+        raise SlopeBoundError(
+            f"slope map {slope_map.label!r} violates k' >= sqrt({a:g}) on "
+            f"the grid (min k' = {report.min_kprime:.12g})")
+    if required and report.upper_violations:
+        raise SlopeBoundError(
+            f"slope map {slope_map.label!r} violates k' <= sqrt({beta:g}) on "
+            f"the grid (max k' = {report.max_kprime:.12g})")
+    return report
+
+
 def verify_appendix(psi: ConvexTest, slope_map: SlopeMap,
                     alpha: float | None = None, beta: float | None = None,
                     p_list=(1.5, 2.0, 4.0), grid=None,
@@ -383,14 +412,8 @@ def verify_appendix(psi: ConvexTest, slope_map: SlopeMap,
     against N(0, 1/beta) is checked as well.
     """
     a = float(alpha if alpha is not None else slope_map.alpha)
-    declared = dataclasses.replace(slope_map, alpha=a, beta=beta)
-    if grid is None:
-        grid = np.linspace(-8.0, 8.0, 1601)
-    slope_report = check_slope_bounds(declared, grid)
-    if require_slope_bound and not slope_report.passed:
-        raise SlopeBoundError(
-            f"slope map {slope_map.label!r} violates k' >= sqrt({a:g}) on "
-            f"the grid (min k' = {slope_report.min_kprime:.12g})")
+    slope_report = check_declared_slope_bounds(
+        slope_map, a, beta, grid, required=require_slope_bound)
 
     variance = 1.0 / a
     if tmap is None:

@@ -47,6 +47,11 @@ class TestConfig:
         {"potentials": [{"family": "unknown"}]},
         {"potentials": [{"oops": 1}]},
         {"unknown_key": 3},
+        {"potentials": [{"slope_map": {"name": "cubic"}, "alpha": -1.0}]},
+        {"potentials": [{"slope_map": {"name": "cubic"}, "beta": 0.5}]},
+        {"potentials": [{"slope_map": {"name": "cubic"},
+                         "improved_alpha": 0.0}]},
+        {"potentials": [{"family": "double_well"}]},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -115,6 +120,24 @@ class TestRunCommand:
         assert main(["verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("bad_entry", [
+        {"slope_map": {"name": "cubic"}, "alpha": 4.0},
+        {"family": "double_well"},
+    ])
+    @pytest.mark.parametrize("command", ["run", "embed"])
+    def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,
+                                               tmp_path):
+        # the bad entry comes second, after one that would already have
+        # produced an ensemble and plot data
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "abs", "params": {"c": 1.0}},
+                           bad_entry],
+            "n_paths": 300,
+        })
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_failed_inequality_exits_1(self, tmp_path, monkeypatch):
         # exit-code contract: any false pass flag turns the run into status 1
         import blverify.cli as cli_mod
@@ -149,6 +172,30 @@ class TestSubcommands:
         assert (out / "ensemble.csv").exists()
         assert not (out / "report.json").exists()
         assert not (out / "plotdata").exists()
+
+    def test_embed_makes_no_verdicts_and_keeps_run_ensembles(self, tmp_path,
+                                                             monkeypatch):
+        import blverify.cli as cli_mod
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "abs", "params": {"c": 1.0}},
+                           {"slope_map": {"name": "cubic"}}],
+            "n_paths": 300,
+            "n_steps": 64,
+        })
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("embed computed a verdict")
+
+        for name in ("verify_theorem", "verify_appendix", "mc_crosscheck"):
+            monkeypatch.setattr(cli_mod, name, no_verdict)
+        assert main(["embed", "--config", str(cfg),
+                     "--out", str(tmp_path / "embed")]) == 0
+        for name in ("ensemble_00_abs_1.csv",
+                     "ensemble_01_slope_cubic_k_gauss.csv"):
+            assert (tmp_path / "embed" / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes()
 
     def test_embed_seed_override_reproducible(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -189,6 +236,34 @@ class TestSubcommands:
         assert len(report["potentials"]) == 2   # zero entry filtered out
         labels = [r["psi"] for r in report["potentials"][1]["reports"]]
         assert any(l.endswith("~improved_alpha") for l in labels)
+
+    def test_improved_alpha_transport_built_once_per_entry(self, tmp_path,
+                                                           monkeypatch):
+        import blverify.cli as cli_mod
+        import blverify.verifier as verifier_mod
+        alphas = []
+        real = verifier_mod.appendix_transport
+
+        def counting(slope_map, alpha=None, *args, **kwargs):
+            alphas.append(alpha)
+            return real(slope_map, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "appendix_transport", counting)
+        monkeypatch.setattr(verifier_mod, "appendix_transport", counting)
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [
+                {"slope_map": {"name": "log_mixture",
+                               "params": {"p": 0.5, "q": 0.5 * math.sqrt(2),
+                                          "a": 1.0, "b": 2.0}},
+                 "beta": 2.0, "improved_alpha": 1.0},
+            ],
+            "psis": ["abs", "square", {"call": 1.0}],
+            "n_paths": 0,
+        })
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        # declared alpha is 0.25; one more build at the improved alpha
+        assert sorted(alphas) == [0.25, 1.0]
 
     def test_appendix_requires_slope_entry(self, tmp_path):
         cfg = write_config(tmp_path)

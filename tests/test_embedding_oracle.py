@@ -3,7 +3,8 @@
 The references below are the straightforward implementations: the Clark grid
 as one einsum over every (tau, node, y) point, and the simulation as one
 block of paths at a time with the block's whole increment array drawn up
-front.  Production code streams both in bounded chunks on worker threads;
+front, one potential at a time.  Production code streams both in bounded
+chunks on worker threads and steps every potential along one set of paths;
 it must reproduce the references bit for bit.
 """
 
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from blverify import bass_embedding
-from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
+from blverify.bass_embedding import (ClarkIntegrand, simulate_embedding,
+                                     simulate_embeddings)
 
 from conftest import MATRIX_KEYS
 
@@ -109,8 +111,8 @@ def test_simulation_matches_reference_on_matrix(key, matrix_clarks,
     (3, 600), (4113, 200), (9000, 97), (12288, 130), (4096, 256)])
 def test_simulation_matches_reference_ragged(n_paths, n_steps, matrix_clarks,
                                              monkeypatch):
-    # the chunks hold 511 steps for 3 paths, 127 for 4113, 58 for 9000, 42
-    # for 12288 and 128 for 4096: the first four step counts leave the last
+    # the chunks hold 255 steps for 3 paths, 63 for 4113, 29 for 9000, 21
+    # for 12288 and 64 for 4096: the first four step counts leave the last
     # chunk part-full, and with 4096 paths it holds only the final grid time
     assert_matches_reference(monkeypatch, matrix_clarks["abs"], n_paths,
                              n_steps, seed=11)
@@ -121,6 +123,45 @@ def test_simulation_matches_reference_rules_and_large_seed(rule, matrix_clarks,
                                                            monkeypatch):
     assert_matches_reference(monkeypatch, matrix_clarks["double_well_k"], 5000,
                              300, seed=2**63 + 12345, rule=rule)
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "left"])
+@pytest.mark.parametrize("n_paths", [3, 4113, 12288])
+def test_batched_simulation_matches_per_potential_reference(
+        n_paths, rule, matrix_clarks, monkeypatch):
+    # six integrands give chunks of 42 steps for 3 and 4113 paths and 21
+    # for 12288; 131 grid times leave the last chunk part-full
+    n_steps = 130
+    clarks = [matrix_clarks[key] for key in MATRIX_KEYS]
+    expected = [reference_simulation(clark, n_paths, n_steps, 13, rule)
+                for clark in clarks]
+    for cap in ("1", "2"):
+        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+        ensembles = simulate_embeddings(clarks, n_paths, n_steps, 13, rule)
+        assert len(ensembles) == len(clarks)
+        for key, ens, (T, bt, w1) in zip(MATRIX_KEYS, ensembles, expected):
+            assert np.array_equal(ens.T, T), (cap, key)
+            assert np.array_equal(ens.bt, bt), (cap, key)
+            assert np.array_equal(ens.w1, w1), (cap, key)
+            assert ens.potential_label == \
+                matrix_clarks[key].transport.potential.label
+
+
+def test_batched_simulation_gives_each_ensemble_its_own_w1(matrix_clarks):
+    ensembles = simulate_embeddings(
+        [matrix_clarks["abs"], matrix_clarks["zero"]], 100, 32, seed=1)
+    first, second = (ens.w1 for ens in ensembles)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+
+
+def test_batched_simulation_rejects_bad_integrand_lists(matrix_transports,
+                                                        matrix_clarks):
+    with pytest.raises(ValueError, match="at least one"):
+        simulate_embeddings([], 100, 32, seed=1)
+    narrow = ClarkIntegrand(matrix_transports["abs"], y_range=(-7.0, 7.0))
+    with pytest.raises(ValueError, match="y grid"):
+        simulate_embeddings([matrix_clarks["abs"], narrow], 100, 32, seed=1)
 
 
 def test_many_fill_threads_under_fast_switching(matrix_clarks, monkeypatch):
@@ -171,12 +212,12 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_memory_is_bounded_per_chunk(matrix_transports):
-    """Grid build and a long simulation stay far below one-shot sizes.
+def test_memory_is_bounded_per_chunk(matrix_transports, matrix_clarks):
+    """Grid build and long simulations stay far below one-shot sizes.
 
     One-shot, the grid build holds two 257 x 64 x 1025 arrays (~270 MB) and
     the simulation a 8192 x 4096 increment array plus 8193 integrand rows
-    (~330 MB).
+    (~330 MB), and 8193 more rows (~67 MB) for each further potential.
     """
     bound = 48 * 2**20
     tmap = matrix_transports["abs"]
@@ -184,6 +225,9 @@ def test_memory_is_bounded_per_chunk(matrix_transports):
     clark = ClarkIntegrand(tmap)
     assert _peak_bytes(
         lambda: simulate_embedding(clark, 4096, 8192, seed=3)) < bound
+    clarks = [matrix_clarks[key] for key in MATRIX_KEYS]
+    assert _peak_bytes(
+        lambda: simulate_embeddings(clarks, 4096, 8192, seed=3)) < bound
 
 
 @pytest.mark.parametrize("env,expected", [
