@@ -11,6 +11,13 @@ function itself is recovered as
 which is also the decomposition the inequality verifier exploits: every
 moment of psi reduces to call/put values integrated against psi''.
 
+Every psi''-integral int f(y) psi''(dy) is an atom sum plus one adaptive
+quadrature of the density: composite 7-point Gauss-Legendre panels, bisected
+where a panel and its two halves disagree, with the density and f called on
+the whole array of a round's nodes (never point by point).  Densities and
+the integrands passed to ``integrate_against_second_derivative`` must
+therefore accept numpy arrays.
+
 Divergent psi''-integrals are reported as an explicit +inf value, not an
 error; the moment inequalities are understood to hold when both sides are
 infinite, and the constants they involve live in [0, inf].
@@ -25,8 +32,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from . import local_time
+from .local_time import expected_local_time_array
 from .gaussian_core import heat_kernel
+from .transport import _GL_W, _panel_nodes
 
 __all__ = [
     "ConvexTest",
@@ -45,6 +53,11 @@ __all__ = [
 # relative contribution of the outermost strips flags divergence.
 _TAIL_FRACTION = 1e-8
 
+# The psi'' integrals use the 7-point Gauss-Legendre panels of the
+# transport tables.
+_INITIAL_PANELS = 16
+_PANEL_BUDGET = 400       # most panels per integral, as quad's limit=400
+
 
 @dataclass(frozen=True)
 class ConvexTest:
@@ -52,9 +65,11 @@ class ConvexTest:
 
     ``atoms`` are (location, mass >= 0) pairs; ``density`` is a nonnegative
     callable with polynomial growth of degree ``density_degree`` (declared by
-    the author, used to size integration windows).  ``closed_form``, when
-    available, evaluates psi directly and is what the Monte Carlo cross-check
-    uses on large samples.
+    the author).  It must accept a 1-d array of points and return their
+    values elementwise, because the quadrature evaluates it on all nodes of
+    a refinement round at once.  ``closed_form``, when available, evaluates
+    psi directly on arrays and is what the Monte Carlo cross-check uses on
+    large samples.
     """
 
     label: str
@@ -141,7 +156,8 @@ def convex_test_from_spec(spec) -> ConvexTest:
     Accepts ``"abs"``, ``"square"``, ``{"power": p}``, ``{"call": K}``,
     ``{"corridor": K}``, or ``{"atoms": [[loc, mass], ...],
     "density_poly_coeffs": [c0, c1, ...]}`` (density sum_i c_i |y|^i,
-    required nonnegative).
+    required nonnegative).  The last form gets the closed form
+    psi(0) + psi'_-(0) x + sum of kinks + sum_i c_i |x|^(i+2) / ((i+1)(i+2)).
     """
     if isinstance(spec, str):
         return builtin_convex_test(spec)
@@ -155,7 +171,9 @@ def convex_test_from_spec(spec) -> ConvexTest:
         return builtin_convex_test("corridor", width=spec["corridor"])
     if "atoms" in spec or "density_poly_coeffs" in spec:
         atoms = tuple((float(l), float(m)) for l, m in spec.get("atoms", []))
-        coeffs = [float(c) for c in spec.get("density_poly_coeffs", [])]
+        coeffs = tuple(float(c) for c in spec.get("density_poly_coeffs", []))
+        value_at_zero = float(spec.get("value_at_zero", 0.0))
+        left_slope = float(spec.get("left_slope_at_zero", 0.0))
         density = None
         degree = 0
         if coeffs:
@@ -163,15 +181,27 @@ def convex_test_from_spec(spec) -> ConvexTest:
                 raise ValueError("density polynomial coefficients must be >= 0")
             degree = len(coeffs) - 1
 
-            def density(y, _c=tuple(coeffs)):
+            def density(y, _c=coeffs):
                 ay = np.abs(np.asarray(y, float))
                 return sum(ci * ay ** i for i, ci in enumerate(_c))
 
+        def closed_form(x):
+            # the psi'' reconstruction integrated term by term:
+            # int_0^|x| (|x| - y) c_i y^i dy = c_i |x|^(i+2) / ((i+1)(i+2))
+            x = np.asarray(x, float)
+            out = value_at_zero + left_slope * x
+            for loc, mass in atoms:
+                out = out + mass * (np.maximum(x - loc, 0.0) if loc >= 0.0
+                                    else np.maximum(loc - x, 0.0))
+            ax = np.abs(x)
+            for i, ci in enumerate(coeffs):
+                out = out + ci * ax ** (i + 2) / ((i + 1) * (i + 2))
+            return out
+
         return ConvexTest(
-            label=spec.get("label", "custom"),
-            value_at_zero=float(spec.get("value_at_zero", 0.0)),
-            left_slope_at_zero=float(spec.get("left_slope_at_zero", 0.0)),
-            atoms=atoms, density=density, density_degree=degree)
+            label=spec.get("label", "custom"), value_at_zero=value_at_zero,
+            left_slope_at_zero=left_slope, atoms=atoms, density=density,
+            density_degree=degree, closed_form=closed_form)
     raise ValueError(f"cannot parse convex test spec {spec!r}")
 
 
@@ -201,12 +231,11 @@ def second_derivative_mass(psi: ConvexTest, window: float = 200.0) -> float:
     """Total mass psi''(R); +inf when the density does not decay."""
     total = sum(mass for _, mass in psi.atoms)
     if psi.density is not None:
-        inner, _ = quad(lambda y: float(psi.density(y)), -window, window,
-                        epsabs=1e-12, epsrel=1e-10, limit=400)
-        strip, _ = quad(lambda y: float(psi.density(y)),
-                        window, window * 1.05, epsabs=1e-12, epsrel=1e-10)
-        strip2, _ = quad(lambda y: float(psi.density(y)),
-                         -window * 1.05, -window, epsabs=1e-12, epsrel=1e-10)
+        inner = _gauss_legendre(psi.density, -window, window, 1e-12, 1e-10)
+        strip = _gauss_legendre(psi.density, window, window * 1.05,
+                                1e-12, 1e-10)
+        strip2 = _gauss_legendre(psi.density, -window * 1.05, -window,
+                                 1e-12, 1e-10)
         if strip + strip2 > _TAIL_FRACTION * max(inner, 1e-300):
             return math.inf
         total += inner
@@ -217,26 +246,78 @@ def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
                                         window: float = 60.0) -> float:
     """int f(y) psi''(dy): atom sum plus density quadrature.
 
+    ``f`` is vectorized: it is called once on the array of atom locations
+    and once per refinement round on the flat array of quadrature nodes.
     Returns +inf when the boundary strips of the density integral still
     carry relative mass above 1e-8, the numerical signature of divergence
     (e.g. f == 1 against the infinite-mass curvature of x^2).
     """
     total = 0.0
-    for loc, mass in psi.atoms:
-        total += mass * float(f(loc))
+    if psi.atoms:
+        locs = np.array([loc for loc, _ in psi.atoms])
+        values = np.broadcast_to(np.asarray(f(locs), float), locs.shape)
+        for (_, mass), value in zip(psi.atoms, values):
+            total += mass * float(value)
     if psi.density is not None:
-        h = lambda y: float(psi.density(y)) * float(f(y))
+        h = lambda y: psi.density(y) * np.asarray(f(y), float)
         inner = 0.0
         # split at 0: power-law densities have a corner there
         for lo, hi in ((-window, 0.0), (0.0, window)):
-            val, _ = quad(h, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400)
-            inner += val
-        strip_hi, _ = quad(h, window, window * 1.05, epsabs=1e-13, epsrel=1e-11)
-        strip_lo, _ = quad(h, -window * 1.05, -window, epsabs=1e-13, epsrel=1e-11)
+            inner += _gauss_legendre(h, lo, hi, 1e-13, 1e-11)
+        strip_hi = _gauss_legendre(h, window, window * 1.05, 1e-13, 1e-11)
+        strip_lo = _gauss_legendre(h, -window * 1.05, -window, 1e-13, 1e-11)
         if abs(strip_hi) + abs(strip_lo) > _TAIL_FRACTION * max(abs(inner) + total, 1e-300):
             return math.inf
         total += inner
     return total
+
+
+def _panel_values(h: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """7-point Gauss-Legendre value of h on each panel [lo_i, hi_i], with h
+    called once on the flat array of all nodes."""
+    nodes, half = _panel_nodes(lo, hi)
+    vals = np.broadcast_to(np.asarray(h(nodes.ravel()), float), nodes.size)
+    return half * (vals.reshape(nodes.shape) @ _GL_W)
+
+
+def _gauss_legendre(h: Callable, lo: float, hi: float,
+                    epsabs: float, epsrel: float) -> float:
+    """Adaptive composite 7-point Gauss-Legendre quadrature of h on [lo, hi].
+
+    Every round evaluates the two halves of each open panel in one call of
+    h.  A panel is accepted when its one-panel and two-half values differ by
+    at most its width share of max(epsabs, epsrel |estimate|); the others
+    are bisected.  When bisecting would exceed ``_PANEL_BUDGET`` panels the
+    current estimate is returned, as quad does at its subinterval limit.
+    """
+    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+    a, b = edges[:-1], edges[1:]
+    n = a.size
+    m = 0.5 * (a + b)
+    vals = _panel_values(h, np.concatenate([a, a, m]), np.concatenate([b, m, b]))
+    whole, left, right = vals[:n], vals[n:2 * n], vals[2 * n:]
+    accepted = 0.0
+    n_panels = n
+    while True:
+        halves = left + right
+        estimate = accepted + float(np.sum(halves))
+        if not math.isfinite(estimate):
+            return estimate     # overflowing integrand: nothing can converge
+        tol = max(epsabs, epsrel * abs(estimate))
+        ok = np.abs(whole - halves) <= (b - a) / (hi - lo) * tol
+        accepted += float(np.sum(halves[ok]))
+        bad = ~ok
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad == 0 or n_panels + n_bad > _PANEL_BUDGET:
+            return accepted + float(np.sum(halves[bad]))
+        n_panels += n_bad
+        a = np.concatenate([a[bad], m[bad]])
+        b = np.concatenate([m[bad], b[bad]])
+        whole = np.concatenate([left[bad], right[bad]])
+        m = 0.5 * (a + b)
+        n = a.size
+        vals = _panel_values(h, np.concatenate([a, m]), np.concatenate([m, b]))
+        left, right = vals[:n], vals[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +329,10 @@ def bl2_correction(psi: ConvexTest, variance: float, var_x: float) -> float:
 
         (1/2) int psi''(dx) int_0^{(A - var_x)^2 / A} p(s; sqrt(x^2 + A)) ds.
 
-    The inner time integral is ``local_time.est1_lower``; the outer integral
-    runs against psi''.  Zero when var_x = A, nondecreasing as var_x drops.
+    The inner time integral is the closed-form expected local time of
+    ``local_time.est1_lower``, evaluated on whole node arrays; the outer
+    integral runs against psi''.  Zero when var_x = A, nondecreasing as
+    var_x drops.
     """
     if var_x > variance * (1.0 + 1e-9) + 1e-12:
         raise ValueError(f"var_x={var_x} exceeds the Gaussian variance "
@@ -258,8 +341,13 @@ def bl2_correction(psi: ConvexTest, variance: float, var_x: float) -> float:
     if var_x == variance:
         return 0.0
     window = 12.0 * math.sqrt(variance) + 10.0
-    val = integrate_against_second_derivative(
-        psi, lambda x: local_time.est1_lower(x, variance, var_x), window=window)
+    horizon = (variance - var_x) ** 2 / variance
+
+    def residual(x):
+        level = np.sqrt(np.square(x) + variance)
+        return np.maximum(expected_local_time_array(level, horizon), 0.0)
+
+    val = integrate_against_second_derivative(psi, residual, window=window)
     return 0.5 * val
 
 

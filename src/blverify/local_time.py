@@ -1,18 +1,17 @@
 """Expected Brownian local time and the variance-gap estimates built on it.
 
-Three equivalent expressions for E[L^x_t], the expected local time of
-standard Brownian motion at level x up to time t:
+E[L^x_t], the expected local time of standard Brownian motion at level x up
+to time t, is the occupation integral int_0^t p(s; x) ds.  Its
+antiderivative gives the one production formula,
 
-    occupation:   int_0^t p(s; x) ds
-    reflection:   2 int_0^inf (y - |x|)^+ p(t; y) dy
-    scaled:       2 int_0^inf (sqrt(t) y - |x|)^+ p(1; y) dy
+    E[L^x_t] = sqrt(2 t / pi) exp(-x^2 / 2t) - 2 |x| Phi(-|x| / sqrt(t)),
 
-The occupation integral is the production route; after the substitution
-s = u^2 its integrand sqrt(2/pi) exp(-x^2 / (2 u^2)) is smooth and monotone
-on [0, sqrt(t)], so a single adaptive quadrature gives ~1e-13 accuracy.  The
-other two are retained as independent cross-checks.
+evaluated elementwise on arrays by ``expected_local_time_array``.  The
+occupation integral and the two equivalent reflection forms
+2 int_0^inf (y - |x|)^+ p(t; y) dy and 2 int_0^inf (sqrt(t) y - |x|)^+
+p(1; y) dy are kept in the tests as quadrature oracles.
 
-On top of these sit the two closed-form bounds for the residual local time
+On top of it sit the two closed-form bounds for the residual local time
 E[L^x_A - L^x_T] accumulated between a stopping time T <= A with centered
 embedded law of variance var_x and the horizon A:
 
@@ -30,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gaussian_core import heat_kernel, std_normal_cdf
 
@@ -43,61 +41,14 @@ __all__ = [
     "est2_upper",
 ]
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-
-def _occupation(x: float, t: float) -> float:
-    # int_0^t p(s;x) ds with s = u^2
-    if x == 0.0:
-        return _SQRT_2_OVER_PI * math.sqrt(t)
-    val, _ = quad(lambda u: math.exp(-x * x / (2.0 * u * u)) if u > 0 else 0.0,
-                  0.0, math.sqrt(t), epsabs=1e-14, epsrel=1e-13, limit=200)
-    return _SQRT_2_OVER_PI * val
-
-
-def _reflection(x: float, t: float) -> float:
-    a = abs(x)
-    val, _ = quad(lambda y: (y - a) * heat_kernel(t, y), a, np.inf,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 2.0 * val
-
-
-def _scaled(x: float, t: float) -> float:
-    a = abs(x)
-    st = math.sqrt(t)
-    val, _ = quad(lambda y: (st * y - a) * heat_kernel(1.0, y), a / st, np.inf,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 2.0 * val
-
-
-_FORMULAS = {
-    "occupation": _occupation,
-    "reflection": _reflection,
-    "scaled": _scaled,
-}
-
-
-def expected_local_time(x: float, t: float, formula: str = "occupation") -> float:
-    """E[L^x_t] for standard Brownian motion.
-
-    Parameters
-    ----------
-    x : float
-        Level; the value is even in x.
-    t : float
-        Horizon, strictly positive.
-    formula : {"occupation", "reflection", "scaled"}
-        Which of the three equivalent integral representations to evaluate.
-        They agree pairwise to ~1e-12; "occupation" is the fastest.
-    """
+def expected_local_time(x: float, t: float) -> float:
+    """E[L^x_t] for standard Brownian motion at level x (even in x) and
+    horizon t > 0, by the closed form of ``expected_local_time_array``,
+    clamped at 0 against rounding in the far tail."""
     if not (t > 0.0):
         raise ValueError(f"expected_local_time requires t > 0, got {t}")
-    try:
-        impl = _FORMULAS[formula]
-    except KeyError:
-        raise ValueError(f"unknown formula {formula!r}; choose from "
-                         f"{sorted(_FORMULAS)}") from None
-    return impl(float(x), float(t))
+    return max(expected_local_time_array(float(x), float(t)), 0.0)
 
 
 def expected_local_time_array(x, t):
@@ -107,7 +58,8 @@ def expected_local_time_array(x, t):
 
     Exactly the occupation formula in closed form; entries with t <= 0
     evaluate to 0 (no residual horizon).  Used by the Monte Carlo gap
-    estimator, where one evaluation per path is needed.
+    estimator, where one evaluation per path is needed, and by the psi''
+    integral of the bl2 correction, one evaluation per quadrature node.
     """
     x = np.asarray(x, float)
     t = np.asarray(t, float)
@@ -174,9 +126,8 @@ def est1_lower(x: float, variance: float, var_x: float) -> float:
     """
     var_x = _check_variance_pair(variance, var_x)
     horizon = (variance - var_x) ** 2 / variance
-    if horizon <= 0.0:
-        return 0.0
-    return expected_local_time(math.sqrt(x * x + variance), horizon)
+    return max(expected_local_time_array(math.sqrt(x * x + variance),
+                                         horizon), 0.0)
 
 
 def est2_upper(x: float, variance: float, var_x: float, p: float) -> float:

@@ -27,6 +27,7 @@ from blverify.verifier import (moment_lhs, moment_rhs, verify_appendix,
                                verify_theorem)
 
 from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS
+from test_local_time import worst_pairwise_disagreement
 
 PSIS = [builtin_convex_test("abs"), builtin_convex_test("square"),
         builtin_convex_test("power", p=3),
@@ -128,16 +129,13 @@ def test_criterion_4_stopping_time_and_wald(matrix_transports,
 
 
 def test_criterion_5_local_time_triple_agreement():
-    worst = 0.0
-    for x in np.linspace(-3.0, 3.0, 20):
-        for t in np.linspace(0.05, 4.0, 20):
-            occ = expected_local_time(x, t, "occupation")
-            ref = expected_local_time(x, t, "reflection")
-            sca = expected_local_time(x, t, "scaled")
-            worst = max(worst, abs(occ - ref), abs(occ - sca), abs(ref - sca))
+    # the production closed form against the three quadrature forms
+    worst = worst_pairwise_disagreement(np.linspace(-3.0, 3.0, 20),
+                                        np.linspace(0.05, 4.0, 20))
     origin_err = max(abs(expected_local_time(0.0, t) - math.sqrt(2 * t / math.pi))
                      for t in (0.5, 1.0, 2.0))
-    _report(5, "three local-time formulas agree (20x20 grid) and "
+    _report(5, "closed-form local time and its three quadrature forms agree "
+               "(20x20 grid) and "
                "E[L^0_t] = sqrt(2t/pi)",
             worst <= 1e-9 and origin_err <= 1e-10,
             f"pairwise {worst:.1e}, origin {origin_err:.1e}")

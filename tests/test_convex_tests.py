@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from blverify import convex_tests
 from blverify.convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                                    builtin_convex_test, convex_test_from_spec,
                                    eval_psi,
                                    integrate_against_second_derivative,
                                    p1_limit_bounds, second_derivative_mass)
-from blverify.gaussian_core import heat_kernel
+from blverify.gaussian_core import heat_kernel, std_normal_cdf
+from blverify.local_time import expected_local_time_array
+from blverify.verifier import _gaussian_call, moment_lhs, moment_rhs
+
+from conftest import MATRIX_KEYS
 
 ALL_BUILTINS = [
     builtin_convex_test("abs"),
@@ -20,6 +26,157 @@ ALL_BUILTINS = [
     builtin_convex_test("call", strike=1.0),
     builtin_convex_test("corridor", width=1.0),
 ]
+
+
+DATA_PSIS = [
+    convex_test_from_spec({"label": "data_kinks_linear",
+                           "atoms": [[-0.75, 0.5], [1.25, 1.5]],
+                           "density_poly_coeffs": [0.5, 0.25]}),
+    convex_test_from_spec({"label": "data_atom_quadratic",
+                           "atoms": [[0.0, 1.0]],
+                           "density_poly_coeffs": [1.0, 0.0, 0.3]}),
+]
+ORACLE_PSIS = ALL_BUILTINS + [builtin_convex_test("power", p=5)] + DATA_PSIS
+
+
+def quad_reference(psi, f, window=60.0):
+    """The scalar-quad form of ``integrate_against_second_derivative``: one
+    scipy ``quad`` per half line and per divergence strip, with f and the
+    density called on one point at a time."""
+    def scalar(y):
+        return float(np.asarray(f(np.array([y])), float).reshape(-1)[0])
+
+    total = 0.0
+    for loc, mass in psi.atoms:
+        total += mass * scalar(loc)
+    if psi.density is not None:
+        h = lambda y: float(psi.density(y)) * scalar(y)
+        inner = 0.0
+        for lo, hi in ((-window, 0.0), (0.0, window)):
+            val, _ = quad(h, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400)
+            inner += val
+        strip_hi, _ = quad(h, window, window * 1.05, epsabs=1e-13, epsrel=1e-11)
+        strip_lo, _ = quad(h, -window * 1.05, -window, epsabs=1e-13, epsrel=1e-11)
+        if abs(strip_hi) + abs(strip_lo) > 1e-8 * max(abs(inner) + total, 1e-300):
+            return math.inf
+        total += inner
+    return total
+
+
+def scalar_centered_option(tmap):
+    """Transport call value above the mean, put value below it, one point
+    at a time (the integrand of ``moment_rhs``)."""
+    m = tmap.mean_mu
+
+    def option(y):
+        y = float(np.asarray(y).reshape(-1)[0])
+        if y >= 0.0:
+            return float(tmap.upper_call_value(m + y))
+        return float(tmap.lower_put_value(m + y))
+
+    return option
+
+
+def explosive_psi():
+    # curvature growing like e^{0.6 y^2}: every psi'' integral against a
+    # Gaussian-tailed kernel of variance >= 5/6 diverges
+    def density(y):
+        with np.errstate(over="ignore"):
+            return np.exp(0.6 * np.asarray(y) ** 2)
+    return ConvexTest("explosive", 0.0, 0.0, density=density)
+
+
+def _kernels():
+    out = []
+    for a in (1.0, 4.0):
+        out.append((f"gaussian_call(A={a:g})", _gaussian_call(a),
+                    12.0 * math.sqrt(a) + 10.0))
+        scale = math.sqrt(a * 3.0)
+        out.append((f"heat_kernel(A={a:g},q=2)",
+                    lambda x, _s=scale: heat_kernel(1.0, x / _s),
+                    12.0 * scale + 10.0))
+        horizon = (a - 0.6 * a) ** 2 / a
+        out.append((f"bl2_kernel(A={a:g})",
+                    lambda x, _a=a, _h=horizon: np.maximum(
+                        expected_local_time_array(np.sqrt(x * x + _a), _h), 0.0),
+                    12.0 * math.sqrt(a) + 10.0))
+    return out
+
+
+KERNELS = _kernels()
+
+
+class TestIntegratorOracle:
+    """The vectorized adaptive Gauss-Legendre integrator against the scalar
+    quad form it replaced."""
+
+    @pytest.mark.parametrize("psi", ORACLE_PSIS, ids=lambda p: p.label)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k[0])
+    def test_analytic_kernels(self, psi, kernel):
+        _, f, window = kernel
+        ref = quad_reference(psi, f, window)
+        got = integrate_against_second_derivative(psi, f, window)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("key", MATRIX_KEYS)
+    def test_transport_option_values(self, matrix_transports, key):
+        tmap = matrix_transports[key]
+        m = tmap.mean_mu
+        window = (min(m - tmap.window[0], tmap.window[1] - m) - 0.5) / 1.05
+        option = scalar_centered_option(tmap)
+        for psi in ORACLE_PSIS:
+            ref = psi.value_at_zero + quad_reference(psi, option, window)
+            got = moment_rhs(psi, tmap)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), psi.label
+
+    def test_explosive_psi_diverges_on_both(self, matrix_transports):
+        psi = explosive_psi()
+        for a in (1.0, 4.0):
+            f, window = _gaussian_call(a), 12.0 * math.sqrt(a) + 10.0
+            assert quad_reference(psi, f, window) == math.inf
+            assert integrate_against_second_derivative(psi, f, window) == math.inf
+        assert moment_lhs(psi, 1.0) == math.inf
+        zero = matrix_transports["zero"]
+        m = zero.mean_mu
+        window = (min(m - zero.window[0], zero.window[1] - m) - 0.5) / 1.05
+        assert quad_reference(psi, scalar_centered_option(zero), window) == math.inf
+        assert moment_rhs(psi, zero) == math.inf
+        assert math.isinf(bl3_constant(psi, 4.0, 3.0))
+
+    def test_square_against_one_diverges_on_both(self):
+        psi = builtin_convex_test("square")
+        one = lambda y: np.ones_like(np.asarray(y, float))
+        assert quad_reference(psi, one) == math.inf
+        assert integrate_against_second_derivative(psi, one) == math.inf
+
+    def test_jump_in_density(self):
+        # int (1 + 1{y > 0.3}) p(1; y) dy = 1 + Phi(-0.3)
+        psi = ConvexTest("jump", 0.0, 0.0,
+                         density=lambda y: 1.0 + (np.asarray(y) > 0.3))
+        got = integrate_against_second_derivative(
+            psi, lambda y: heat_kernel(1.0, y))
+        assert got == pytest.approx(1.0 + std_normal_cdf(-0.3), abs=1e-12)
+
+    def test_rough_integrand_ends_within_panel_budget(self):
+        # a sign flip every 1e-4 defeats every panel: the integrator must
+        # stop at its panel budget with a finite estimate and bounded memory
+        calls = []
+
+        def rough(y):
+            calls.append(y.size)
+            return np.sign(np.sin(3e4 * y))
+
+        tracemalloc.start()
+        try:
+            val = convex_tests._gauss_legendre(rough, 0.0, 1.0, 1e-13, 1e-11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = convex_tests._PANEL_BUDGET
+        assert math.isfinite(val) and abs(val) <= 1.0
+        assert len(calls) <= budget
+        assert max(calls) <= 21 * budget
+        assert peak < 4 << 20
 
 
 class TestEvalPsi:
@@ -159,6 +316,21 @@ class TestSpecParsing:
         assert convex_test_from_spec({"power": 3}).label == "power(3)"
         assert convex_test_from_spec({"call": 1.0}).atoms == ((1.0, 1.0),)
         assert convex_test_from_spec({"corridor": 2.0}).atoms == ((-2.0, 1.0), (2.0, 1.0))
+
+    @pytest.mark.parametrize("spec", [
+        {"atoms": [[-0.75, 0.5], [1.25, 1.5]], "density_poly_coeffs": [0.5, 0.25],
+         "value_at_zero": 0.3, "left_slope_at_zero": -0.7},
+        {"atoms": [[0.0, 1.0]], "density_poly_coeffs": [1.0, 0.0, 0.3]},
+        {"density_poly_coeffs": [0.0, 0.0, 0.0, 2.0]},
+        {"atoms": [[0.5, 1.0]]},
+    ])
+    def test_polynomial_closed_form_matches_reconstruction(self, spec):
+        psi = convex_test_from_spec(spec)
+        xs = np.linspace(-10.0, 10.0, 81)
+        got = np.asarray(psi.closed_form(xs), float)
+        for x, g in zip(xs, got):
+            ref = eval_psi(psi, x)
+            assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_custom_atoms_and_density(self):
         psi = convex_test_from_spec({"atoms": [[0.0, 2.0]],

@@ -5,11 +5,55 @@ import pytest
 from scipy.integrate import quad
 
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
-from blverify.gaussian_core import std_normal_cdf
+from blverify.gaussian_core import heat_kernel, std_normal_cdf
 from blverify.local_time import (est1_lower, est2_upper, expected_local_time,
                                  expected_local_time_array, local_time_gap_mc)
 from blverify.potentials import builtin_potential
 from blverify.transport import build_transport
+
+
+# Quadrature forms of E[L^x_t], kept as oracles for the closed form the
+# package evaluates.
+
+def occupation_oracle(x, t):
+    # int_0^t p(s;x) ds with s = u^2
+    if x == 0.0:
+        return math.sqrt(2.0 / math.pi) * math.sqrt(t)
+    val, _ = quad(lambda u: math.exp(-x * x / (2.0 * u * u)) if u > 0 else 0.0,
+                  0.0, math.sqrt(t), epsabs=1e-14, epsrel=1e-13, limit=200)
+    return math.sqrt(2.0 / math.pi) * val
+
+
+def reflection_oracle(x, t):
+    # 2 int_0^inf (y - |x|)^+ p(t; y) dy
+    a = abs(x)
+    val, _ = quad(lambda y: (y - a) * heat_kernel(t, y), a, np.inf,
+                  epsabs=1e-13, epsrel=1e-13, limit=200)
+    return 2.0 * val
+
+
+def scaled_oracle(x, t):
+    # 2 int_0^inf (sqrt(t) y - |x|)^+ p(1; y) dy
+    a = abs(x)
+    st = math.sqrt(t)
+    val, _ = quad(lambda y: (st * y - a) * heat_kernel(1.0, y), a / st, np.inf,
+                  epsabs=1e-13, epsrel=1e-13, limit=200)
+    return 2.0 * val
+
+
+LOCAL_TIME_FORMS = (expected_local_time, occupation_oracle, reflection_oracle,
+                    scaled_oracle)
+
+
+def worst_pairwise_disagreement(xs, ts):
+    """Largest gap between any two of the closed form and the three
+    quadrature oracles over the grid xs x ts."""
+    worst = 0.0
+    for x in xs:
+        for t in ts:
+            vals = [form(float(x), float(t)) for form in LOCAL_TIME_FORMS]
+            worst = max(worst, max(vals) - min(vals))
+    return worst
 
 
 def closed_form_oracle(x, t):
@@ -33,27 +77,25 @@ class TestExpectedLocalTime:
         assert expected_local_time(1.2, 1.0) == expected_local_time(-1.2, 1.0)
 
     def test_three_formulas_agree_on_grid(self):
+        # the closed form and the occupation/reflection/scaled quadratures
         xs = np.linspace(-3.0, 3.0, 20)
         ts = np.linspace(0.05, 4.0, 20)
-        worst = 0.0
-        for x in xs:
-            for t in ts:
-                occ = expected_local_time(x, t, "occupation")
-                ref = expected_local_time(x, t, "reflection")
-                sca = expected_local_time(x, t, "scaled")
-                worst = max(worst, abs(occ - ref), abs(occ - sca),
-                            abs(ref - sca))
-        assert worst <= 1e-9
+        assert worst_pairwise_disagreement(xs, ts) <= 1e-9
 
     def test_monotone_in_time_and_level(self):
         assert expected_local_time(0.5, 2.0) > expected_local_time(0.5, 1.0)
         assert expected_local_time(0.5, 1.0) > expected_local_time(1.5, 1.0)
 
-    def test_rejects_bad_formula_and_time(self):
-        with pytest.raises(ValueError):
-            expected_local_time(0.0, 1.0, "magic")
+    def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             expected_local_time(0.0, 0.0)
+        with pytest.raises(ValueError):
+            expected_local_time(0.0, -1.0)
+
+    def test_far_tail_clamped_nonnegative(self):
+        # the closed form cancels in the far tail; the clamp keeps it >= 0
+        for x in (8.0, 20.0, 40.0):
+            assert 0.0 <= expected_local_time(x, 0.5) <= 1e-12
 
     def test_vectorized_form_matches_quadrature(self):
         xs = np.array([-2.0, -0.3, 0.0, 0.7, 1.9])
@@ -61,7 +103,7 @@ class TestExpectedLocalTime:
         vec = expected_local_time_array(xs, ts)
         for i in range(xs.size):
             assert vec[i] == pytest.approx(
-                expected_local_time(xs[i], ts[i]), abs=1e-11)
+                occupation_oracle(xs[i], ts[i]), abs=1e-11)
             assert vec[i] == pytest.approx(closed_form_oracle(xs[i], ts[i]),
                                            abs=1e-13)
 
@@ -120,6 +162,12 @@ class TestClosedFormBounds:
         oracle, _ = quad(lambda s: math.exp(-1.0 / (2 * s)) / math.sqrt(2 * math.pi * s),
                          0, 0.25, epsabs=1e-15, limit=400)
         assert est1_lower(0.0, 1.0, 0.5) == pytest.approx(oracle, abs=1e-12)
+
+    def test_est1_matches_occupation_oracle(self):
+        for x, a, v in ((0.0, 1.0, 0.5), (1.5, 2.0, 0.8), (-3.0, 4.0, 0.1)):
+            level = math.sqrt(x * x + a)
+            assert est1_lower(x, a, v) == pytest.approx(
+                occupation_oracle(level, (a - v) ** 2 / a), abs=1e-13)
 
     def test_est1_equals_local_time_at_shifted_level(self):
         assert est1_lower(1.5, 2.0, 0.8) == pytest.approx(
