@@ -34,10 +34,13 @@ thread interpolates the integrand rows of the current chunk and steps every
 path side by side in one vector, worker threads draw the next chunk's
 increments block by block into reused buffers (Philox fills release the
 GIL).  A chunk holds fewer steps the more integrands share it, so its row
-tables stay the same size.  The Clark grid is built in small tau chunks on
-the same kind of pool.  The worker count is the number of CPUs the process
-may run on, capped by the BL_EMBED_THREADS environment variable; a cap of 1
-runs everything on the calling thread.
+tables stay the same size.  The Clark grids are built inside the same
+pipeline: a second pool fills them in chunks of a few tau rows, highest tau
+first, which is the order the steps read them in, and the step loop waits
+only for the chunks covering its current steps.  The worker count is the
+number of CPUs the process may run on, capped by the BL_EMBED_THREADS
+environment variable; a cap of 1 runs everything on the calling thread,
+building each grid chunk just before its rows are first read.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -69,7 +73,7 @@ __all__ = [
 _BLOCK_PATHS = 4096            # fixed: part of the random-stream layout
 _DIRECT_EVAL_BAND = 1e-6       # 1 - s below which a(s, y) = g'(y) directly
 _CHUNK_VALUES = 1 << 18        # float64 values per step-chunk table (2 MB)
-_GRID_TAU_ROWS = 8             # tau rows per Clark-grid chunk (~4 MB of nodes)
+_GRID_TAU_ROWS = 2             # tau rows per Clark-grid chunk (~1 MB of nodes)
 _CSV_ROWS = 2048               # rows formatted per CSV write (~0.6 MB transient)
 ENV_THREADS = "BL_EMBED_THREADS"
 
@@ -111,8 +115,15 @@ class ClarkIntegrand:
 
     Evaluations use Gauss-Hermite quadrature over the Gaussian smoothing;
     for path simulation a tensor grid (uniform in tau = sqrt(1-s), where the
-    integrand is smooth, by 1024 uniform y nodes) is precomputed and sampled
-    bilinearly.  Read-only after construction.
+    integrand is smooth, by 1024 uniform y nodes) is sampled bilinearly.
+
+    The constructor tabulates g' and E[g(W_1)] but not the grid: that is
+    filled in chunks of _GRID_TAU_ROWS tau rows, on `simulate_embeddings`'
+    worker threads while it simulates, or on the calling thread by
+    `rows_for_steps` and `_grid` for any chunk they read that is still
+    missing.  Each chunk is built exactly once, by whichever thread claims
+    it first, so the integrand is not read-only until its grid is complete;
+    all its methods are safe for concurrent use.
     """
 
     def __init__(self, transport: TransportMap, hermite_nodes: int = 64,
@@ -131,15 +142,21 @@ class ClarkIntegrand:
 
         self._tau = np.linspace(0.0, 1.0, int(tau_cells) + 1)
         self._y = np.linspace(y_range[0], y_range[1], int(y_cells) + 1)
-        self._grid = np.empty((len(self._tau), len(self._y)))
-        with _submitter(_worker_count()) as submit:
-            for job in [submit(self._fill_grid, t0)
-                        for t0 in range(0, len(self._tau), _GRID_TAU_ROWS)]:
-                job.result()
-        self._grid[0] = self._interp_gprime(self._y)  # tau = 0: a(1, y) = g'(y)
+        self._table = np.empty((len(self._tau), len(self._y)))
+        # one future per chunk of _GRID_TAU_ROWS tau rows, set by the thread
+        # that claimed the chunk once its rows are in the table
+        self._chunks: list[Future | None] = \
+            [None] * -(-len(self._tau) // _GRID_TAU_ROWS)
+        self._chunk_lock = threading.Lock()
 
         self.mean_g = float(np.dot(self._gh_w,
                                    np.asarray(transport.g(self._gh_z), float)))
+
+    @property
+    def _grid(self) -> np.ndarray:
+        """The whole (tau, y) grid; missing chunks are built first."""
+        self._wait_rows(0, len(self._tau))
+        return self._table
 
     def _interp_gprime(self, x: np.ndarray) -> np.ndarray:
         # constant continuation beyond the table matches the transport's
@@ -152,7 +169,34 @@ class ClarkIntegrand:
         disp = tau[:, None, None] * self._gh_z[None, :, None]
         pts = self._y[None, None, :] + disp
         np.einsum("k,tky->ty", self._gh_w, self._interp_gprime(pts),
-                  out=self._grid[t0:t0 + len(tau)])
+                  out=self._table[t0:t0 + len(tau)])
+        if t0 == 0:
+            self._table[0] = self._interp_gprime(self._y)  # a(1, y) = g'(y)
+
+    def _build_chunk(self, c: int) -> Future:
+        """Future of grid chunk c, after building the chunk if it is unclaimed.
+
+        The first caller claims the chunk and builds it; later callers get
+        the same future, which holds the exception if the build failed.
+        """
+        with self._chunk_lock:
+            future = self._chunks[c]
+            claimed = future is None
+            if claimed:
+                future = self._chunks[c] = Future()
+        if claimed:
+            try:
+                self._fill_grid(c * _GRID_TAU_ROWS)
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+            future.set_result(None)
+        return future
+
+    def _wait_rows(self, lo: int, hi: int) -> None:
+        """Build, or wait for, every chunk holding a grid row in [lo, hi)."""
+        for c in range(lo // _GRID_TAU_ROWS, (hi - 1) // _GRID_TAU_ROWS + 1):
+            self._build_chunk(c).result()
 
     def a(self, s, y):
         """Direct Gauss-Hermite evaluation of a(s, y) for 0 <= s <= 1."""
@@ -181,8 +225,10 @@ class ClarkIntegrand:
         dtau = self._tau[1] - self._tau[0]
         pos = np.clip(tau / dtau, 0.0, len(self._tau) - 1.001)
         j = pos.astype(np.int64)
+        if j.size:
+            self._wait_rows(int(j.min()), int(j.max()) + 2)
         frac = (pos - j)[:, None]
-        return self._grid[j] * (1.0 - frac) + self._grid[j + 1] * frac
+        return self._table[j] * (1.0 - frac) + self._table[j + 1] * frac
 
 
 def _worker_count() -> int:
@@ -209,13 +255,17 @@ def _completed(fn, *args) -> Future:
 def _submitter(workers: int):
     """Yield `submit(fn, *args) -> Future` backed by `workers` threads.
 
-    With one worker, submit runs fn inline and no thread is started.
+    With one worker, submit runs fn inline and no thread is started.  Tasks
+    still queued when the block exits are cancelled.
     """
     if workers == 1:
         yield _completed
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.submit
+        try:
+            yield pool.submit
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
@@ -315,7 +365,17 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int, seed: int,
     w = np.zeros(n_paths)
     pos, frac, lo, hi = (np.empty(n_paths) for _ in range(4))
     j = np.empty(n_paths, dtype=np.int64)
-    with _submitter(workers) as submit:
+    with _submitter(workers) as submit, _submitter(workers) as submit_grid:
+        if workers > 1:
+            # build the missing grid chunks highest tau first, the order the
+            # steps read them in (s = 0 is tau = 1); rows_for_steps waits for
+            # the chunks it reads, and with one worker builds them itself
+            jobs = sorted((-clark._tau[c * _GRID_TAU_ROWS], k, c)
+                          for k, clark in enumerate(clarks)
+                          for c, built in enumerate(clark._chunks)
+                          if built is None)
+            for _, k, c in jobs:
+                submit_grid(clarks[k]._build_chunk, c)
         pending = [submit(fill, k, 0) for k in range(n_fill)]
         for c, start in enumerate(starts):
             for fut in pending:

@@ -402,7 +402,8 @@ def run(cfg: ExperimentConfig, mode: str = "run") -> int:
     if mode != "embed":
         plotdir.mkdir(exist_ok=True)
 
-    # phase 2: one simulation for every potential, on shared Brownian paths
+    # phase 2: one simulation for every potential, on shared Brownian paths;
+    # the Clark grids are built inside it
     ensembles = [None] * len(entries)
     if with_mc:
         ensembles = simulate_embeddings(clarks, cfg.n_paths, cfg.n_steps,

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .local_time import expected_local_time_array
 from .gaussian_core import heat_kernel
@@ -215,15 +214,11 @@ def eval_psi(psi: ConvexTest, x: float) -> float:
     out = psi.value_at_zero + psi.left_slope_at_zero * x
     for loc, mass in psi.atoms:
         out += mass * (max(x - loc, 0.0) if loc >= 0.0 else max(loc - x, 0.0))
-    if psi.density is not None:
-        if x > 0.0:
-            val, _ = quad(lambda y: (x - y) * float(psi.density(y)), 0.0, x,
-                          epsabs=1e-12, epsrel=1e-12, limit=200)
-            out += val
-        elif x < 0.0:
-            val, _ = quad(lambda y: (y - x) * float(psi.density(y)), x, 0.0,
-                          epsabs=1e-12, epsrel=1e-12, limit=200)
-            out += val
+    if psi.density is not None and x != 0.0:
+        # int (x - y)^+ psi''(dy) over [0, x] for x > 0 and
+        # int (y - x)^+ psi''(dy) over [x, 0] for x < 0: |x - y| on both
+        h = lambda y: np.abs(x - y) * psi.density(y)
+        out += _gauss_legendre(h, min(x, 0.0), max(x, 0.0), 1e-12, 1e-12)
     return out
 
 

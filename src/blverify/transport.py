@@ -208,38 +208,51 @@ class TransportMap:
         out[(arr < self.window[0]) | (arr > self.window[1])] = 0.0
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
-    def _partial_mass(self, lo: np.ndarray, hi: np.ndarray,
-                      weighted: bool = False) -> np.ndarray:
+    def _partial_mass(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        nodes, half = _panel_nodes(lo, hi)
+        return half * (self._unnormalized_density(nodes) @ _GL_W)
+
+    def _partial_moments(self, lo: np.ndarray, hi: np.ndarray):
+        """Unnormalized mass and first moment on [lo, hi], from one density
+        evaluation on the panel nodes."""
         nodes, half = _panel_nodes(lo, hi)
         vals = self._unnormalized_density(nodes)
-        if weighted:
-            vals = vals * nodes
-        return half * (vals @ _GL_W)
+        return half * (vals @ _GL_W), half * ((vals * nodes) @ _GL_W)
 
     def _bracket(self, x: np.ndarray) -> np.ndarray:
         j = np.searchsorted(self.edges, x, side="right") - 1
         return np.clip(j, 0, len(self.edges) - 2)
 
+    def _cdf_at(self, arr: np.ndarray, j: np.ndarray,
+                mass: np.ndarray) -> np.ndarray:
+        # mass: unnormalized mass on [edges[j], clip(arr)]
+        out = np.clip((self._cum_lo[j] + mass) / self.Z, 0.0, 1.0)
+        out[arr <= self.window[0]] = 0.0
+        out[arr >= self.window[1]] = 1.0
+        return out
+
+    def _survival_at(self, arr: np.ndarray, j: np.ndarray,
+                     mass: np.ndarray) -> np.ndarray:
+        # mass: unnormalized mass on [clip(arr), edges[j + 1]]
+        out = np.clip((self._cum_hi[j + 1] + mass) / self.Z, 0.0, 1.0)
+        out[arr <= self.window[0]] = 1.0
+        out[arr >= self.window[1]] = 0.0
+        return out
+
     def cdf(self, x):
         """F_mu(x), formed from left-accumulated panel masses."""
         arr = np.atleast_1d(np.asarray(x, float))
         j = self._bracket(arr)
-        inside = self._cum_lo[j] + self._partial_mass(self.edges[j], np.clip(
-            arr, self.window[0], self.window[1]))
-        out = np.clip(inside / self.Z, 0.0, 1.0)
-        out[arr <= self.window[0]] = 0.0
-        out[arr >= self.window[1]] = 1.0
+        out = self._cdf_at(arr, j, self._partial_mass(self.edges[j], np.clip(
+            arr, self.window[0], self.window[1])))
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
     def survival(self, x):
         """1 - F_mu(x), formed from right-accumulated masses (tail accurate)."""
         arr = np.atleast_1d(np.asarray(x, float))
         j = self._bracket(arr)
-        inside = self._cum_hi[j + 1] + self._partial_mass(
-            np.clip(arr, self.window[0], self.window[1]), self.edges[j + 1])
-        out = np.clip(inside / self.Z, 0.0, 1.0)
-        out[arr <= self.window[0]] = 1.0
-        out[arr >= self.window[1]] = 0.0
+        out = self._survival_at(arr, j, self._partial_mass(
+            np.clip(arr, self.window[0], self.window[1]), self.edges[j + 1]))
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
     # -- quantiles -----------------------------------------------------------
@@ -347,9 +360,9 @@ class TransportMap:
         arr = np.atleast_1d(np.asarray(c, float))
         j = self._bracket(arr)
         cx = np.clip(arr, self.window[0], self.window[1])
-        pm = (self._cum_x_hi[j + 1]
-              + self._partial_mass(cx, self.edges[j + 1], weighted=True)) / self.Z
-        out = pm - arr * self.survival(arr)
+        mass, moment = self._partial_moments(cx, self.edges[j + 1])
+        pm = (self._cum_x_hi[j + 1] + moment) / self.Z
+        out = pm - arr * self._survival_at(arr, j, mass)
         out[arr <= self.window[0]] = self.mean_mu - arr[arr <= self.window[0]]
         out[arr >= self.window[1]] = 0.0
         out = np.maximum(out, 0.0)
@@ -360,9 +373,9 @@ class TransportMap:
         arr = np.atleast_1d(np.asarray(c, float))
         j = self._bracket(arr)
         cx = np.clip(arr, self.window[0], self.window[1])
-        pm = (self._cum_x_lo[j]
-              + self._partial_mass(self.edges[j], cx, weighted=True)) / self.Z
-        out = arr * self.cdf(arr) - pm
+        mass, moment = self._partial_moments(self.edges[j], cx)
+        pm = (self._cum_x_lo[j] + moment) / self.Z
+        out = arr * self._cdf_at(arr, j, mass) - pm
         out[arr <= self.window[0]] = 0.0
         out[arr >= self.window[1]] = arr[arr >= self.window[1]] - self.mean_mu
         out = np.maximum(out, 0.0)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import blverify
 from blverify.cli import (ConfigError, ExperimentConfig,
                           default_matrix_config, main)
 
@@ -281,3 +285,17 @@ class TestSubcommands:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "ensemble_00_zero.csv").exists()
         assert (out / "ensemble_01_quadratic_1.csv").exists()
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_out():
+    """Importing the CLI must not pull in scipy.integrate or scipy.optimize,
+    which cost about a third of the import time of every invocation."""
+    code = ("import blverify.cli, sys; print(' '.join(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(blverify.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.split() == []

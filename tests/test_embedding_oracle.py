@@ -73,6 +73,17 @@ def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     return np.concatenate(t_parts), bt, w1
 
 
+def reference_rows(grid: np.ndarray, clark: ClarkIntegrand, n_steps: int,
+                   start: int, stop: int) -> np.ndarray:
+    """Rows at s_i = i / n_steps, interpolated linearly in tau from grid."""
+    tau = np.sqrt(1.0 - np.arange(start, stop) / n_steps)
+    pos = np.clip(tau / (clark._tau[1] - clark._tau[0]), 0.0,
+                  len(clark._tau) - 1.001)
+    j = pos.astype(np.int64)
+    frac = (pos - j)[:, None]
+    return grid[j] * (1.0 - frac) + grid[j + 1] * frac
+
+
 THREAD_CAPS = ("1", "2", "4")
 
 
@@ -99,6 +110,105 @@ def test_grid_matches_one_shot_einsum(key, matrix_clarks, monkeypatch):
         monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
         clark = ClarkIntegrand(matrix_clarks[key].transport)
         assert np.array_equal(clark._grid, expected), cap
+
+
+def test_rows_of_a_fresh_integrand_build_only_the_chunks_they_read(
+        matrix_transports):
+    clark = ClarkIntegrand(matrix_transports["log_mixture_k"])
+    assert all(chunk is None for chunk in clark._chunks)
+    expected = reference_grid(clark)
+    n_chunks = len(clark._chunks)
+    # the first 40 of 2048 steps read only the top rows of the grid
+    assert np.array_equal(clark.rows_for_steps(2048, 0, 40),
+                          reference_rows(expected, clark, 2048, 0, 40))
+    built = sum(chunk is not None for chunk in clark._chunks)
+    assert 0 < built < n_chunks // 4
+    for start, stop in ((2000, 2049), (700, 701), (0, 2049)):
+        assert np.array_equal(clark.rows_for_steps(2048, start, stop),
+                              reference_rows(expected, clark, 2048, start,
+                                             stop)), (start, stop)
+    assert np.array_equal(clark.rows_for_steps(64),
+                          reference_rows(expected, clark, 64, 0, 65))
+    assert np.array_equal(clark._grid, expected)
+
+
+def test_simulation_builds_fresh_grids_bit_for_bit(matrix_transports,
+                                                   matrix_clarks, monkeypatch):
+    """Grids built inside the simulation pipeline equal the one-shot grid,
+    and so do the ensembles stepped on them, under every worker cap."""
+    n_paths, n_steps = 4113, 130
+    expected = simulate_embeddings(
+        [matrix_clarks[key] for key in MATRIX_KEYS], n_paths, n_steps, 17)
+    grids = [reference_grid(matrix_clarks[key]) for key in MATRIX_KEYS]
+    for cap in THREAD_CAPS:
+        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+        clarks = [ClarkIntegrand(matrix_transports[key])
+                  for key in MATRIX_KEYS]
+        ensembles = simulate_embeddings(clarks, n_paths, n_steps, 17)
+        for key, clark, ens, ref, grid in zip(MATRIX_KEYS, clarks, ensembles,
+                                              expected, grids):
+            assert np.array_equal(clark._grid, grid), (cap, key)
+            assert np.array_equal(ens.T, ref.T), (cap, key)
+            assert np.array_equal(ens.bt, ref.bt), (cap, key)
+
+
+def test_concurrent_simulations_build_each_chunk_once(matrix_transports,
+                                                      monkeypatch):
+    """Two threads simulating on one fresh integrand, each with its own grid
+    pool, at a 1 us switch interval: every chunk is filled exactly once."""
+    fills = []
+    fill_grid = ClarkIntegrand._fill_grid
+
+    def counted(self, t0):
+        fills.append(t0)        # list.append is atomic under the GIL
+        fill_grid(self, t0)
+
+    monkeypatch.setattr(ClarkIntegrand, "_fill_grid", counted)
+    monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 4)
+    clark = ClarkIntegrand(matrix_transports["double_well_k"])
+    results = [None, None]
+
+    def simulate(k):
+        results[k] = simulate_embedding(clark, 4113, 300, seed=21)
+
+    threads = [threading.Thread(target=simulate, args=(k,), daemon=True)
+               for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), \
+        "simulations did not finish in 120 s"
+    grid = clark._grid
+    starts = list(range(0, len(clark._tau), bass_embedding._GRID_TAU_ROWS))
+    assert sorted(fills) == starts
+    assert np.array_equal(grid, reference_grid(clark))
+    T, bt, w1 = reference_simulation(clark, 4113, 300, seed=21)
+    for ens in results:
+        assert np.array_equal(ens.T, T)
+        assert np.array_equal(ens.w1, w1)
+
+
+def test_extrapolation_count_does_not_depend_on_workers(matrix_transports,
+                                                        monkeypatch):
+    """Only the calling thread touches the transports: the constructor's g'
+    table and E g, and g at the end of the run."""
+    tmaps = [matrix_transports[key] for key in MATRIX_KEYS]
+    deltas = {}
+    for cap in ("1", "2"):
+        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+        before = [tmap.extrapolation_count for tmap in tmaps]
+        simulate_embeddings([ClarkIntegrand(tmap) for tmap in tmaps],
+                            4096, 64, seed=19)
+        deltas[cap] = [tmap.extrapolation_count - b
+                       for tmap, b in zip(tmaps, before)]
+    assert deltas["1"] == deltas["2"]
+    assert all(delta > 0 for delta in deltas["1"])
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)
@@ -228,6 +338,16 @@ def test_memory_is_bounded_per_chunk(matrix_transports, matrix_clarks):
     clarks = [matrix_clarks[key] for key in MATRIX_KEYS]
     assert _peak_bytes(
         lambda: simulate_embeddings(clarks, 4096, 8192, seed=3)) < bound
+
+
+def test_memory_of_construction_and_simulation_is_bounded(matrix_transports):
+    """Six fresh integrands built and simulated together: six grids (13 MB)
+    plus the grid chunks and step chunks in flight stay within the same
+    bound (chunk memory does not grow with n_steps)."""
+    tmaps = [matrix_transports[key] for key in MATRIX_KEYS]
+    assert _peak_bytes(lambda: simulate_embeddings(
+        [ClarkIntegrand(tmap) for tmap in tmaps], 4096, 2048,
+        seed=3)) < 48 * 2**20
 
 
 @pytest.mark.parametrize("env,expected", [

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from blverify.gaussian_core import std_normal_cdf
 from blverify.potentials import Potential, builtin_potential
-from blverify.transport import (DivergentNormalizerError,
+from blverify.transport import (_GL_W, DivergentNormalizerError,
                                 NonConvexPotentialError,
-                                NonFinitePotentialError, build_transport,
-                                check_density_quantile_gap,
+                                NonFinitePotentialError, _panel_nodes,
+                                build_transport, check_density_quantile_gap,
                                 check_g_prime_bound, check_hazard_bounds)
+
+from conftest import MATRIX_KEYS
 
 X = np.linspace(-8.0, 8.0, 1601)
 
@@ -238,3 +240,54 @@ def test_g_monotone(x1, x2):
 
 
 _MONO_MAP = build_transport(builtin_potential("abs"), 1.0)
+
+
+def _weighted_partial_mass(tmap, lo, hi):
+    # the partial first moment as a separate density pass
+    nodes, half = _panel_nodes(lo, hi)
+    return half * ((tmap._unnormalized_density(nodes) * nodes) @ _GL_W)
+
+
+def composed_call_value(tmap, c):
+    """E[(X - c)^+] as partial first moment minus c times `survival`."""
+    arr = np.atleast_1d(np.asarray(c, float))
+    j = tmap._bracket(arr)
+    cx = np.clip(arr, tmap.window[0], tmap.window[1])
+    pm = (tmap._cum_x_hi[j + 1]
+          + _weighted_partial_mass(tmap, cx, tmap.edges[j + 1])) / tmap.Z
+    out = pm - arr * tmap.survival(arr)
+    out[arr <= tmap.window[0]] = tmap.mean_mu - arr[arr <= tmap.window[0]]
+    out[arr >= tmap.window[1]] = 0.0
+    return np.maximum(out, 0.0)
+
+
+def composed_put_value(tmap, c):
+    """E[(c - X)^+] as c times `cdf` minus the partial first moment."""
+    arr = np.atleast_1d(np.asarray(c, float))
+    j = tmap._bracket(arr)
+    cx = np.clip(arr, tmap.window[0], tmap.window[1])
+    pm = (tmap._cum_x_lo[j]
+          + _weighted_partial_mass(tmap, tmap.edges[j], cx)) / tmap.Z
+    out = arr * tmap.cdf(arr) - pm
+    out[arr <= tmap.window[0]] = 0.0
+    out[arr >= tmap.window[1]] = arr[arr >= tmap.window[1]] - tmap.mean_mu
+    return np.maximum(out, 0.0)
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_call_put_values_match_two_pass_composition(key, matrix_transports):
+    """One density pass per point gives the bits of the survival/cdf form."""
+    tmap = matrix_transports[key]
+    lo, hi = tmap.window
+    points = np.concatenate([
+        np.linspace(lo, hi, 2001),                     # inside, both ends
+        tmap.edges[::97], tmap.edges[-3:],             # on panel edges
+        np.nextafter([lo, hi], [-np.inf, np.inf]),     # just outside
+        [lo - 1.0, hi + 1.0, -1e3, 1e3]])              # far outside
+    assert np.array_equal(tmap.upper_call_value(points),
+                          composed_call_value(tmap, points))
+    assert np.array_equal(tmap.lower_put_value(points),
+                          composed_put_value(tmap, points))
+    mid = 0.5 * (lo + hi)
+    assert tmap.upper_call_value(mid) == composed_call_value(tmap, mid)[0]
+    assert tmap.lower_put_value(mid) == composed_put_value(tmap, mid)[0]
