@@ -350,6 +350,23 @@ def test_memory_of_construction_and_simulation_is_bounded(matrix_transports):
         seed=3)) < 48 * 2**20
 
 
+def test_grid_chunk_allocates_only_the_interpolated_values(matrix_transports):
+    """After a thread's first chunk its node buffer is reused, so a chunk
+    allocates only np.interp's output.  A fresh node array beside it made
+    glibc re-fault the worker threads' heap pages around every chunk."""
+    clark = ClarkIntegrand(matrix_transports["abs"])
+    clark._fill_grid(2)     # sizes this thread's node buffer
+    chunk_bytes = 8 * (bass_embedding._GRID_TAU_ROWS * clark.hermite_nodes
+                       * len(clark._y))
+    tracemalloc.start()
+    try:
+        clark._fill_grid(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk_bytes <= peak < 1.5 * chunk_bytes
+
+
 @pytest.mark.parametrize("env,expected", [
     (None, 6), ("", 6), ("1", 1), ("3", 3), ("16", 6), ("0", 1),
     ("abc", 6)])
