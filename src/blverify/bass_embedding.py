@@ -71,7 +71,10 @@ __all__ = [
 ]
 
 _BLOCK_PATHS = 4096            # fixed: part of the random-stream layout
-_DIRECT_EVAL_BAND = 1e-6       # 1 - s below which a(s, y) = g'(y) directly
+_HERMITE_NODES = 64            # Gauss-Hermite nodes of the smoothing
+_TAU_CELLS = 256               # Clark grid cells in tau = sqrt(1 - s)
+_Y_CELLS = 1024                # Clark grid cells in y, on [-_Y_MAX, _Y_MAX]
+_Y_MAX = 8.0
 _CHUNK_VALUES = 1 << 18        # float64 values per step-chunk table (2 MB)
 _GRID_TAU_ROWS = 2             # tau rows per Clark-grid chunk (~1 MB of nodes)
 _CSV_ROWS = 2048               # rows formatted per CSV write (~0.6 MB transient)
@@ -91,7 +94,6 @@ class EmbeddingEnsemble:
     mean_g: float
     clamp_count: int
     potential_label: str
-    rule: str = "trapezoid"
 
     @property
     def n_paths(self) -> int:
@@ -113,9 +115,10 @@ class EmbeddingEnsemble:
 class ClarkIntegrand:
     """The smoothed-derivative integrand a(s, y) = E[g'(y + sqrt(1-s) Z)].
 
-    Evaluations use Gauss-Hermite quadrature over the Gaussian smoothing;
-    for path simulation a tensor grid (uniform in tau = sqrt(1-s), where the
-    integrand is smooth, by 1024 uniform y nodes) is sampled bilinearly.
+    The smoothing is a 64-node Gauss-Hermite sum, tabulated on a tensor grid
+    (257 tau = sqrt(1-s) nodes, uniform in tau where the integrand is
+    smooth, by 1025 uniform y nodes on [-8, 8]) that path simulation
+    samples bilinearly.
 
     The constructor tabulates g' and E[g(W_1)] but not the grid: that is
     filled in chunks of _GRID_TAU_ROWS tau rows, on `simulate_embeddings`'
@@ -126,12 +129,9 @@ class ClarkIntegrand:
     all its methods are safe for concurrent use.
     """
 
-    def __init__(self, transport: TransportMap, hermite_nodes: int = 64,
-                 tau_cells: int = 256, y_cells: int = 1024,
-                 y_range: tuple[float, float] = (-8.0, 8.0)):
+    def __init__(self, transport: TransportMap):
         self.transport = transport
-        self.hermite_nodes = int(hermite_nodes)
-        t, w = np.polynomial.hermite.hermgauss(self.hermite_nodes)
+        t, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
         self._gh_z = np.sqrt(2.0) * t
         self._gh_w = w / np.sqrt(np.pi)
 
@@ -140,8 +140,8 @@ class ClarkIntegrand:
         self._fine_x = np.linspace(-11.5, 11.5, 8193)
         self._fine_gp = np.asarray(transport.g_prime(self._fine_x), float)
 
-        self._tau = np.linspace(0.0, 1.0, int(tau_cells) + 1)
-        self._y = np.linspace(y_range[0], y_range[1], int(y_cells) + 1)
+        self._tau = np.linspace(0.0, 1.0, _TAU_CELLS + 1)
+        self._y = np.linspace(-_Y_MAX, _Y_MAX, _Y_CELLS + 1)
         self._table = np.empty((len(self._tau), len(self._y)))
         # one future per chunk of _GRID_TAU_ROWS tau rows, set by the thread
         # that claimed the chunk once its rows are in the table
@@ -198,20 +198,6 @@ class ClarkIntegrand:
         """Build, or wait for, every chunk holding a grid row in [lo, hi)."""
         for c in range(lo // _GRID_TAU_ROWS, (hi - 1) // _GRID_TAU_ROWS + 1):
             self._build_chunk(c).result()
-
-    def a(self, s, y):
-        """Direct Gauss-Hermite evaluation of a(s, y) for 0 <= s <= 1."""
-        s = float(s)
-        if not (0.0 <= s <= 1.0):
-            raise ValueError(f"time argument must lie in [0, 1], got {s}")
-        arr = np.atleast_1d(np.asarray(y, float))
-        if 1.0 - s < _DIRECT_EVAL_BAND:
-            out = np.asarray(self.transport.g_prime(arr), float)
-        else:
-            tau = math.sqrt(1.0 - s)
-            pts = arr[None, :] + tau * self._gh_z[:, None]
-            out = self._gh_w @ self._interp_gprime(pts)
-        return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
     def rows_for_steps(self, n_steps: int, start: int = 0,
                        stop: int | None = None) -> np.ndarray:
@@ -288,7 +274,7 @@ def _submitter(workers: int):
 
 
 def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
-                       seed: int, rule: str = "trapezoid") -> EmbeddingEnsemble:
+                       seed: int) -> EmbeddingEnsemble:
     """Simulate the stopping-time ensemble.
 
     Parameters
@@ -304,15 +290,12 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     seed : int
         Stream key; identical (seed, n_paths, n_steps) reproduce the
         ensemble bit-for-bit, independent of the worker count.
-    rule : {"trapezoid", "left"}
-        Quadrature rule for the time integral; "left" is a diagnostics
-        option that exposes the discretization sensitivity.
     """
-    return simulate_embeddings([clark], n_paths, n_steps, seed, rule)[0]
+    return simulate_embeddings([clark], n_paths, n_steps, seed)[0]
 
 
-def simulate_embeddings(clarks, n_paths: int, n_steps: int, seed: int,
-                        rule: str = "trapezoid") -> list[EmbeddingEnsemble]:
+def simulate_embeddings(clarks, n_paths: int, n_steps: int,
+                        seed: int) -> list[EmbeddingEnsemble]:
     """Simulate one ensemble per integrand on one shared set of paths.
 
     The stopping time is a functional of the Brownian path alone, so every
@@ -324,33 +307,26 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int, seed: int,
     Raises
     ------
     ValueError
-        On an empty integrand list, on integrands whose y grids differ, and
-        on the invalid arguments `simulate_embedding` rejects.
+        On an empty integrand list and on the invalid arguments
+        `simulate_embedding` rejects.
     """
     clarks = list(clarks)
     if not clarks:
         raise ValueError("simulate_embeddings needs at least one integrand")
-    y = clarks[0]._y
-    if any(not np.array_equal(c._y, y) for c in clarks[1:]):
-        raise ValueError("integrands must share one y grid")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if n_steps < 16:
         raise ValueError("n_steps must be >= 16")
-    if rule not in ("trapezoid", "left"):
-        raise ValueError(f"unknown integration rule {rule!r}")
 
+    y = clarks[0]._y
     y0 = y[0]
     inv_dy = (len(y) - 1) / (y[-1] - y[0])
     n_y = len(y)
     dt = 1.0 / n_steps
     sqrt_dt = math.sqrt(dt)
-    weights = np.full(n_steps + 1, dt)
-    if rule == "trapezoid":
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-    else:
-        weights[-1] = 0.0
+    weights = np.full(n_steps + 1, dt)   # trapezoid weights
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
 
     # block b owns paths [4096 b, 4096 (b + 1)) and the Philox stream keyed
     # (seed, b), drawn row-major over (step, path) as one continuous stream
@@ -436,7 +412,7 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int, seed: int,
             w1=w.copy(), n_steps=int(n_steps), seed=int(seed),
             A=float(tmap.A), mean_g=float(clark.mean_g),
             clamp_count=int(np.count_nonzero(t_acc > tmap.A)),
-            potential_label=tmap.potential.label, rule=rule))
+            potential_label=tmap.potential.label))
     return ensembles
 
 

@@ -199,7 +199,7 @@ def _parse_potential_entry(spec, variance: float, tol: float,
                       slope_map=sm, alpha=alpha, beta=beta,
                       improved_alpha=improved,
                       improved_tmap=None if improved is None
-                      else appendix_transport(sm, improved))
+                      else appendix_transport(sm, improved, tol))
     raise ConfigError(f"potential entry needs 'family' or 'slope_map': {spec!r}")
 
 
@@ -378,9 +378,19 @@ def _load_config(args) -> ExperimentConfig:
     return cfg.validate()
 
 
-def run(cfg: ExperimentConfig, mode: str = "run") -> int:
-    """Execute one experiment; returns the process exit status."""
+def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
+    """Execute one experiment; returns the process exit status.
+
+    ``x_grid`` holds the levels of the residual local-time curves that the
+    'run' and 'sandwich' modes write (default 0, 0.5, 1 and 2).
+    """
+    if x_grid is None:
+        x_grid = (0.0, 0.5, 1.0, 2.0)
     with_mc = mode in ("run", "embed", "sandwich") and cfg.n_paths > 0
+    # est1_lower evaluates the local time at level sqrt(x^2 + A)
+    bad = [x for x in x_grid if not math.isfinite(x * x + cfg.A)]
+    if bad:
+        raise ConfigError(f"x-grid levels need a finite x^2 + A: {bad}")
     if mode in ("embed", "sandwich") and cfg.n_paths < 1:
         raise ConfigError(f"'{mode}' needs n_paths >= 1")
     if mode == "appendix":
@@ -430,7 +440,6 @@ def run(cfg: ExperimentConfig, mode: str = "run") -> int:
             _write_transport_plotdata(plotdir / f"transport_{slug}.csv",
                                       entry.tmap)
         if mode in ("run", "sandwich") and ensemble is not None:
-            x_grid = getattr(cfg, "sandwich_x_grid", [0.0, 0.5, 1.0, 2.0])
             rows, ok = _sandwich_rows(entry.tmap, ensemble, x_grid, cfg.p_list)
             _write_sandwich_plotdata(plotdir / f"sandwich_{slug}.csv",
                                      rows, cfg.p_list)
@@ -492,9 +501,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         if args.command == "verify":
             cfg.n_paths = 0
-        if args.command == "sandwich" and getattr(args, "x_grid", None):
-            cfg.sandwich_x_grid = list(args.x_grid)
-        return run(cfg, mode=args.command)
+        return run(cfg, mode=args.command,
+                   x_grid=getattr(args, "x_grid", None))
     except (ConfigError, SlopeBoundError, DivergentNormalizerError,
             NonFinitePotentialError, OSError) as exc:
         # a measure that cannot be built or a misdeclared bound is a

@@ -76,6 +76,9 @@ BL3_TOL = 1e-8
 MAD_TOL = 1e-9
 GAP_P1_TOL = 1e-8
 
+# where slope bounds and the convexity of a rewritten potential are checked
+_GRID = np.linspace(-8.0, 8.0, 1601)
+
 
 class SlopeBoundError(ValueError):
     """Declared slope bound fails on the verification grid."""
@@ -276,16 +279,29 @@ def _bl3_entries(psi, variance, rhs, lhs, delta, p_list):
     return tuple(entries)
 
 
-def _margins(lhs: float, rhs: float, corr: float) -> tuple[float, float]:
+def _verdict(kind: str, psi: ConvexTest, tmap: TransportMap,
+             variance: float, p_list) -> VerificationReport:
+    """The bl1/bl2/bl3 verdict of psi for the build ``tmap`` against
+    N(0, variance), shared by the theorem and appendix routes."""
+    lhs = moment_lhs(psi, variance)
+    rhs = moment_rhs(psi, tmap)
+    var_x = tmap.var_mu
+    corr = bl2_correction(psi, variance, var_x)
     if math.isinf(lhs) and math.isinf(rhs):
-        return math.inf, math.inf   # both-infinite convention: holds
-    return lhs - rhs, lhs - rhs - corr
-
-
-def _mad_fields(tmap: TransportMap, variance: float) -> tuple[float, float]:
-    abs_psi = builtin_convex_test("abs")
-    mad = moment_rhs(abs_psi, tmap)
-    return mad / tmap.var_mu, 1.0 / math.sqrt(2.0 * math.pi * variance)
+        bl1_margin = bl2_margin = math.inf   # both-infinite convention: holds
+    else:
+        bl1_margin, bl2_margin = lhs - rhs, lhs - rhs - corr
+    bl3 = _bl3_entries(psi, variance, rhs, lhs,
+                       max(variance - var_x, 0.0), p_list)
+    return VerificationReport(
+        kind=kind, potential_label=tmap.potential.label,
+        psi_label=psi.label, gaussian_variance=variance,
+        lhs=lhs, rhs=rhs, mean_x=tmap.mean_mu, var_x=var_x,
+        bl1_margin=bl1_margin, bl2_correction=corr, bl2_margin=bl2_margin,
+        bl3=bl3, lhs_infinite=math.isinf(lhs), rhs_infinite=math.isinf(rhs),
+        passes={"bl1": bool(bl1_margin >= -BL1_TOL),
+                "bl2": bool(bl2_margin >= -BL2_TOL),
+                "bl3": all(e.passed for e in bl3)})
 
 
 def verify_theorem(psi: ConvexTest, tmap: TransportMap,
@@ -302,39 +318,16 @@ def verify_theorem(psi: ConvexTest, tmap: TransportMap,
         raise NonConvexPotentialError(
             f"potential {tmap.potential.label!r} is not convex; "
             "use verify_appendix with its slope map")
-    variance = tmap.A
-    lhs = moment_lhs(psi, variance)
-    rhs = moment_rhs(psi, tmap)
-    var_x = tmap.var_mu
-    delta = max(variance - var_x, 0.0)
-    corr = bl2_correction(psi, variance, var_x)
-    bl1_margin, bl2_margin = _margins(lhs, rhs, corr)
-    bl3 = _bl3_entries(psi, variance, rhs, lhs, delta, p_list)
-    mad_ratio, mad_lower = _mad_fields(tmap, variance)
-
-    rb = p1_limit_bounds(psi, variance, var_x)
-    gap_bound = rb.finite_mass_bound
-    gap_margin = None
-    if gap_bound is not None and not math.isinf(lhs):
-        gap_margin = gap_bound - (lhs - rhs)
-
-    passes = {
-        "bl1": bool(bl1_margin >= -BL1_TOL),
-        "bl2": bool(bl2_margin >= -BL2_TOL),
-        "bl3": all(e.passed for e in bl3),
-        "mad": bool(mad_ratio >= mad_lower - MAD_TOL),
-    }
-    if gap_margin is not None:
-        passes["gap_p1"] = bool(gap_margin >= -GAP_P1_TOL)
-
-    return VerificationReport(
-        kind="theorem", potential_label=tmap.potential.label,
-        psi_label=psi.label, gaussian_variance=variance,
-        lhs=lhs, rhs=rhs, mean_x=tmap.mean_mu, var_x=var_x,
-        bl1_margin=bl1_margin, bl2_correction=corr, bl2_margin=bl2_margin,
-        bl3=bl3, lhs_infinite=math.isinf(lhs), rhs_infinite=math.isinf(rhs),
-        mad_ratio=mad_ratio, mad_lower_bound=mad_lower,
-        gap_p1_bound=gap_bound, gap_p1_margin=gap_margin, passes=passes)
+    rep = _verdict("theorem", psi, tmap, tmap.A, p_list)
+    rb = p1_limit_bounds(psi, rep.gaussian_variance, rep.var_x)
+    rep.mad_ratio = moment_rhs(builtin_convex_test("abs"), tmap) / rep.var_x
+    rep.mad_lower_bound = rb.mad_lower
+    rep.passes["mad"] = bool(rep.mad_ratio >= rb.mad_lower - MAD_TOL)
+    rep.gap_p1_bound = rb.finite_mass_bound
+    if rb.finite_mass_bound is not None and not rep.lhs_infinite:
+        rep.gap_p1_margin = rb.finite_mass_bound - (rep.lhs - rep.rhs)
+        rep.passes["gap_p1"] = bool(rep.gap_p1_margin >= -GAP_P1_TOL)
+    return rep
 
 
 def gaussianized_potential(lebesgue_potential: Potential,
@@ -360,8 +353,7 @@ def gaussianized_potential(lebesgue_potential: Potential,
 
     left = make_der(lebesgue_potential.left_derivative)
     right = make_der(lebesgue_potential.right_derivative)
-    grid = np.linspace(-8.0, 8.0, 1601)
-    convex = bool(np.all(np.diff(np.asarray(right(grid), float)) >= -1e-10))
+    convex = bool(np.all(np.diff(np.asarray(right(_GRID), float)) >= -1e-10))
     return Potential(label=f"{lebesgue_potential.label}~gauss",
                      value=val, left_derivative=left, right_derivative=right,
                      convex=convex, kinks=lebesgue_potential.kinks)
@@ -381,10 +373,10 @@ def appendix_transport(slope_map: SlopeMap, alpha: float | None = None,
 
 def check_declared_slope_bounds(slope_map: SlopeMap,
                                 alpha: float | None = None,
-                                beta: float | None = None, grid=None,
+                                beta: float | None = None,
                                 required: bool = True) -> SlopeBoundReport:
     """Grid report of k' against the declared bounds sqrt(alpha) and
-    sqrt(beta) (|x| <= 8 by default).
+    sqrt(beta) on |x| <= 8.
 
     Raises
     ------
@@ -393,9 +385,7 @@ def check_declared_slope_bounds(slope_map: SlopeMap,
     """
     a = float(alpha if alpha is not None else slope_map.alpha)
     declared = dataclasses.replace(slope_map, alpha=a, beta=beta)
-    if grid is None:
-        grid = np.linspace(-8.0, 8.0, 1601)
-    report = check_slope_bounds(declared, grid)
+    report = check_slope_bounds(declared, _GRID)
     if required and report.lower_violations:
         raise SlopeBoundError(
             f"slope map {slope_map.label!r} violates k' >= sqrt({a:g}) on "
@@ -409,61 +399,45 @@ def check_declared_slope_bounds(slope_map: SlopeMap,
 
 def verify_appendix(psi: ConvexTest, slope_map: SlopeMap,
                     alpha: float | None = None, beta: float | None = None,
-                    p_list=(1.5, 2.0, 4.0), grid=None,
-                    require_slope_bound: bool = True,
+                    p_list=(1.5, 2.0, 4.0), require_slope_bound: bool = True,
                     tmap: TransportMap | None = None) -> VerificationReport:
     """Verdict for a slope-map measure against N(0, 1/alpha).
 
-    The declared lower slope bound is checked on a grid first (|x| <= 8 by
-    default); a failure raises unless ``require_slope_bound`` is False, which
-    is how the sharper comparison variances that hold without a pointwise
-    slope bound are verified.  With ``beta`` set, the reverse inequality
-    against N(0, 1/beta) is checked as well.
+    The declared lower slope bound is checked on a grid of |x| <= 8 first;
+    a failure raises unless ``require_slope_bound`` is False, which is how
+    the sharper comparison variances that hold without a pointwise slope
+    bound are verified.  With ``beta`` set, the reverse inequality against
+    N(0, 1/beta) is checked as well.
+
+    Raises
+    ------
+    ValueError
+        When ``tmap`` was built at another Gaussian variance than 1/alpha.
     """
     a = float(alpha if alpha is not None else slope_map.alpha)
-    slope_report = check_declared_slope_bounds(
-        slope_map, a, beta, grid, required=require_slope_bound)
-
     variance = 1.0 / a
+    if tmap is not None and tmap.A != variance:
+        raise ValueError(
+            f"transport of {tmap.potential.label!r} has Gaussian variance "
+            f"{tmap.A:g}, but alpha = {a:g} needs {variance:g}")
+    slope_report = check_declared_slope_bounds(
+        slope_map, a, beta, required=require_slope_bound)
     if tmap is None:
         tmap = appendix_transport(slope_map, a)
-    lhs = moment_lhs(psi, variance)
-    rhs = moment_rhs(psi, tmap)
-    var_x = tmap.var_mu
-    delta = max(variance - var_x, 0.0)
-    corr = bl2_correction(psi, variance, var_x)
-    bl1_margin, bl2_margin = _margins(lhs, rhs, corr)
-    bl3 = _bl3_entries(psi, variance, rhs, lhs, delta, p_list)
 
+    rep = _verdict("appendix", psi, tmap, variance, p_list)
     # Lebesgue normalizer of exp(-U) is sqrt(2 pi), i.e. Z = 1/sqrt(variance)
-    norm_resid = tmap.Z * math.sqrt(variance) - 1.0
-
-    lower_variance = lower_lhs = lower_margin = None
-    passes = {
-        "bl1": bool(bl1_margin >= -BL1_TOL),
-        "bl2": bool(bl2_margin >= -BL2_TOL),
-        "bl3": all(e.passed for e in bl3),
-        "slope_bounds": slope_report.passed,
-    }
-    if not require_slope_bound:
-        # comparison-variance override: the grid report is informational
-        passes.pop("slope_bounds")
+    rep.normalizer_residual = tmap.Z * math.sqrt(variance) - 1.0
+    rep.slope_min = slope_report.min_kprime
+    rep.slope_max = slope_report.max_kprime
+    if require_slope_bound:   # else the grid report is informational
+        rep.passes["slope_bounds"] = slope_report.passed
     if beta is not None:
-        lower_variance = 1.0 / float(beta)
-        lower_lhs = moment_lhs(psi, lower_variance)
-        lower_margin = rhs - lower_lhs
-        passes["lower"] = bool(lower_margin >= -BL1_TOL)
-
-    return VerificationReport(
-        kind="appendix", potential_label=tmap.potential.label,
-        psi_label=psi.label, gaussian_variance=variance,
-        lhs=lhs, rhs=rhs, mean_x=tmap.mean_mu, var_x=var_x,
-        bl1_margin=bl1_margin, bl2_correction=corr, bl2_margin=bl2_margin,
-        bl3=bl3, lhs_infinite=math.isinf(lhs), rhs_infinite=math.isinf(rhs),
-        lower_variance=lower_variance, lower_lhs=lower_lhs,
-        lower_margin=lower_margin, normalizer_residual=norm_resid,
-        slope_min=slope_report.min_kprime, slope_max=slope_report.max_kprime,
-        passes=passes)
+        rep.lower_variance = 1.0 / float(beta)
+        rep.lower_lhs = moment_lhs(psi, rep.lower_variance)
+        rep.lower_margin = rep.rhs - rep.lower_lhs
+        rep.passes["lower"] = bool(rep.lower_margin >= -BL1_TOL)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +447,7 @@ def verify_appendix(psi: ConvexTest, slope_map: SlopeMap,
 def _eval_psi_samples(psi: ConvexTest, x: np.ndarray) -> np.ndarray:
     if psi.closed_form is not None:
         return np.asarray(psi.closed_form(x), float)
-    out = np.full_like(x, psi.value_at_zero) + psi.left_slope_at_zero * x
-    for loc, mass in psi.atoms:
-        if loc >= 0.0:
-            out += mass * np.maximum(x - loc, 0.0)
-        else:
-            out += mass * np.maximum(loc - x, 0.0)
-    if psi.density is not None:
-        out += np.array([eval_psi(
-            ConvexTest("d", 0.0, 0.0, density=psi.density,
-                       density_degree=psi.density_degree), v) for v in x])
-    return out
+    return np.array([eval_psi(psi, v) for v in x])
 
 
 def mc_crosscheck(psi: ConvexTest, ensemble: EmbeddingEnsemble,

@@ -9,7 +9,7 @@ import pytest
 
 import blverify
 from blverify.cli import (ConfigError, ExperimentConfig,
-                          default_matrix_config, main)
+                          _parse_potential_entry, default_matrix_config, main)
 
 SMALL = {
     "potentials": [{"family": "quadratic", "params": {"c": 1.0}}],
@@ -222,6 +222,15 @@ class TestSubcommands:
         report = json.loads((out / "report.json").read_text())
         assert report["potentials"][0]["sandwich_passed"] is True
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "1e200"])
+    def test_sandwich_level_without_finite_square_exits_2(self, level,
+                                                          tmp_path):
+        cfg = write_config(tmp_path, overrides={"potentials": [{"family": "abs"}]})
+        out = tmp_path / "out"
+        assert main(["sandwich", "--config", str(cfg), "--out", str(out),
+                     "--x-grid", "0", level]) == 2
+        assert not out.exists()
+
     def test_appendix_filters_slope_entries(self, tmp_path):
         cfg = write_config(tmp_path, overrides={
             "potentials": [
@@ -268,6 +277,15 @@ class TestSubcommands:
                      "--out", str(tmp_path / "o")]) == 0
         # declared alpha is 0.25; one more build at the improved alpha
         assert sorted(alphas) == [0.25, 1.0]
+
+    def test_improved_alpha_transport_uses_the_config_tolerance(self):
+        spec = {"slope_map": {"name": "log_mixture",
+                              "params": {"p": 0.5, "q": 0.5 * math.sqrt(2),
+                                         "a": 1.0, "b": 2.0}},
+                "improved_alpha": 1.0}
+        entry = _parse_potential_entry(spec, 1.0, 1e-6)
+        assert entry.tmap.quadrature_tol == 1e-6
+        assert entry.improved_tmap.quadrature_tol == 1e-6
 
     def test_appendix_requires_slope_entry(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -27,14 +27,14 @@ def reference_grid(clark: ClarkIntegrand) -> np.ndarray:
     disp = clark._tau[:, None, None] * clark._gh_z[None, :, None]
     pts = clark._y[None, None, :] + disp
     gp = clark._interp_gprime(pts.reshape(len(clark._tau), -1))
-    gp = gp.reshape(len(clark._tau), clark.hermite_nodes, len(clark._y))
+    gp = gp.reshape(len(clark._tau), len(clark._gh_z), len(clark._y))
     grid = np.einsum("k,tky->ty", clark._gh_w, gp)
     grid[0] = clark._interp_gprime(clark._y)
     return grid
 
 
 def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
-                         seed: int, rule: str = "trapezoid"):
+                         seed: int):
     """(T, bt, w1) stepping one 4096-path block at a time."""
     rows = clark.rows_for_steps(n_steps)
     y0 = clark._y[0]
@@ -42,11 +42,8 @@ def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     n_y = len(clark._y)
     dt = 1.0 / n_steps
     weights = np.full(n_steps + 1, dt)
-    if rule == "trapezoid":
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-    else:
-        weights[-1] = 0.0
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
     block = bass_embedding._BLOCK_PATHS
     t_parts, w_parts = [], []
     for index in range((n_paths + block - 1) // block):
@@ -87,12 +84,11 @@ def reference_rows(grid: np.ndarray, clark: ClarkIntegrand, n_steps: int,
 THREAD_CAPS = ("1", "2", "4")
 
 
-def assert_matches_reference(monkeypatch, clark, n_paths, n_steps, seed,
-                             rule="trapezoid"):
-    T, bt, w1 = reference_simulation(clark, n_paths, n_steps, seed, rule)
+def assert_matches_reference(monkeypatch, clark, n_paths, n_steps, seed):
+    T, bt, w1 = reference_simulation(clark, n_paths, n_steps, seed)
     for cap in THREAD_CAPS:
         monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
-        ens = simulate_embedding(clark, n_paths, n_steps, seed, rule=rule)
+        ens = simulate_embedding(clark, n_paths, n_steps, seed)
         assert np.array_equal(ens.T, T), cap
         assert np.array_equal(ens.bt, bt), cap
         assert np.array_equal(ens.w1, w1), cap
@@ -228,26 +224,25 @@ def test_simulation_matches_reference_ragged(n_paths, n_steps, matrix_clarks,
                              n_steps, seed=11)
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "left"])
-def test_simulation_matches_reference_rules_and_large_seed(rule, matrix_clarks,
-                                                           monkeypatch):
+def test_simulation_matches_reference_with_large_seed(matrix_clarks,
+                                                      monkeypatch):
     assert_matches_reference(monkeypatch, matrix_clarks["double_well_k"], 5000,
-                             300, seed=2**63 + 12345, rule=rule)
+                             300, seed=2**63 + 12345)
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "left"])
-@pytest.mark.parametrize("n_paths", [3, 4113, 12288])
+@pytest.mark.parametrize("n_paths", [3, 4113, 12288],
+                         ids=lambda n: f"{n}-trapezoid")
 def test_batched_simulation_matches_per_potential_reference(
-        n_paths, rule, matrix_clarks, monkeypatch):
+        n_paths, matrix_clarks, monkeypatch):
     # six integrands give chunks of 42 steps for 3 and 4113 paths and 21
     # for 12288; 131 grid times leave the last chunk part-full
     n_steps = 130
     clarks = [matrix_clarks[key] for key in MATRIX_KEYS]
-    expected = [reference_simulation(clark, n_paths, n_steps, 13, rule)
+    expected = [reference_simulation(clark, n_paths, n_steps, 13)
                 for clark in clarks]
     for cap in ("1", "2"):
         monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
-        ensembles = simulate_embeddings(clarks, n_paths, n_steps, 13, rule)
+        ensembles = simulate_embeddings(clarks, n_paths, n_steps, 13)
         assert len(ensembles) == len(clarks)
         for key, ens, (T, bt, w1) in zip(MATRIX_KEYS, ensembles, expected):
             assert np.array_equal(ens.T, T), (cap, key)
@@ -265,13 +260,9 @@ def test_batched_simulation_gives_each_ensemble_its_own_w1(matrix_clarks):
     assert not np.shares_memory(first, second)
 
 
-def test_batched_simulation_rejects_bad_integrand_lists(matrix_transports,
-                                                        matrix_clarks):
+def test_batched_simulation_rejects_bad_integrand_lists():
     with pytest.raises(ValueError, match="at least one"):
         simulate_embeddings([], 100, 32, seed=1)
-    narrow = ClarkIntegrand(matrix_transports["abs"], y_range=(-7.0, 7.0))
-    with pytest.raises(ValueError, match="y grid"):
-        simulate_embeddings([matrix_clarks["abs"], narrow], 100, 32, seed=1)
 
 
 def test_many_fill_threads_under_fast_switching(matrix_clarks, monkeypatch):
@@ -356,7 +347,7 @@ def test_grid_chunk_allocates_only_the_interpolated_values(matrix_transports):
     glibc re-fault the worker threads' heap pages around every chunk."""
     clark = ClarkIntegrand(matrix_transports["abs"])
     clark._fill_grid(2)     # sizes this thread's node buffer
-    chunk_bytes = 8 * (bass_embedding._GRID_TAU_ROWS * clark.hermite_nodes
+    chunk_bytes = 8 * (bass_embedding._GRID_TAU_ROWS * len(clark._gh_z)
                        * len(clark._y))
     tracemalloc.start()
     try:

@@ -191,6 +191,12 @@ class TestVerifyAppendix:
         with pytest.raises(SlopeBoundError):
             verify_appendix(builtin_convex_test("square"), sm, alpha=LM["a"])
 
+    def test_rejects_transport_built_at_another_alpha(self):
+        sm = builtin_slope_map("log_mixture", LM)
+        with pytest.raises(ValueError, match="Gaussian variance"):
+            verify_appendix(builtin_convex_test("abs"), sm, alpha=0.25,
+                            tmap=appendix_transport(sm, 1.0))
+
     def test_normalizer_is_sqrt_2pi(self):
         # Z' = sqrt(2 pi) for every slope-map potential
         for sm in (builtin_slope_map("cubic"),
