@@ -15,6 +15,7 @@ fails, 2 on configuration or usage errors (in which case nothing is written).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -37,13 +38,18 @@ from .transport import (DivergentNormalizerError, NonFinitePotentialError,
                         TransportMap, build_transport)
 from .verifier import (SlopeBoundError, appendix_transport,
                        check_declared_slope_bounds, format_float,
-                       mc_crosscheck, verify_appendix, verify_theorem)
+                       format_floats, mc_crosscheck, verify_appendix,
+                       verify_theorem)
 
 __all__ = ["ExperimentConfig", "default_matrix_config", "main", "run"]
 
 
 class ConfigError(ValueError):
     """Configuration file or flag usage is invalid."""
+
+
+# what parsing a config value of the wrong type or range raises
+_MALFORMED = (ValueError, TypeError, KeyError, OverflowError)
 
 
 @dataclass
@@ -69,8 +75,11 @@ class ExperimentConfig:
             raise ConfigError(f"'A' must be a positive variance, got {self.A}")
         if not isinstance(self.psis, list) or not self.psis:
             raise ConfigError("config requires a nonempty 'psis' list")
-        if any(not (float(p) > 1.0) for p in self.p_list):
-            raise ConfigError("'p_list' entries must all exceed 1")
+        # bl3 needs the conjugate q = p / (p - 1) finite and above 1
+        if not all(p > 1.0 and 1.0 < p / (p - 1.0) < math.inf
+                   for p in self.p_list):
+            raise ConfigError("'p_list' entries must exceed 1 and have a "
+                              f"finite conjugate above 1, got {self.p_list}")
         if self.n_paths < 0:
             raise ConfigError("'n_paths' must be >= 0")
         if self.n_steps < 16:
@@ -83,7 +92,7 @@ class ExperimentConfig:
         for spec in self.psis:
             try:
                 convex_test_from_spec(spec)
-            except ValueError as exc:
+            except _MALFORMED as exc:
                 raise ConfigError(f"bad psi entry {spec!r}: {exc}") from exc
         return self
 
@@ -96,12 +105,15 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**{k: raw[k] for k in raw})
-        cfg.A = float(cfg.A)
-        cfg.p_list = [float(p) for p in cfg.p_list]
-        cfg.n_paths = int(cfg.n_paths)
-        cfg.n_steps = int(cfg.n_steps)
-        cfg.seed = int(cfg.seed)
-        cfg.quadrature_tol = float(cfg.quadrature_tol)
+        try:
+            cfg.A = float(cfg.A)
+            cfg.p_list = [float(p) for p in cfg.p_list]
+            cfg.n_paths = int(cfg.n_paths)
+            cfg.n_steps = int(cfg.n_steps)
+            cfg.seed = int(cfg.seed)
+            cfg.quadrature_tol = float(cfg.quadrature_tol)
+        except _MALFORMED as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
         cfg.output_dir = str(cfg.output_dir)
         return cfg.validate()
 
@@ -150,6 +162,13 @@ class _Entry:
     improved_tmap: TransportMap | None = None
 
 
+def _params(obj: dict) -> dict | None:
+    params = obj.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError(f"'params' must be an object, got {params!r}")
+    return params
+
+
 def _parse_potential_entry(spec, variance: float, tol: float,
                            build: bool = True) -> _Entry | None:
     """Check one potential entry; with ``build``, check its declared slope
@@ -164,8 +183,8 @@ def _parse_potential_entry(spec, variance: float, tol: float,
         raise ConfigError(f"potential entry must be an object, got {spec!r}")
     if "family" in spec:
         try:
-            pot = builtin_potential(spec["family"], spec.get("params"))
-        except (ValueError, KeyError) as exc:
+            pot = builtin_potential(spec["family"], _params(spec))
+        except _MALFORMED as exc:
             raise ConfigError(f"bad potential entry {spec!r}: {exc}") from exc
         if not pot.convex:
             # the theorem verdicts need convexity; non-convex measures go
@@ -177,21 +196,24 @@ def _parse_potential_entry(spec, variance: float, tol: float,
         return _Entry("theorem", build_transport(pot, variance, tol))
     if "slope_map" in spec:
         sm_spec = spec["slope_map"]
+        if not isinstance(sm_spec, dict):
+            raise ConfigError(f"'slope_map' must be an object in {spec!r}")
         try:
-            sm = builtin_slope_map(sm_spec["name"], sm_spec.get("params"))
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"bad slope map entry {spec!r}: {exc}") from exc
-        alpha = float(spec.get("alpha", sm.alpha))
-        beta = spec.get("beta", sm.beta)
-        beta = None if beta is None else float(beta)
-        improved = spec.get("improved_alpha")
-        improved = None if improved is None else float(improved)
-        try:   # SlopeMap rejects alpha <= 0 and beta < alpha
+            sm = builtin_slope_map(sm_spec["name"], _params(sm_spec))
+            alpha = float(spec.get("alpha", sm.alpha))
+            beta = spec.get("beta", sm.beta)
+            beta = None if beta is None else float(beta)
+            improved = spec.get("improved_alpha")
+            improved = None if improved is None else float(improved)
+            if not all(math.isfinite(b) for b in (alpha, beta, improved)
+                       if b is not None):
+                raise ValueError("slope bounds must be finite")
+            # SlopeMap rejects alpha <= 0 and beta < alpha
             dataclasses.replace(sm, alpha=alpha, beta=beta)
             if improved is not None:
                 dataclasses.replace(sm, alpha=improved, beta=None)
-        except ValueError as exc:
-            raise ConfigError(f"bad slope bounds in {spec!r}: {exc}") from exc
+        except _MALFORMED as exc:
+            raise ConfigError(f"bad slope map entry {spec!r}: {exc}") from exc
         if not build:
             return None
         check_declared_slope_bounds(sm, alpha, beta)
@@ -211,13 +233,6 @@ def _slug(label: str) -> str:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _check_dict(obj) -> dict:
-    out = {}
-    for k, v in dataclasses.asdict(obj).items():
-        out[k] = format_float(v) if isinstance(v, float) else v
-    return out
-
-
 def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
                    cfg: ExperimentConfig, with_verdicts: bool):
     """Ensemble checks plus, with ``with_verdicts``, one verification report
@@ -231,9 +246,11 @@ def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
         "var_x": format_float(tmap.var_mu),
     }
     if ensemble is not None:
-        record["wald"] = _check_dict(wald_check(ensemble, tmap.var_mu))
-        record["t_bound"] = _check_dict(t_bound_check(ensemble))
-        record["embedded_law"] = _check_dict(embedded_law_check(ensemble, tmap))
+        checks = {"wald": wald_check(ensemble, tmap.var_mu),
+                  "t_bound": t_bound_check(ensemble),
+                  "embedded_law": embedded_law_check(ensemble, tmap)}
+        for key, check in checks.items():
+            record[key] = format_floats(dataclasses.asdict(check))
 
     reports = []
     for psi_spec in cfg.psis if with_verdicts else ():
@@ -265,64 +282,42 @@ def _ensemble_checks_pass(entry: dict) -> bool:
     return True
 
 
-def _write_summary_csv(path: Path, rows: list) -> None:
-    cols = ["potential", "A", "psi", "p", "q", "lhs", "rhs", "var_x",
-            "bl1_margin", "bl2_correction", "bl2_margin", "bl3_constant",
-            "bl3_margin", "bl3_skipped", "passed"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(str(r[c]) for c in cols) + "\n")
+_SUMMARY_COLUMNS = ("potential", "A", "psi", "p", "q", "lhs", "rhs", "var_x",
+                    "bl1_margin", "bl2_correction", "bl2_margin",
+                    "bl3_constant", "bl3_margin", "bl3_skipped", "passed")
+_MARGIN_COLUMNS = ("potential", "psi", "p", "bl1_margin", "bl2_margin",
+                   "bl3_margin")
 
 
-def _summary_rows(reports) -> list:
-    rows = []
-    for rep in reports:
-        base = {
-            "potential": rep.potential_label, "A": format_float(rep.gaussian_variance),
-            "psi": rep.psi_label, "lhs": format_float(rep.lhs),
-            "rhs": format_float(rep.rhs), "var_x": format_float(rep.var_x),
-            "bl1_margin": format_float(rep.bl1_margin),
-            "bl2_correction": format_float(rep.bl2_correction),
-            "bl2_margin": format_float(rep.bl2_margin),
-            "passed": rep.all_passed,
-        }
-        if rep.bl3:
-            for e in rep.bl3:
-                rows.append({**base, "p": format_float(e.p),
-                             "q": format_float(e.q),
-                             "bl3_constant": format_float(e.constant),
-                             "bl3_margin": format_float(e.margin),
-                             "bl3_skipped": e.skipped})
-        else:
-            rows.append({**base, "p": "", "q": "", "bl3_constant": "",
-                         "bl3_margin": "", "bl3_skipped": ""})
-    return rows
+def _summary_rows(report: dict) -> list:
+    """Rows of summary.csv (and, projected, of margins.csv) for one report in
+    its ``to_json_dict`` form: one per bl3 entry, or one with blank bl3 cells
+    when there is none."""
+    base = {**report, "A": report["gaussian_variance"],
+            "passed": all(report["passes"].values())}
+    blank = dict.fromkeys(("p", "q", "constant", "margin", "skipped"), "")
+    return [{**base, "p": e["p"], "q": e["q"], "bl3_constant": e["constant"],
+             "bl3_margin": e["margin"], "bl3_skipped": e["skipped"]}
+            for e in report["bl3"] or [blank]]
 
 
-def _write_transport_plotdata(path: Path, tmap: TransportMap) -> None:
+def _write_csv(path: Path, columns, rows) -> None:
+    """Standard CSV of ``rows`` (dicts) under a header of ``columns``: floats
+    as 17-digit strings, a cell that holds a comma quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([format_floats(row[c]) for c in columns]
+                         for row in rows)
+
+
+def _transport_rows(tmap: TransportMap) -> list:
     xs = np.linspace(-8.0, 8.0, 321)
     g = np.asarray(tmap.g(xs), float)
     gp = np.asarray(tmap.g_prime(xs), float)
     sa = math.sqrt(tmap.A)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,g,g_prime,sqrt_A\n")
-        for i, x in enumerate(xs):
-            fh.write(f"{x:.17g},{g[i]:.17g},{gp[i]:.17g},{sa:.17g}\n")
-
-
-def _write_margins_plotdata(path: Path, reports) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("potential,psi,p,bl1_margin,bl2_margin,bl3_margin\n")
-        for rep in reports:
-            if rep.bl3:
-                for e in rep.bl3:
-                    fh.write(f"{rep.potential_label},{rep.psi_label},"
-                             f"{e.p:.17g},{rep.bl1_margin:.17g},"
-                             f"{rep.bl2_margin:.17g},{e.margin:.17g}\n")
-            else:
-                fh.write(f"{rep.potential_label},{rep.psi_label},,"
-                         f"{rep.bl1_margin:.17g},{rep.bl2_margin:.17g},\n")
+    return [{"x": xs[i], "g": g[i], "g_prime": gp[i], "sqrt_A": sa}
+            for i in range(xs.size)]
 
 
 def _sandwich_rows(tmap: TransportMap, ensemble: EmbeddingEnsemble,
@@ -343,14 +338,6 @@ def _sandwich_rows(tmap: TransportMap, ensemble: EmbeddingEnsemble,
                 ok = False
         rows.append(row)
     return rows, ok
-
-
-def _write_sandwich_plotdata(path: Path, rows, p_list) -> None:
-    cols = ["x", "est1_lower", "gap_mc", "gap_se"] + [f"est2_p{p:g}" for p in p_list]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(f"{r[c]:.17g}" for c in cols) + "\n")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -421,7 +408,7 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
 
     # phase 3: checks, verdicts and outputs, entry by entry
     records = []
-    all_reports = []
+    summary = []
     all_ok = True
     single = len(specs) == 1
     for idx, (entry, ensemble) in enumerate(zip(entries, ensembles)):
@@ -435,21 +422,24 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
             all_ok &= _ensemble_checks_pass(record)
         if mode != "embed":
             record["reports"] = [rep.to_json_dict() for rep in reports]
-            all_reports.extend(reports)
+            for rep in record["reports"]:
+                summary.extend(_summary_rows(rep))
             all_ok &= all(rep.all_passed for rep in reports)
-            _write_transport_plotdata(plotdir / f"transport_{slug}.csv",
-                                      entry.tmap)
+            _write_csv(plotdir / f"transport_{slug}.csv",
+                       ("x", "g", "g_prime", "sqrt_A"),
+                       _transport_rows(entry.tmap))
         if mode in ("run", "sandwich") and ensemble is not None:
             rows, ok = _sandwich_rows(entry.tmap, ensemble, x_grid, cfg.p_list)
-            _write_sandwich_plotdata(plotdir / f"sandwich_{slug}.csv",
-                                     rows, cfg.p_list)
+            _write_csv(plotdir / f"sandwich_{slug}.csv",
+                       ["x", "est1_lower", "gap_mc", "gap_se"]
+                       + [f"est2_p{p:g}" for p in cfg.p_list], rows)
             record["sandwich_passed"] = ok
             all_ok &= ok
         records.append(record)
 
     if mode != "embed":
-        _write_margins_plotdata(plotdir / "margins.csv", all_reports)
-        _write_summary_csv(out / "summary.csv", _summary_rows(all_reports))
+        _write_csv(plotdir / "margins.csv", _MARGIN_COLUMNS, summary)
+        _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, summary)
         report = {
             "config": cfg.to_dict(),
             "mode": mode,

@@ -107,6 +107,8 @@ def _power_test(p: float) -> ConvexTest:
     if p < 2.0:
         raise ValueError("power test functions require p >= 2")
     c = p * (p - 1.0)
+    if not math.isfinite(c):   # an infinite density gives inf * 0 = nan at 0
+        raise ValueError(f"power {p:g} is too large: p (p - 1) overflows")
     return ConvexTest(
         f"power({p:g})", 0.0, 0.0,
         density=lambda y, _c=c, _e=p - 2.0: _c * np.abs(np.asarray(y, float)) ** _e,
@@ -133,19 +135,28 @@ def _corridor_test(width: float) -> ConvexTest:
         closed_form=lambda x, _k=width: np.maximum(np.abs(np.asarray(x, float)) - _k, 0.0))
 
 
+def _finite(value, what: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def builtin_convex_test(name: str, **params) -> ConvexTest:
     """Catalog: ``abs``, ``square``, ``power(p)``, ``call(strike)``,
-    ``corridor(width)``."""
+    ``corridor(width)``; each parameter must be finite."""
     if name == "abs":
         return _abs_test()
     if name == "square":
         return _square_test()
     if name == "power":
-        return _power_test(float(params["p"]))
+        return _power_test(_finite(params["p"], "power"))
     if name == "call":
-        return _call_test(float(params.get("strike", params.get("K", 1.0))))
+        return _call_test(_finite(params.get("strike", params.get("K", 1.0)),
+                                  "strike"))
     if name == "corridor":
-        return _corridor_test(float(params.get("width", params.get("K", 1.0))))
+        return _corridor_test(_finite(params.get("width", params.get("K", 1.0)),
+                                      "width"))
     raise ValueError(f"unknown convex test {name!r}")
 
 
@@ -155,7 +166,8 @@ def convex_test_from_spec(spec) -> ConvexTest:
     Accepts ``"abs"``, ``"square"``, ``{"power": p}``, ``{"call": K}``,
     ``{"corridor": K}``, or ``{"atoms": [[loc, mass], ...],
     "density_poly_coeffs": [c0, c1, ...]}`` (density sum_i c_i |y|^i,
-    required nonnegative).  The last form gets the closed form
+    required nonnegative); every number must be finite.  The last form gets
+    the closed form
     psi(0) + psi'_-(0) x + sum of kinks + sum_i c_i |x|^(i+2) / ((i+1)(i+2)).
     """
     if isinstance(spec, str):
@@ -169,10 +181,13 @@ def convex_test_from_spec(spec) -> ConvexTest:
     if "corridor" in spec:
         return builtin_convex_test("corridor", width=spec["corridor"])
     if "atoms" in spec or "density_poly_coeffs" in spec:
-        atoms = tuple((float(l), float(m)) for l, m in spec.get("atoms", []))
-        coeffs = tuple(float(c) for c in spec.get("density_poly_coeffs", []))
-        value_at_zero = float(spec.get("value_at_zero", 0.0))
-        left_slope = float(spec.get("left_slope_at_zero", 0.0))
+        atoms = tuple((_finite(l, "atom location"), _finite(m, "atom mass"))
+                      for l, m in spec.get("atoms", []))
+        coeffs = tuple(_finite(c, "density coefficient")
+                       for c in spec.get("density_poly_coeffs", []))
+        value_at_zero = _finite(spec.get("value_at_zero", 0.0), "value_at_zero")
+        left_slope = _finite(spec.get("left_slope_at_zero", 0.0),
+                             "left_slope_at_zero")
         density = None
         degree = 0
         if coeffs:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_core import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .gaussian_core import (gauss_density_of_quantile, std_normal_cdf,
+                            std_normal_pdf)
 from .potentials import Potential, rescale_potential
 
 __all__ = [
@@ -510,7 +511,7 @@ def check_density_quantile_gap(tmap: TransportMap,
         xi_grid = np.linspace(0.0005, 0.9995, 1999)
     xi_grid = np.asarray(xi_grid, float)
     gap = (np.asarray(unit.density(unit.quantile(xi_grid)), float)
-           - std_normal_pdf(std_normal_quantile(xi_grid)))
+           - gauss_density_of_quantile(xi_grid))
     i = int(np.argmin(gap))
     return DensityQuantileGapReport(
         min_gap=float(gap[i]), arg_min=float(xi_grid[i]),

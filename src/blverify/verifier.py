@@ -68,6 +68,7 @@ __all__ = [
     "appendix_transport",
     "mc_crosscheck",
     "format_float",
+    "format_floats",
 ]
 
 BL1_TOL = 1e-8
@@ -85,15 +86,23 @@ class SlopeBoundError(ValueError):
 
 
 def format_float(x) -> str | None:
-    """Decimal string with 17 significant digits (None passes through)."""
-    if x is None:
-        return None
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    """Decimal string with 17 significant digits ("inf", "-inf" and "nan"
+    for the non-finite; None passes through)."""
+    return None if x is None else f"{float(x):.17g}"
+
+
+def format_floats(obj):
+    """``obj`` with every float, also inside dicts, lists and tuples, as its
+    :func:`format_float` string; tuples become lists, other values pass
+    through.  Applied to ``dataclasses.asdict`` it gives a report's JSON
+    form."""
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        return {k: format_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [format_floats(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True)
@@ -155,46 +164,11 @@ class VerificationReport:
         return all(self.passes.values())
 
     def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "potential": self.potential_label,
-            "psi": self.psi_label,
-            "gaussian_variance": format_float(self.gaussian_variance),
-            "lhs": format_float(self.lhs),
-            "rhs": format_float(self.rhs),
-            "mean_x": format_float(self.mean_x),
-            "var_x": format_float(self.var_x),
-            "bl1_margin": format_float(self.bl1_margin),
-            "bl2_correction": format_float(self.bl2_correction),
-            "bl2_margin": format_float(self.bl2_margin),
-            "bl3": [
-                {"p": format_float(e.p), "q": format_float(e.q),
-                 "constant": format_float(e.constant),
-                 "upper_correction": format_float(e.upper_correction),
-                 "margin": format_float(e.margin),
-                 "skipped": e.skipped, "passed": e.passed}
-                for e in self.bl3
-            ],
-            "lhs_infinite": self.lhs_infinite,
-            "rhs_infinite": self.rhs_infinite,
-            "mad_ratio": format_float(self.mad_ratio),
-            "mad_lower_bound": format_float(self.mad_lower_bound),
-            "gap_p1_bound": format_float(self.gap_p1_bound),
-            "gap_p1_margin": format_float(self.gap_p1_margin),
-            "lower_variance": format_float(self.lower_variance),
-            "lower_lhs": format_float(self.lower_lhs),
-            "lower_margin": format_float(self.lower_margin),
-            "normalizer_residual": format_float(self.normalizer_residual),
-            "slope_min": format_float(self.slope_min),
-            "slope_max": format_float(self.slope_max),
-            "mc": None if self.mc is None else {
-                "estimate": format_float(self.mc.estimate),
-                "std_error": format_float(self.mc.std_error),
-                "reference": format_float(self.mc.reference),
-                "within_3se": self.mc.within_3se,
-            },
-            "passes": dict(sorted(self.passes.items())),
-        }
+        """The report's fields with floats as 17-digit strings; the labels
+        are keyed ``potential`` and ``psi``."""
+        out = format_floats(dataclasses.asdict(self))
+        out["potential"] = out.pop("potential_label")
+        out["psi"] = out.pop("psi_label")
         return out
 
 

@@ -1,6 +1,9 @@
+import csv
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +11,22 @@ from pathlib import Path
 import pytest
 
 import blverify
-from blverify.cli import (ConfigError, ExperimentConfig,
-                          _parse_potential_entry, default_matrix_config, main)
+from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
+from blverify.cli import (_MARGIN_COLUMNS, _SUMMARY_COLUMNS, ConfigError,
+                          ExperimentConfig, _parse_potential_entry,
+                          _process_entry, _summary_rows,
+                          default_matrix_config, main)
+from blverify.potentials import builtin_potential
+from blverify.transport import build_transport
+from blverify.verifier import format_float, verify_theorem
+
+from test_verifier import TestVerifyTheorem
+
+LOG_MIXTURE_ENTRY = {
+    "slope_map": {"name": "log_mixture",
+                  "params": {"p": 0.5, "q": 0.5 * math.sqrt(2), "a": 1.0,
+                             "b": 2.0}},
+    "beta": 2.0, "improved_alpha": 1.0}
 
 SMALL = {
     "potentials": [{"family": "quadratic", "params": {"c": 1.0}}],
@@ -56,6 +73,28 @@ class TestConfig:
         {"potentials": [{"slope_map": {"name": "cubic"},
                          "improved_alpha": 0.0}]},
         {"potentials": [{"family": "double_well"}]},
+        # malformed values: each used to end in a traceback with status 1
+        {"A": "x"},
+        {"p_list": ["abc"]},
+        {"seed": "abc"},
+        {"potentials": [{"family": "abs", "params": [1]}]},
+        {"potentials": [{"slope_map": "cubic"}]},
+        {"psis": [{"power": [3]}]},
+        {"psis": [{"power": math.inf}]},
+        {"potentials": [{"slope_map": {"name": "cubic"}, "alpha": "x"}]},
+        # accepted once, then crashed after the output directory existed
+        {"p_list": [1e16]},
+        {"p_list": [math.inf]},
+        {"psis": [{"call": math.nan}]},
+        {"psis": [{"corridor": math.inf}]},
+        {"psis": [{"power": 1e300}]},
+        {"psis": [{"atoms": [[math.inf, 1.0]]}]},
+        {"psis": [{"atoms": [[0.0, math.nan]]}]},
+        {"psis": [{"density_poly_coeffs": [math.inf]}]},
+        {"psis": [{"atoms": [[0.0, 1.0]], "value_at_zero": math.nan}]},
+        {"potentials": [{"slope_map": {"name": "cubic"}, "beta": math.inf}]},
+        {"potentials": [{"slope_map": {"name": "cubic"},
+                         "improved_alpha": math.inf}]},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -88,15 +127,29 @@ class TestRunCommand:
         lines = (out / "summary.csv").read_text().splitlines()
         assert len(lines) - 1 == 2 * 3 * 2   # potentials x psis x p_list
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = write_config(tmp_path)
+    @pytest.mark.parametrize("command",
+                             ["run", "verify", "embed", "sandwich", "appendix"])
+    def test_byte_identical_reruns(self, command, tmp_path):
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "quadratic", "params": {"c": 1.0}},
+                           {"slope_map": {"name": "cubic"}}],
+            "n_paths": 600,
+            "n_steps": 64,
+        })
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        first_ens = (out / "ensemble.csv").read_bytes()
-        first_rep = (out / "report.json").read_bytes()
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "ensemble.csv").read_bytes() == first_ens
-        assert (out / "report.json").read_bytes() == first_rep
+
+        def digests():
+            # the same output directory both times: report.json echoes it
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            found = {str(f.relative_to(out)):
+                     hashlib.sha256(f.read_bytes()).hexdigest()
+                     for f in sorted(out.rglob("*")) if f.is_file()}
+            shutil.rmtree(out)
+            return found
+
+        first = digests()
+        assert len(first) >= 2
+        assert digests() == first
 
     def test_malformed_json_exits_2_without_outputs(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -125,19 +178,22 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("bad_entry", [
-        {"slope_map": {"name": "cubic"}, "alpha": 4.0},
-        {"family": "double_well"},
+        ("potentials", {"slope_map": {"name": "cubic"}, "alpha": 4.0}),
+        ("potentials", {"family": "double_well"}),
+        # no finite conjugate: p / (p - 1) rounds to 1
+        ("p_list", 1e16),
+        ("psis", {"call": math.nan}),
     ])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,
                                                tmp_path):
-        # the bad entry comes second, after one that would already have
-        # produced an ensemble and plot data
-        cfg = write_config(tmp_path, overrides={
-            "potentials": [{"family": "abs", "params": {"c": 1.0}},
-                           bad_entry],
-            "n_paths": 300,
-        })
+        # the bad entry of a list comes last, after a potential that would
+        # already have produced an ensemble and plot data
+        key, value = bad_entry
+        lists = {"potentials": [{"family": "abs", "params": {"c": 1.0}}],
+                 "psis": list(SMALL["psis"]), "p_list": list(SMALL["p_list"])}
+        lists[key].append(value)
+        cfg = write_config(tmp_path, overrides=dict(lists, n_paths=300))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
@@ -303,6 +359,166 @@ class TestSubcommands:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "ensemble_00_zero.csv").exists()
         assert (out / "ensemble_01_quadratic_1.csv").exists()
+
+
+def test_csv_outputs_read_back_with_dictreader(tmp_path):
+    # the log-mixture label holds commas; each row must still parse into the
+    # header's columns, with the label of its report
+    out = tmp_path / "out"
+    assert main(["verify", "--matrix", "default", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    expected = [(rep["potential"], rep["psi"])
+                for entry in report["potentials"] for rep in entry["reports"]
+                for _ in rep["bl3"] or [None]]
+    assert any("," in label for label, _ in expected)
+    for path, columns in ((out / "summary.csv", _SUMMARY_COLUMNS),
+                          (out / "plotdata" / "margins.csv", _MARGIN_COLUMNS)):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert tuple(reader.fieldnames) == columns
+        assert all(None not in row and None not in row.values()
+                   for row in rows)
+        assert [(row["potential"], row["psi"]) for row in rows] == expected
+
+
+# ---------------------------------------------------------------------------
+# byte-identity oracles: the hand-written serializers that the asdict
+# formatter and the one CSV writer replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_to_json_dict(rep) -> dict:
+    return {
+        "kind": rep.kind,
+        "potential": rep.potential_label,
+        "psi": rep.psi_label,
+        "gaussian_variance": format_float(rep.gaussian_variance),
+        "lhs": format_float(rep.lhs),
+        "rhs": format_float(rep.rhs),
+        "mean_x": format_float(rep.mean_x),
+        "var_x": format_float(rep.var_x),
+        "bl1_margin": format_float(rep.bl1_margin),
+        "bl2_correction": format_float(rep.bl2_correction),
+        "bl2_margin": format_float(rep.bl2_margin),
+        "bl3": [
+            {"p": format_float(e.p), "q": format_float(e.q),
+             "constant": format_float(e.constant),
+             "upper_correction": format_float(e.upper_correction),
+             "margin": format_float(e.margin),
+             "skipped": e.skipped, "passed": e.passed}
+            for e in rep.bl3
+        ],
+        "lhs_infinite": rep.lhs_infinite,
+        "rhs_infinite": rep.rhs_infinite,
+        "mad_ratio": format_float(rep.mad_ratio),
+        "mad_lower_bound": format_float(rep.mad_lower_bound),
+        "gap_p1_bound": format_float(rep.gap_p1_bound),
+        "gap_p1_margin": format_float(rep.gap_p1_margin),
+        "lower_variance": format_float(rep.lower_variance),
+        "lower_lhs": format_float(rep.lower_lhs),
+        "lower_margin": format_float(rep.lower_margin),
+        "normalizer_residual": format_float(rep.normalizer_residual),
+        "slope_min": format_float(rep.slope_min),
+        "slope_max": format_float(rep.slope_max),
+        "mc": None if rep.mc is None else {
+            "estimate": format_float(rep.mc.estimate),
+            "std_error": format_float(rep.mc.std_error),
+            "reference": format_float(rep.mc.reference),
+            "within_3se": rep.mc.within_3se,
+        },
+        "passes": dict(sorted(rep.passes.items())),
+    }
+
+
+def _oracle_summary_rows(reports) -> list:
+    rows = []
+    for rep in reports:
+        base = {
+            "potential": rep.potential_label,
+            "A": format_float(rep.gaussian_variance),
+            "psi": rep.psi_label, "lhs": format_float(rep.lhs),
+            "rhs": format_float(rep.rhs), "var_x": format_float(rep.var_x),
+            "bl1_margin": format_float(rep.bl1_margin),
+            "bl2_correction": format_float(rep.bl2_correction),
+            "bl2_margin": format_float(rep.bl2_margin),
+            "passed": rep.all_passed,
+        }
+        if rep.bl3:
+            for e in rep.bl3:
+                rows.append({**base, "p": format_float(e.p),
+                             "q": format_float(e.q),
+                             "bl3_constant": format_float(e.constant),
+                             "bl3_margin": format_float(e.margin),
+                             "bl3_skipped": e.skipped})
+        else:
+            rows.append({**base, "p": "", "q": "", "bl3_constant": "",
+                         "bl3_margin": "", "bl3_skipped": ""})
+    return rows
+
+
+def _oracle_margin_lines(reports) -> list:
+    lines = []
+    for rep in reports:
+        if rep.bl3:
+            for e in rep.bl3:
+                lines.append(f"{rep.potential_label},{rep.psi_label},"
+                             f"{e.p:.17g},{rep.bl1_margin:.17g},"
+                             f"{rep.bl2_margin:.17g},{e.margin:.17g}")
+        else:
+            lines.append(f"{rep.potential_label},{rep.psi_label},,"
+                         f"{rep.bl1_margin:.17g},{rep.bl2_margin:.17g},")
+    return lines
+
+
+@pytest.fixture(scope="module")
+def oracle_reports():
+    """Reports with and without Monte Carlo, with None fields, with
+    ``~improved_alpha`` (no bl3 entries), and with infinite sides and
+    skipped bl3 entries."""
+    cfg = ExperimentConfig.from_dict(dict(
+        SMALL, psis=["abs", "square", {"call": 1.0}], p_list=[1.5, 4.0]))
+    theorem = _parse_potential_entry(
+        {"family": "quadratic", "params": {"c": 1.0}}, cfg.A,
+        cfg.quadrature_tol)
+    mixture = _parse_potential_entry(LOG_MIXTURE_ENTRY, cfg.A,
+                                     cfg.quadrature_tol)
+    ensemble = simulate_embedding(ClarkIntegrand(theorem.tmap), 400, 32,
+                                  seed=3)
+    reports = (_process_entry(theorem, ensemble, cfg, True)[1]
+               + _process_entry(mixture, None, cfg, True)[1])
+    explosive = TestVerifyTheorem._explosive_psi()
+    zero = build_transport(builtin_potential("zero"), 1.0)
+    reports += [verify_theorem(explosive, theorem.tmap),
+                verify_theorem(explosive, zero)]
+    return reports
+
+
+class TestSerializerOracles:
+    def test_reports_cover_the_cases(self, oracle_reports):
+        assert any(rep.mc is not None for rep in oracle_reports)
+        assert any(rep.mc is None for rep in oracle_reports)
+        assert any(rep.psi_label.endswith("~improved_alpha") and not rep.bl3
+                   for rep in oracle_reports)
+        assert any(rep.lhs_infinite and rep.rhs_infinite
+                   for rep in oracle_reports)
+        assert any(e.skipped for rep in oracle_reports for e in rep.bl3)
+        assert any(rep.gap_p1_bound is None for rep in oracle_reports)
+
+    def test_to_json_dict_matches_oracle(self, oracle_reports):
+        for rep in oracle_reports:
+            assert rep.to_json_dict() == _oracle_to_json_dict(rep)
+
+    def test_summary_rows_match_oracle(self, oracle_reports):
+        rows = [row for rep in oracle_reports
+                for row in _summary_rows(rep.to_json_dict())]
+        assert ([{c: row[c] for c in _SUMMARY_COLUMNS} for row in rows]
+                == _oracle_summary_rows(oracle_reports))
+
+    def test_margin_rows_are_the_summary_projection(self, oracle_reports):
+        rows = [row for rep in oracle_reports
+                for row in _summary_rows(rep.to_json_dict())]
+        assert ([",".join(row[c] for c in _MARGIN_COLUMNS) for row in rows]
+                == _oracle_margin_lines(oracle_reports))
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_out():

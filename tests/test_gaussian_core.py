@@ -125,6 +125,14 @@ class TestDensityOfQuantile:
         assert fd == pytest.approx(0.5244005127080409, abs=1e-8)
         assert fd == pytest.approx(-std_normal_quantile(0.3), abs=1e-8)
 
+    def test_clip_changes_no_bits_inside_the_unit_interval(self):
+        # check_density_quantile_gap uses this map in place of the plain
+        # composition, which it must reproduce bit for bit
+        xi = np.concatenate([np.linspace(0.0005, 0.9995, 1999),
+                             [1e-300, 1e-17, 0.5, 1.0 - 2.0 ** -53]])
+        assert np.array_equal(gauss_density_of_quantile(xi),
+                              std_normal_pdf(std_normal_quantile(xi)))
+
     def test_boundary_limits(self):
         assert gauss_density_of_quantile(1e-250) < 1e-240
         assert gauss_density_of_quantile(1 - 1e-14) < 1e-12

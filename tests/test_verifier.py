@@ -9,7 +9,8 @@ from blverify.convex_tests import ConvexTest, builtin_convex_test
 from blverify.potentials import builtin_potential, builtin_slope_map
 from blverify.transport import NonConvexPotentialError, build_transport
 from blverify.verifier import (SlopeBoundError, appendix_transport,
-                               format_float, gaussianized_potential,
+                               format_float, format_floats,
+                               gaussianized_potential,
                                mc_crosscheck, moment_lhs, moment_rhs,
                                verify_appendix, verify_theorem)
 
@@ -252,3 +253,16 @@ def test_format_float():
     assert format_float(math.inf) == "inf"
     assert format_float(None) is None
     assert float(format_float(1 / 3)) == 1 / 3
+    for x in (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+              -2.2250738585072009e-308, np.float64(1 / 3), np.float64(np.nan)):
+        assert format_float(x) == f"{x:.17g}"
+    assert [format_float(x) for x in (-0.0, -math.inf, math.nan)] == \
+        ["-0", "-inf", "nan"]
+
+
+def test_format_floats_reaches_nested_floats():
+    nested = {"a": 0.1, "b": (1.5, [math.inf, None]), "c": True, "d": "x",
+              "e": {"f": np.float64(-0.0), "g": 3}}
+    assert format_floats(nested) == {
+        "a": "0.10000000000000001", "b": ["1.5", ["inf", None]], "c": True,
+        "d": "x", "e": {"f": "-0", "g": 3}}
