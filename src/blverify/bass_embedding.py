@@ -28,28 +28,24 @@ the integrands' common y grid once per step, and integrates each integrand
 along the same paths.  Each of its ensembles is bit-identical to a
 `simulate_embedding` call for that integrand alone.
 
-Memory is bounded per chunk, not per problem or per integrand.  The
-simulation streams the steps in row chunks of a few MB: while the calling
-thread interpolates the integrand rows of the current chunk and steps every
-path side by side in one vector, worker threads draw the next chunk's
-increments block by block into reused buffers (Philox fills release the
-GIL).  A chunk holds fewer steps the more integrands share it, so its row
-tables stay the same size.  The Clark grids are built inside the same
-pipeline: a second pool fills them in chunks of a few tau rows, highest tau
-first, which is the order the steps read them in, and the step loop waits
-only for the chunks covering its current steps.  The worker count is the
-number of CPUs the process may run on, capped by the BL_EMBED_THREADS
-environment variable; a cap of 1 runs everything on the calling thread,
-building each grid chunk just before its rows are first read.
+Memory is bounded per chunk, not per problem or per integrand.  Each Clark
+grid is filled when its integrand is constructed, a few tau rows per task
+on a pool of one worker thread per CPU the process may run on; after that
+the integrand is read-only.  The simulation streams the steps in row chunks
+of a few MB: while the calling thread interpolates the integrand rows of
+the current chunk and steps every path side by side in one vector, at
+most as many worker threads draw the next chunk's increments block by
+block into reused buffers (Philox fills release the GIL).  A chunk holds
+fewer steps the more integrands share it, so its row tables stay the same
+size.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +74,6 @@ _Y_MAX = 8.0
 _CHUNK_VALUES = 1 << 18        # float64 values per step-chunk table (2 MB)
 _GRID_TAU_ROWS = 2             # tau rows per Clark-grid chunk (~1 MB of nodes)
 _CSV_ROWS = 2048               # rows formatted per CSV write (~0.6 MB transient)
-ENV_THREADS = "BL_EMBED_THREADS"
 
 
 @dataclass
@@ -120,13 +115,10 @@ class ClarkIntegrand:
     smooth, by 1025 uniform y nodes on [-8, 8]) that path simulation
     samples bilinearly.
 
-    The constructor tabulates g' and E[g(W_1)] but not the grid: that is
-    filled in chunks of _GRID_TAU_ROWS tau rows, on `simulate_embeddings`'
-    worker threads while it simulates, or on the calling thread by
-    `rows_for_steps` and `_grid` for any chunk they read that is still
-    missing.  Each chunk is built exactly once, by whichever thread claims
-    it first, so the integrand is not read-only until its grid is complete;
-    all its methods are safe for concurrent use.
+    The constructor tabulates g', E[g(W_1)] and the whole grid, which it
+    fills in chunks of _GRID_TAU_ROWS tau rows on a pool of `_worker_count`
+    threads.  The integrand is read-only afterwards, so any number of
+    simulations may share it.
     """
 
     def __init__(self, transport: TransportMap):
@@ -142,21 +134,14 @@ class ClarkIntegrand:
 
         self._tau = np.linspace(0.0, 1.0, _TAU_CELLS + 1)
         self._y = np.linspace(-_Y_MAX, _Y_MAX, _Y_CELLS + 1)
-        self._table = np.empty((len(self._tau), len(self._y)))
-        # one future per chunk of _GRID_TAU_ROWS tau rows, set by the thread
-        # that claimed the chunk once its rows are in the table
-        self._chunks: list[Future | None] = \
-            [None] * -(-len(self._tau) // _GRID_TAU_ROWS)
-        self._chunk_lock = threading.Lock()
+        self._grid = np.empty((len(self._tau), len(self._y)))
+        with ThreadPoolExecutor(_worker_count()) as pool:
+            for _ in pool.map(self._fill_grid,
+                              range(0, len(self._tau), _GRID_TAU_ROWS)):
+                pass    # re-raises a failed chunk's exception
 
         self.mean_g = float(np.dot(self._gh_w,
                                    np.asarray(transport.g(self._gh_z), float)))
-
-    @property
-    def _grid(self) -> np.ndarray:
-        """The whole (tau, y) grid; missing chunks are built first."""
-        self._wait_rows(0, len(self._tau))
-        return self._table
 
     def _interp_gprime(self, x: np.ndarray) -> np.ndarray:
         # constant continuation beyond the table matches the transport's
@@ -170,34 +155,9 @@ class ClarkIntegrand:
         pts = _node_buffer((len(tau), len(self._gh_z), len(self._y)))
         np.add(self._y[None, None, :], disp, out=pts)
         np.einsum("k,tky->ty", self._gh_w, self._interp_gprime(pts),
-                  out=self._table[t0:t0 + len(tau)])
+                  out=self._grid[t0:t0 + len(tau)])
         if t0 == 0:
-            self._table[0] = self._interp_gprime(self._y)  # a(1, y) = g'(y)
-
-    def _build_chunk(self, c: int) -> Future:
-        """Future of grid chunk c, after building the chunk if it is unclaimed.
-
-        The first caller claims the chunk and builds it; later callers get
-        the same future, which holds the exception if the build failed.
-        """
-        with self._chunk_lock:
-            future = self._chunks[c]
-            claimed = future is None
-            if claimed:
-                future = self._chunks[c] = Future()
-        if claimed:
-            try:
-                self._fill_grid(c * _GRID_TAU_ROWS)
-            except BaseException as exc:
-                future.set_exception(exc)
-                raise
-            future.set_result(None)
-        return future
-
-    def _wait_rows(self, lo: int, hi: int) -> None:
-        """Build, or wait for, every chunk holding a grid row in [lo, hi)."""
-        for c in range(lo // _GRID_TAU_ROWS, (hi - 1) // _GRID_TAU_ROWS + 1):
-            self._build_chunk(c).result()
+            self._grid[0] = self._interp_gprime(self._y)  # a(1, y) = g'(y)
 
     def rows_for_steps(self, n_steps: int, start: int = 0,
                        stop: int | None = None) -> np.ndarray:
@@ -212,10 +172,8 @@ class ClarkIntegrand:
         dtau = self._tau[1] - self._tau[0]
         pos = np.clip(tau / dtau, 0.0, len(self._tau) - 1.001)
         j = pos.astype(np.int64)
-        if j.size:
-            self._wait_rows(int(j.min()), int(j.max()) + 2)
         frac = (pos - j)[:, None]
-        return self._table[j] * (1.0 - frac) + self._table[j + 1] * frac
+        return self._grid[j] * (1.0 - frac) + self._grid[j + 1] * frac
 
 
 _scratch = threading.local()
@@ -237,40 +195,9 @@ def _node_buffer(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _worker_count() -> int:
-    """CPUs this process may run on, capped by BL_EMBED_THREADS if it is set.
-
-    An empty or non-integer BL_EMBED_THREADS is ignored.
-    """
+    """CPUs this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)
-    n_cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    try:
-        cap = int(os.environ.get(ENV_THREADS, ""))
-    except ValueError:
-        cap = n_cpus
-    return max(1, min(cap, n_cpus))
-
-
-def _completed(fn, *args) -> Future:
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
-@contextlib.contextmanager
-def _submitter(workers: int):
-    """Yield `submit(fn, *args) -> Future` backed by `workers` threads.
-
-    With one worker, submit runs fn inline and no thread is started.  Tasks
-    still queued when the block exits are cancelled.
-    """
-    if workers == 1:
-        yield _completed
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            yield pool.submit
-        finally:
-            pool.shutdown(cancel_futures=True)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
 
 def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
@@ -339,8 +266,7 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
     # integrands each hold at most _CHUNK_VALUES values
     chunk = max(1, _CHUNK_VALUES // max(n_paths, len(clarks) * n_y))
     starts = range(0, n_steps + 1, chunk)
-    workers = _worker_count()
-    n_fill = min(workers, len(blocks))
+    n_fill = min(_worker_count(), len(blocks))
     incr_bufs = [np.empty((chunk, n_paths)) for _ in range(2)]
     scratch = [np.empty(chunk * min(n_paths, _BLOCK_PATHS))
                for _ in range(n_fill)]
@@ -360,23 +286,13 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
     w = np.zeros(n_paths)
     pos, frac, lo, hi = (np.empty(n_paths) for _ in range(4))
     j = np.empty(n_paths, dtype=np.int64)
-    with _submitter(workers) as submit, _submitter(workers) as submit_grid:
-        if workers > 1:
-            # build the missing grid chunks highest tau first, the order the
-            # steps read them in (s = 0 is tau = 1); rows_for_steps waits for
-            # the chunks it reads, and with one worker builds them itself
-            jobs = sorted((-clark._tau[c * _GRID_TAU_ROWS], k, c)
-                          for k, clark in enumerate(clarks)
-                          for c, built in enumerate(clark._chunks)
-                          if built is None)
-            for _, k, c in jobs:
-                submit_grid(clarks[k]._build_chunk, c)
-        pending = [submit(fill, k, 0) for k in range(n_fill)]
+    with ThreadPoolExecutor(n_fill) as pool:
+        pending = [pool.submit(fill, k, 0) for k in range(n_fill)]
         for c, start in enumerate(starts):
             for fut in pending:
                 fut.result()
             if c + 1 < len(starts):   # draw the next chunk during this one
-                pending = [submit(fill, k, c + 1) for k in range(n_fill)]
+                pending = [pool.submit(fill, k, c + 1) for k in range(n_fill)]
             incr = incr_bufs[c % 2]
             stop = min(start + chunk, n_steps + 1)
             tables = []

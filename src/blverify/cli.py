@@ -225,6 +225,21 @@ def _parse_potential_entry(spec, variance: float, tol: float,
     raise ConfigError(f"potential entry needs 'family' or 'slope_map': {spec!r}")
 
 
+def _check_atom_levels(entries, psis) -> None:
+    """Reject psi'' atoms x with a non-finite x^2 + A at the Gaussian variance
+    A of any transport of a run: the bl2 correction evaluates the local time
+    at level sqrt(x^2 + A)."""
+    for entry in entries:
+        for tmap in (entry.tmap, entry.improved_tmap):
+            if tmap is None:
+                continue
+            bad = [loc for psi in psis for loc, _ in psi.atoms
+                   if not math.isfinite(loc * loc + tmap.A)]
+            if bad:
+                raise ConfigError(f"psi atoms need a finite x^2 + A at "
+                                  f"A = {tmap.A:g}: {bad}")
+
+
 def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label).strip("_")
 
@@ -387,10 +402,11 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     else:
         specs = cfg.potentials
 
-    # phase 1: every transport, slope bound and integrand; a configuration
-    # error raised here leaves nothing written
+    # phase 1: every transport, slope bound and integrand with its Clark
+    # grid; a configuration error raised here leaves nothing written
     entries = [_parse_potential_entry(spec, cfg.A, cfg.quadrature_tol)
                for spec in specs]
+    _check_atom_levels(entries, [convex_test_from_spec(s) for s in cfg.psis])
     clarks = [ClarkIntegrand(e.tmap) for e in entries] if with_mc else []
 
     out = Path(cfg.output_dir)
@@ -399,8 +415,7 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     if mode != "embed":
         plotdir.mkdir(exist_ok=True)
 
-    # phase 2: one simulation for every potential, on shared Brownian paths;
-    # the Clark grids are built inside it
+    # phase 2: one simulation for every potential, on shared Brownian paths
     ensembles = [None] * len(entries)
     if with_mc:
         ensembles = simulate_embeddings(clarks, cfg.n_paths, cfg.n_steps,

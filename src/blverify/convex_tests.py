@@ -166,7 +166,8 @@ def convex_test_from_spec(spec) -> ConvexTest:
     Accepts ``"abs"``, ``"square"``, ``{"power": p}``, ``{"call": K}``,
     ``{"corridor": K}``, or ``{"atoms": [[loc, mass], ...],
     "density_poly_coeffs": [c0, c1, ...]}`` (density sum_i c_i |y|^i,
-    required nonnegative); every number must be finite.  The last form gets
+    required nonnegative, and an optional string ``label``); every number
+    must be finite.  The last form gets
     the closed form
     psi(0) + psi'_-(0) x + sum of kinks + sum_i c_i |x|^(i+2) / ((i+1)(i+2)).
     """
@@ -185,6 +186,9 @@ def convex_test_from_spec(spec) -> ConvexTest:
                       for l, m in spec.get("atoms", []))
         coeffs = tuple(_finite(c, "density coefficient")
                        for c in spec.get("density_poly_coeffs", []))
+        label = spec.get("label", "custom")
+        if not isinstance(label, str):
+            raise ValueError(f"psi label must be a string, got {label!r}")
         value_at_zero = _finite(spec.get("value_at_zero", 0.0), "value_at_zero")
         left_slope = _finite(spec.get("left_slope_at_zero", 0.0),
                              "left_slope_at_zero")
@@ -213,7 +217,7 @@ def convex_test_from_spec(spec) -> ConvexTest:
             return out
 
         return ConvexTest(
-            label=spec.get("label", "custom"), value_at_zero=value_at_zero,
+            label=label, value_at_zero=value_at_zero,
             left_slope_at_zero=left_slope, atoms=atoms, density=density,
             density_degree=degree, closed_form=closed_form)
     raise ValueError(f"cannot parse convex test spec {spec!r}")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blverify import bass_embedding
 from blverify.bass_embedding import (ClarkIntegrand, embedded_law_check,
                                      ks_distance, simulate_embedding,
                                      t_bound_check, wald_check)
@@ -127,8 +128,9 @@ class TestSimulation:
         assert not np.array_equal(a.w1, b.w1)
 
     def test_worker_count_does_not_change_results(self, abs_clark, monkeypatch):
+        monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 1)
         a = simulate_embedding(abs_clark, 9000, 64, seed=13)
-        monkeypatch.setenv("BL_EMBED_THREADS", "4")
+        monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 4)
         b = simulate_embedding(abs_clark, 9000, 64, seed=13)
         assert np.array_equal(a.T, b.T) and np.array_equal(a.bt, b.bt)
 

@@ -95,6 +95,10 @@ class TestConfig:
         {"potentials": [{"slope_map": {"name": "cubic"}, "beta": math.inf}]},
         {"potentials": [{"slope_map": {"name": "cubic"},
                          "improved_alpha": math.inf}]},
+        {"psis": [{"label": 5, "atoms": [[0.0, 1.0]]}],
+         "potentials": [{"slope_map": {"name": "cubic"},
+                         "improved_alpha": 1.0}]},
+        {"psis": [{"label": ["x"], "atoms": [[0.0, 1.0]]}]},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -183,6 +187,10 @@ class TestRunCommand:
         # no finite conjugate: p / (p - 1) rounds to 1
         ("p_list", 1e16),
         ("psis", {"call": math.nan}),
+        # finite atoms whose level sqrt(x^2 + A) overflows
+        ("psis", {"call": 1e300}),
+        ("psis", {"corridor": 1e300}),
+        ("psis", {"atoms": [[1e300, 1.0]]}),
     ])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,

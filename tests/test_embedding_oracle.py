@@ -3,9 +3,10 @@
 The references below are the straightforward implementations: the Clark grid
 as one einsum over every (tau, node, y) point, and the simulation as one
 block of paths at a time with the block's whole increment array drawn up
-front, one potential at a time.  Production code streams both in bounded
-chunks on worker threads and steps every potential along one set of paths;
-it must reproduce the references bit for bit.
+front, one potential at a time.  Production code builds the grid in chunks
+and streams the simulation in bounded chunks, both on worker threads, and
+steps every potential along one set of paths; it must reproduce the
+references bit for bit whatever the worker count.
 """
 
 import math
@@ -81,17 +82,21 @@ def reference_rows(grid: np.ndarray, clark: ClarkIntegrand, n_steps: int,
     return grid[j] * (1.0 - frac) + grid[j + 1] * frac
 
 
-THREAD_CAPS = ("1", "2", "4")
+WORKER_COUNTS = (1, 2, 4)
+
+
+def set_workers(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(bass_embedding, "_worker_count", lambda: n)
 
 
 def assert_matches_reference(monkeypatch, clark, n_paths, n_steps, seed):
     T, bt, w1 = reference_simulation(clark, n_paths, n_steps, seed)
-    for cap in THREAD_CAPS:
-        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+    for n in WORKER_COUNTS:
+        set_workers(monkeypatch, n)
         ens = simulate_embedding(clark, n_paths, n_steps, seed)
-        assert np.array_equal(ens.T, T), cap
-        assert np.array_equal(ens.bt, bt), cap
-        assert np.array_equal(ens.w1, w1), cap
+        assert np.array_equal(ens.T, T), n
+        assert np.array_equal(ens.bt, bt), n
+        assert np.array_equal(ens.w1, w1), n
 
 
 @pytest.fixture(scope="module")
@@ -102,65 +107,40 @@ def matrix_clarks(matrix_transports):
 @pytest.mark.parametrize("key", MATRIX_KEYS)
 def test_grid_matches_one_shot_einsum(key, matrix_clarks, monkeypatch):
     expected = reference_grid(matrix_clarks[key])
-    for cap in THREAD_CAPS:
-        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+    for n in WORKER_COUNTS:
+        set_workers(monkeypatch, n)
         clark = ClarkIntegrand(matrix_clarks[key].transport)
-        assert np.array_equal(clark._grid, expected), cap
-
-
-def test_rows_of_a_fresh_integrand_build_only_the_chunks_they_read(
-        matrix_transports):
-    clark = ClarkIntegrand(matrix_transports["log_mixture_k"])
-    assert all(chunk is None for chunk in clark._chunks)
-    expected = reference_grid(clark)
-    n_chunks = len(clark._chunks)
-    # the first 40 of 2048 steps read only the top rows of the grid
-    assert np.array_equal(clark.rows_for_steps(2048, 0, 40),
-                          reference_rows(expected, clark, 2048, 0, 40))
-    built = sum(chunk is not None for chunk in clark._chunks)
-    assert 0 < built < n_chunks // 4
-    for start, stop in ((2000, 2049), (700, 701), (0, 2049)):
-        assert np.array_equal(clark.rows_for_steps(2048, start, stop),
-                              reference_rows(expected, clark, 2048, start,
-                                             stop)), (start, stop)
-    assert np.array_equal(clark.rows_for_steps(64),
-                          reference_rows(expected, clark, 64, 0, 65))
-    assert np.array_equal(clark._grid, expected)
+        assert np.array_equal(clark._grid, expected), n
+        assert np.array_equal(clark.rows_for_steps(64),
+                              reference_rows(expected, clark, 64, 0, 65)), n
 
 
 def test_simulation_builds_fresh_grids_bit_for_bit(matrix_transports,
                                                    matrix_clarks, monkeypatch):
-    """Grids built inside the simulation pipeline equal the one-shot grid,
-    and so do the ensembles stepped on them, under every worker cap."""
+    """Grids of fresh integrands equal the one-shot grid, and so do the
+    ensembles stepped on them, at every worker count."""
     n_paths, n_steps = 4113, 130
     expected = simulate_embeddings(
         [matrix_clarks[key] for key in MATRIX_KEYS], n_paths, n_steps, 17)
     grids = [reference_grid(matrix_clarks[key]) for key in MATRIX_KEYS]
-    for cap in THREAD_CAPS:
-        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+    for n in WORKER_COUNTS:
+        set_workers(monkeypatch, n)
         clarks = [ClarkIntegrand(matrix_transports[key])
                   for key in MATRIX_KEYS]
         ensembles = simulate_embeddings(clarks, n_paths, n_steps, 17)
         for key, clark, ens, ref, grid in zip(MATRIX_KEYS, clarks, ensembles,
                                               expected, grids):
-            assert np.array_equal(clark._grid, grid), (cap, key)
-            assert np.array_equal(ens.T, ref.T), (cap, key)
-            assert np.array_equal(ens.bt, ref.bt), (cap, key)
+            assert np.array_equal(clark._grid, grid), (n, key)
+            assert np.array_equal(ens.T, ref.T), (n, key)
+            assert np.array_equal(ens.bt, ref.bt), (n, key)
 
 
 def test_concurrent_simulations_build_each_chunk_once(matrix_transports,
                                                       monkeypatch):
-    """Two threads simulating on one fresh integrand, each with its own grid
-    pool, at a 1 us switch interval: every chunk is filled exactly once."""
-    fills = []
-    fill_grid = ClarkIntegrand._fill_grid
-
-    def counted(self, t0):
-        fills.append(t0)        # list.append is atomic under the GIL
-        fill_grid(self, t0)
-
-    monkeypatch.setattr(ClarkIntegrand, "_fill_grid", counted)
-    monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 4)
+    """Two threads simulating on one integrand, each with its own fill pool,
+    at a 1 us switch interval, match the reference: the grid is built once,
+    by the constructor, and the simulations only read it."""
+    set_workers(monkeypatch, 4)
     clark = ClarkIntegrand(matrix_transports["double_well_k"])
     results = [None, None]
 
@@ -180,10 +160,7 @@ def test_concurrent_simulations_build_each_chunk_once(matrix_transports,
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads), \
         "simulations did not finish in 120 s"
-    grid = clark._grid
-    starts = list(range(0, len(clark._tau), bass_embedding._GRID_TAU_ROWS))
-    assert sorted(fills) == starts
-    assert np.array_equal(grid, reference_grid(clark))
+    assert np.array_equal(clark._grid, reference_grid(clark))
     T, bt, w1 = reference_simulation(clark, 4113, 300, seed=21)
     for ens in results:
         assert np.array_equal(ens.T, T)
@@ -196,15 +173,15 @@ def test_extrapolation_count_does_not_depend_on_workers(matrix_transports,
     table and E g, and g at the end of the run."""
     tmaps = [matrix_transports[key] for key in MATRIX_KEYS]
     deltas = {}
-    for cap in ("1", "2"):
-        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+    for n in (1, 2):
+        set_workers(monkeypatch, n)
         before = [tmap.extrapolation_count for tmap in tmaps]
         simulate_embeddings([ClarkIntegrand(tmap) for tmap in tmaps],
                             4096, 64, seed=19)
-        deltas[cap] = [tmap.extrapolation_count - b
-                       for tmap, b in zip(tmaps, before)]
-    assert deltas["1"] == deltas["2"]
-    assert all(delta > 0 for delta in deltas["1"])
+        deltas[n] = [tmap.extrapolation_count - b
+                     for tmap, b in zip(tmaps, before)]
+    assert deltas[1] == deltas[2]
+    assert all(delta > 0 for delta in deltas[1])
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)
@@ -240,14 +217,14 @@ def test_batched_simulation_matches_per_potential_reference(
     clarks = [matrix_clarks[key] for key in MATRIX_KEYS]
     expected = [reference_simulation(clark, n_paths, n_steps, 13)
                 for clark in clarks]
-    for cap in ("1", "2"):
-        monkeypatch.setenv(bass_embedding.ENV_THREADS, cap)
+    for n in (1, 2):
+        set_workers(monkeypatch, n)
         ensembles = simulate_embeddings(clarks, n_paths, n_steps, 13)
         assert len(ensembles) == len(clarks)
         for key, ens, (T, bt, w1) in zip(MATRIX_KEYS, ensembles, expected):
-            assert np.array_equal(ens.T, T), (cap, key)
-            assert np.array_equal(ens.bt, bt), (cap, key)
-            assert np.array_equal(ens.w1, w1), (cap, key)
+            assert np.array_equal(ens.T, T), (n, key)
+            assert np.array_equal(ens.bt, bt), (n, key)
+            assert np.array_equal(ens.w1, w1), (n, key)
             assert ens.potential_label == \
                 matrix_clarks[key].transport.potential.label
 
@@ -272,7 +249,7 @@ def test_many_fill_threads_under_fast_switching(matrix_clarks, monkeypatch):
     a generator used out of order or a buffer refilled while being stepped
     would change the ensemble.
     """
-    monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 8)
+    set_workers(monkeypatch, 8)
     clark = matrix_clarks["log_mixture_k"]
     n_paths, n_steps = 9 * 4096 + 17, 120
     result = {}
@@ -292,16 +269,6 @@ def test_many_fill_threads_under_fast_switching(matrix_clarks, monkeypatch):
     assert np.array_equal(result["ens"].T, T)
     assert np.array_equal(result["ens"].bt, bt)
     assert np.array_equal(result["ens"].w1, w1)
-
-
-def test_cap_of_one_starts_no_thread(matrix_clarks, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setenv(bass_embedding.ENV_THREADS, "1")
-    monkeypatch.setattr(bass_embedding, "ThreadPoolExecutor", no_pool)
-    clark = ClarkIntegrand(matrix_clarks["abs"].transport)
-    simulate_embedding(clark, 5000, 64, seed=3)
 
 
 def _peak_bytes(fn):
@@ -358,15 +325,8 @@ def test_grid_chunk_allocates_only_the_interpolated_values(matrix_transports):
     assert chunk_bytes <= peak < 1.5 * chunk_bytes
 
 
-@pytest.mark.parametrize("env,expected", [
-    (None, 6), ("", 6), ("1", 1), ("3", 3), ("16", 6), ("0", 1),
-    ("abc", 6)])
-def test_worker_count_follows_affinity_and_cap(env, expected, monkeypatch):
+def test_worker_count_follows_affinity(monkeypatch):
     monkeypatch.setattr(bass_embedding.os, "sched_getaffinity",
                         lambda pid: {0, 2, 3, 5, 7, 9}, raising=False)
     monkeypatch.setattr(bass_embedding.os, "cpu_count", lambda: 64)
-    if env is None:
-        monkeypatch.delenv(bass_embedding.ENV_THREADS, raising=False)
-    else:
-        monkeypatch.setenv(bass_embedding.ENV_THREADS, env)
-    assert bass_embedding._worker_count() == expected
+    assert bass_embedding._worker_count() == 6
