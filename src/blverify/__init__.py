@@ -8,8 +8,9 @@ machine-readable reports.
 """
 
 from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,
-                             embedded_law_check, simulate_embedding,
-                             simulate_embeddings, t_bound_check, wald_check)
+                             clark_integrands, embedded_law_check,
+                             simulate_embedding, simulate_embeddings,
+                             t_bound_check, wald_check)
 from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            builtin_convex_test, convex_test_from_spec,
                            eval_psi, integrate_against_second_derivative,

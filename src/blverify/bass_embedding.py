@@ -28,16 +28,20 @@ the integrands' common y grid once per step, and integrates each integrand
 along the same paths.  Each of its ensembles is bit-identical to a
 `simulate_embedding` call for that integrand alone.
 
-Memory is bounded per chunk, not per problem or per integrand.  Each Clark
-grid is filled when its integrand is constructed, a few tau rows per task
-on a pool of one worker thread per CPU the process may run on; after that
-the integrand is read-only.  The simulation streams the steps in row chunks
-of a few MB: while the calling thread interpolates the integrand rows of
-the current chunk and steps every path side by side in one vector, at
-most as many worker threads draw the next chunk's increments block by
-block into reused buffers (Philox fills release the GIL).  A chunk holds
-fewer steps the more integrands share it, so its row tables stay the same
-size.
+Memory is bounded per chunk, not per problem or per integrand.  The Clark
+grids are filled when their integrands are constructed, a few tau rows per
+task on a pool of one worker thread per CPU the process may run on; after
+that an integrand is read-only.  The quadrature nodes are the same for
+every transport, so `clark_integrands` fills several grids in one pass that
+locates each node in the dense g' table once for all of them and then
+interpolates each table by numpy.interp's formula, bit for bit.
+
+The simulation streams the steps in row chunks of a few MB: while the
+calling thread interpolates the integrand rows of the current chunk and
+steps every path side by side in one vector, at most as many worker threads
+draw the next chunk's increments block by block into reused buffers
+(Philox fills release the GIL).  A chunk holds fewer steps the more
+integrands share it, so its row tables stay the same size.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .transport import TransportMap
 __all__ = [
     "ClarkIntegrand",
     "EmbeddingEnsemble",
+    "clark_integrands",
     "WaldReport",
     "TBoundReport",
     "KSReport",
@@ -71,6 +76,7 @@ _HERMITE_NODES = 64            # Gauss-Hermite nodes of the smoothing
 _TAU_CELLS = 256               # Clark grid cells in tau = sqrt(1 - s)
 _Y_CELLS = 1024                # Clark grid cells in y, on [-_Y_MAX, _Y_MAX]
 _Y_MAX = 8.0
+_FINE_CELLS = 8192             # cells of the dense g' table on [-11.5, 11.5]
 _CHUNK_VALUES = 1 << 18        # float64 values per step-chunk table (2 MB)
 _GRID_TAU_ROWS = 2             # tau rows per Clark-grid chunk (~1 MB of nodes)
 _CSV_ROWS = 2048               # rows formatted per CSV write (~0.6 MB transient)
@@ -113,51 +119,37 @@ class ClarkIntegrand:
     The smoothing is a 64-node Gauss-Hermite sum, tabulated on a tensor grid
     (257 tau = sqrt(1-s) nodes, uniform in tau where the integrand is
     smooth, by 1025 uniform y nodes on [-8, 8]) that path simulation
-    samples bilinearly.
+    samples bilinearly.  g' enters through a dense table on [-11.5, 11.5],
+    interpolated linearly; its constant continuation beyond the ends
+    matches the transport's linear extrapolation of g.
 
-    The constructor tabulates g', E[g(W_1)] and the whole grid, which it
-    fills in chunks of _GRID_TAU_ROWS tau rows on a pool of `_worker_count`
-    threads.  The integrand is read-only afterwards, so any number of
-    simulations may share it.
+    The constructor tabulates g' and E[g(W_1)] and fills the whole grid; it
+    is the one-transport case of `clark_integrands`, which fills the grids
+    of several transports in one pass.  The integrand is read-only
+    afterwards, so any number of simulations may share it.
     """
 
+    # abscissae shared by every integrand: the Gauss-Hermite nodes, the
+    # dense g' table (the displacements reach |y| ~ 23, where g' is already
+    # the constant extrapolation slope) and the (tau, y) grid
+    _gh_z, _gh_w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
+    _gh_z = np.sqrt(2.0) * _gh_z
+    _gh_w = _gh_w / np.sqrt(np.pi)
+    _fine_x = np.linspace(-11.5, 11.5, _FINE_CELLS + 1)
+    _tau = np.linspace(0.0, 1.0, _TAU_CELLS + 1)
+    _y = np.linspace(-_Y_MAX, _Y_MAX, _Y_CELLS + 1)
+
     def __init__(self, transport: TransportMap):
+        self._tabulate(transport)
+        _fill_grids([self])
+
+    def _tabulate(self, transport: TransportMap) -> None:
+        # everything that calls the transport, on the calling thread
         self.transport = transport
-        t, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
-        self._gh_z = np.sqrt(2.0) * t
-        self._gh_w = w / np.sqrt(np.pi)
-
-        # dense g' lookup: the GH displacements reach |y| ~ 23, where g' is
-        # already the constant extrapolation slope
-        self._fine_x = np.linspace(-11.5, 11.5, 8193)
         self._fine_gp = np.asarray(transport.g_prime(self._fine_x), float)
-
-        self._tau = np.linspace(0.0, 1.0, _TAU_CELLS + 1)
-        self._y = np.linspace(-_Y_MAX, _Y_MAX, _Y_CELLS + 1)
-        self._grid = np.empty((len(self._tau), len(self._y)))
-        with ThreadPoolExecutor(_worker_count()) as pool:
-            for _ in pool.map(self._fill_grid,
-                              range(0, len(self._tau), _GRID_TAU_ROWS)):
-                pass    # re-raises a failed chunk's exception
-
         self.mean_g = float(np.dot(self._gh_w,
                                    np.asarray(transport.g(self._gh_z), float)))
-
-    def _interp_gprime(self, x: np.ndarray) -> np.ndarray:
-        # constant continuation beyond the table matches the transport's
-        # linear extrapolation of g
-        return np.interp(x, self._fine_x, self._fine_gp)
-
-    def _fill_grid(self, t0: int) -> None:
-        # Gauss-Hermite smoothing of g' for tau rows t0 .. t0 + _GRID_TAU_ROWS
-        tau = self._tau[t0:t0 + _GRID_TAU_ROWS]
-        disp = tau[:, None, None] * self._gh_z[None, :, None]
-        pts = _node_buffer((len(tau), len(self._gh_z), len(self._y)))
-        np.add(self._y[None, None, :], disp, out=pts)
-        np.einsum("k,tky->ty", self._gh_w, self._interp_gprime(pts),
-                  out=self._grid[t0:t0 + len(tau)])
-        if t0 == 0:
-            self._grid[0] = self._interp_gprime(self._y)  # a(1, y) = g'(y)
+        self._grid = np.empty((len(self._tau), len(self._y)))
 
     def rows_for_steps(self, n_steps: int, start: int = 0,
                        stop: int | None = None) -> np.ndarray:
@@ -176,22 +168,122 @@ class ClarkIntegrand:
         return self._grid[j] * (1.0 - frac) + self._grid[j + 1] * frac
 
 
+def clark_integrands(transports) -> list[ClarkIntegrand]:
+    """One integrand per transport, their grids filled in one pass.
+
+    Every grid smooths its own g' table over the same quadrature nodes
+    y + tau z_k, so each node is located in the dense table once for all
+    the transports.  Each integrand is bit-identical to
+    `ClarkIntegrand(transport)`.
+    """
+    transports = list(transports)
+    clarks = [ClarkIntegrand.__new__(ClarkIntegrand) for _ in transports]
+    for clark, transport in zip(clarks, transports):
+        clark._tabulate(transport)
+    _fill_grids(clarks)
+    return clarks
+
+
+# the dense table's nodes are exactly x0 + j h, so a node's cell follows
+# from one division
+_FINE_X0 = ClarkIntegrand._fine_x[0]
+_FINE_H = (ClarkIntegrand._fine_x[-1] - _FINE_X0) / _FINE_CELLS
+assert np.array_equal(ClarkIntegrand._fine_x,
+                      _FINE_X0 + np.arange(_FINE_CELLS + 1) * _FINE_H)
+# abscissae by cell of the padded table: cell 0 holds every x < x0, and
+# its -max keeps x - xp finite there
+_FINE_XP = np.concatenate(([-np.finfo(float).max], ClarkIntegrand._fine_x))
+
+
+def _interp_tables(fine_gp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and slopes of the g' table by cell, with zero-slope cells
+    for x < x0 (index 0) and for x >= the last node (the last index)."""
+    values = np.concatenate((fine_gp[:1], fine_gp))
+    slopes = np.concatenate(
+        ([0.0], np.diff(fine_gp) / np.diff(ClarkIntegrand._fine_x), [0.0]))
+    return values, slopes
+
+
+def _fine_cells(x: np.ndarray, cell: np.ndarray, offset: np.ndarray,
+                below: np.ndarray) -> None:
+    """Locate finite x in the padded g' table: x lies in
+    [_FINE_XP[cell], _FINE_XP[cell + 1]) and offset = x - _FINE_XP[cell].
+
+    The rounded quotient can land on the next node but never below the true
+    cell (rounding is monotone and every node is exact), so one step back
+    where the offset came out negative finds it.  ``below`` is scratch.
+    """
+    np.subtract(x, _FINE_X0 - _FINE_H, out=offset)
+    offset /= _FINE_H
+    np.clip(offset, 0.0, _FINE_CELLS + 1, out=offset)
+    np.copyto(cell, offset, casting="unsafe")    # floor: offset >= 0
+    _FINE_XP.take(cell, out=offset, mode="clip")
+    np.subtract(x, offset, out=offset)
+    np.less(offset, 0.0, out=below)
+    back = np.flatnonzero(below)
+    cell[back] -= 1
+    offset[back] = x[back] - _FINE_XP[cell[back]]
+
+
+def _interp_cells(table, cell: np.ndarray, offset: np.ndarray,
+                  out: np.ndarray, scratch: np.ndarray) -> None:
+    """g' at the points located by `_fine_cells`, by numpy.interp's formula
+    slope[j] (x - xp[j]) + fp[j], so bit for bit equal to numpy.interp over
+    the table (whose values are finite)."""
+    values, slopes = table
+    slopes.take(cell, out=out, mode="clip")     # every cell is in range
+    out *= offset
+    values.take(cell, out=scratch, mode="clip")
+    out += scratch
+
+
+def _fill_grids(clarks) -> None:
+    """Fill the grids of `clarks` in chunks of _GRID_TAU_ROWS tau rows on a
+    pool of `_worker_count` threads."""
+    tables = [_interp_tables(clark._fine_gp) for clark in clarks]
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        for _ in pool.map(lambda t0: _fill_chunk(clarks, tables, t0),
+                          range(0, len(ClarkIntegrand._tau), _GRID_TAU_ROWS)):
+            pass    # re-raises a failed chunk's exception
+
+
+def _fill_chunk(clarks, tables, t0: int) -> None:
+    # Gauss-Hermite smoothing of g' for tau rows t0 .. t0 + _GRID_TAU_ROWS
+    tau = ClarkIntegrand._tau[t0:t0 + _GRID_TAU_ROWS]
+    z, y = ClarkIntegrand._gh_z, ClarkIntegrand._y
+    shape = (len(tau), len(z), len(y))
+    nodes, offset, cell, below, gathered = _chunk_buffers(math.prod(shape))
+    np.add(y[None, None, :], tau[:, None, None] * z[None, :, None],
+           out=nodes.reshape(shape))
+    _fine_cells(nodes, cell, offset, below)
+    values = nodes.reshape(shape)   # the nodes are no longer needed
+    for clark, table in zip(clarks, tables):
+        _interp_cells(table, cell, offset, out=nodes, scratch=gathered)
+        rows = clark._grid[t0:t0 + len(tau)]
+        np.einsum("k,tky->ty", ClarkIntegrand._gh_w, values, out=rows)
+        if t0 == 0:
+            rows[0] = values[0, 0]      # tau = 0: the nodes are y, a = g'(y)
+
+
 _scratch = threading.local()
 
 
-def _node_buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """This thread's reused buffer for the quadrature nodes of a grid chunk.
+def _chunk_buffers(n: int):
+    """This thread's reused buffers for the n quadrature nodes of a grid
+    chunk: nodes (later the g' values), offsets, cells, a mask and gathered
+    table values.
 
-    Each chunk then allocates only np.interp's output (about 1 MB).  With a
-    fresh node array beside it, glibc released and re-faulted a worker
-    thread's heap pages around every chunk: about 400k page faults and 1 s
-    of system time per six-potential, 12288-path run.
+    A chunk then allocates about 0.1 MB.  Fresh MB-sized arrays per chunk
+    made glibc release and re-fault a worker thread's heap pages around
+    every chunk: about 400k page faults and 1 s of system time per
+    six-potential, 12288-path run.
     """
-    n = math.prod(shape)
-    buf = getattr(_scratch, "nodes", None)
-    if buf is None or buf.size < n:
-        buf = _scratch.nodes = np.empty(n)
-    return buf[:n].reshape(shape)
+    bufs = getattr(_scratch, "grid", None)
+    if bufs is None or bufs[0].size < n:
+        bufs = _scratch.grid = (np.empty(n), np.empty(n),
+                                np.empty(n, dtype=np.intp),
+                                np.empty(n, dtype=bool), np.empty(n))
+    return tuple(buf[:n] for buf in bufs)
 
 
 def _worker_count() -> int:
@@ -215,8 +307,8 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
         path is the trapezoidal integral of a(s, W_s)^2; the discretization
         bias budget quoted by the checks is 2 sqrt(A) / n_steps.
     seed : int
-        Stream key; identical (seed, n_paths, n_steps) reproduce the
-        ensemble bit-for-bit, independent of the worker count.
+        Stream key in [0, 2^64); identical (seed, n_paths, n_steps)
+        reproduce the ensemble bit-for-bit, independent of the worker count.
     """
     return simulate_embeddings([clark], n_paths, n_steps, seed)[0]
 
@@ -244,6 +336,8 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
         raise ValueError("n_paths must be >= 1")
     if n_steps < 16:
         raise ValueError("n_steps must be >= 16")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
 
     y = clarks[0]._y
     y0 = y[0]
@@ -259,7 +353,7 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
     # (seed, b), drawn row-major over (step, path) as one continuous stream
     blocks = [(off, min(_BLOCK_PATHS, n_paths - off), np.random.Generator(
                    np.random.Philox(key=np.array(
-                       [seed & 0xFFFFFFFFFFFFFFFF, off // _BLOCK_PATHS],
+                       [seed, off // _BLOCK_PATHS],
                        dtype=np.uint64))))
               for off in range(0, n_paths, _BLOCK_PATHS)]
     # steps per chunk: an increment buffer and the row tables of all the

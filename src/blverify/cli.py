@@ -26,11 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-# simulate_embedding is not called here, but it stays importable from this
-# module: blbench's tracer wraps the simulator under this name
+# ClarkIntegrand and simulate_embedding are not called here, but they stay
+# importable from this module: blbench's tracer wraps them under these names
 from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,  # noqa: F401
-                             embedded_law_check, simulate_embedding,
-                             simulate_embeddings, t_bound_check, wald_check)
+                             clark_integrands, embedded_law_check,
+                             simulate_embedding, simulate_embeddings,
+                             t_bound_check, wald_check)
 from .convex_tests import convex_test_from_spec
 from .local_time import est1_lower, est2_upper, local_time_gap_mc
 from .potentials import SlopeMap, builtin_potential, builtin_slope_map
@@ -84,6 +85,9 @@ class ExperimentConfig:
             raise ConfigError("'n_paths' must be >= 0")
         if self.n_steps < 16:
             raise ConfigError("'n_steps' must be >= 16")
+        # the random streams are keyed by the seed as a 64-bit word
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"'seed' must lie in [0, 2^64), got {self.seed}")
         if not (self.quadrature_tol > 0.0):
             raise ConfigError("'quadrature_tol' must be positive")
         for spec in self.potentials:
@@ -242,6 +246,21 @@ def _check_atom_levels(entries, psis) -> None:
 
 def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label).strip("_")
+
+
+def _check_slugs(entries) -> None:
+    """Reject potentials whose labels give one slug: they would write the
+    same plot-data files."""
+    seen = {}
+    for idx, entry in enumerate(entries):
+        label = entry.tmap.potential.label
+        slug = _slug(label)
+        if slug in seen:
+            first, first_label = seen[slug]
+            raise ConfigError(f"potentials {first} ({first_label!r}) and "
+                              f"{idx} ({label!r}) would both write the plot "
+                              f"data of {slug!r}")
+        seen[slug] = idx, label
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +426,8 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     entries = [_parse_potential_entry(spec, cfg.A, cfg.quadrature_tol)
                for spec in specs]
     _check_atom_levels(entries, [convex_test_from_spec(s) for s in cfg.psis])
-    clarks = [ClarkIntegrand(e.tmap) for e in entries] if with_mc else []
+    _check_slugs(entries)
+    clarks = clark_integrands([e.tmap for e in entries]) if with_mc else []
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

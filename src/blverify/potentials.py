@@ -65,6 +65,11 @@ class SlopeMap:
     ``alpha`` is the declared lower bound in the sense k' >= sqrt(alpha);
     ``beta``, when set, declares k' <= sqrt(beta).  ``k_second`` is optional
     and, when present, gives the generated potential an analytic derivative.
+
+    The derivatives are called as ``k_prime(x, kx=None)`` and
+    ``k_second(x, kx=None, kpx=None)``: a caller that already holds
+    kx = k(x) and kpx = k'(x) passes them, so that a map whose derivatives
+    are expressed through k does not evaluate it again.
     """
 
     label: str
@@ -238,10 +243,10 @@ def _identity_slope_map(scale: float = 1.0) -> SlopeMap:
     return SlopeMap(
         label=f"linear_k({scale:g})",
         k=lambda x: scale * np.asarray(x, float),
-        k_prime=lambda x: np.full_like(np.asarray(x, float), scale) + 0.0,
+        k_prime=lambda x, kx=None: np.full_like(np.asarray(x, float), scale) + 0.0,
         alpha=scale * scale,
         beta=scale * scale,
-        k_second=lambda x: np.zeros_like(np.asarray(x, float)) + 0.0,
+        k_second=lambda x, kx=None, kpx=None: np.zeros_like(np.asarray(x, float)) + 0.0,
     )
 
 
@@ -250,9 +255,9 @@ def _cubic_slope_map() -> SlopeMap:
     return SlopeMap(
         label="cubic_k",
         k=lambda x: np.asarray(x, float) + np.asarray(x, float) ** 3,
-        k_prime=lambda x: 1.0 + 3.0 * np.asarray(x, float) ** 2,
+        k_prime=lambda x, kx=None: 1.0 + 3.0 * np.asarray(x, float) ** 2,
         alpha=1.0,
-        k_second=lambda x: 6.0 * np.asarray(x, float),
+        k_second=lambda x, kx=None, kpx=None: 6.0 * np.asarray(x, float),
     )
 
 
@@ -302,15 +307,16 @@ def gaussian_mixture_slope_map(atoms, label: str | None = None) -> SlopeMap:
                 np.clip(_mix_tail(arr[pos]), 1e-300, 0.5))
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
-    def k_prime(x):
+    def k_prime(x, kx=None):
         x = np.asarray(x, float)
+        kx = k(x) if kx is None else kx
         num = sum(w * std_normal_pdf(r * x) for w, r in zip(weights, roots))
-        return num / std_normal_pdf(k(x))
+        return num / std_normal_pdf(kx)
 
-    def k_second(x):
+    def k_second(x, kx=None, kpx=None):
         x = np.asarray(x, float)
-        kx = np.asarray(k(x), float)
-        kp = np.asarray(k_prime(x), float)
+        kx = np.asarray(k(x) if kx is None else kx, float)
+        kp = np.asarray(k_prime(x, kx) if kpx is None else kpx, float)
         num_prime = -x * sum(w * kv * std_normal_pdf(r * x)
                              for (w, kv), r in zip(atoms, roots))
         return num_prime / std_normal_pdf(kx) + kx * kp * kp
@@ -379,13 +385,15 @@ def potential_from_slope_map(k: SlopeMap, grid: np.ndarray | None = None) -> Pot
 
     def val(x):
         x = np.asarray(x, float)
-        return 0.5 * np.asarray(k.k(x), float) ** 2 - np.log(k.k_prime(x))
+        kx = np.asarray(k.k(x), float)
+        return 0.5 * kx ** 2 - np.log(k.k_prime(x, kx))
 
     if k.k_second is not None:
         def der(x):
             x = np.asarray(x, float)
-            kp = np.asarray(k.k_prime(x), float)
-            return np.asarray(k.k(x), float) * kp - np.asarray(k.k_second(x), float) / kp
+            kx = np.asarray(k.k(x), float)
+            kp = np.asarray(k.k_prime(x, kx), float)
+            return kx * kp - np.asarray(k.k_second(x, kx, kp), float) / kp
     else:
         def der(x, _h=1e-5):
             x = np.asarray(x, float)

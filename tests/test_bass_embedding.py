@@ -29,7 +29,7 @@ def direct_a(clark, s, y):
     else:
         tau = math.sqrt(1.0 - s)
         pts = arr[None, :] + tau * clark._gh_z[:, None]
-        out = clark._gh_w @ clark._interp_gprime(pts)
+        out = clark._gh_w @ np.interp(pts, clark._fine_x, clark._fine_gp)
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
 

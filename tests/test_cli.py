@@ -59,6 +59,11 @@ class TestConfig:
         assert cfg.quadrature_tol == 1e-10
         assert len(cfg.potentials) == 6 and len(cfg.psis) == 5
 
+    def test_seed_takes_every_64_bit_word(self):
+        for seed in (0, 2**64 - 1):
+            cfg = ExperimentConfig.from_dict(dict(SMALL, seed=seed))
+            assert cfg.seed == seed
+
     @pytest.mark.parametrize("bad", [
         {"potentials": []},
         {"A": -1.0},
@@ -99,6 +104,9 @@ class TestConfig:
          "potentials": [{"slope_map": {"name": "cubic"},
                          "improved_alpha": 1.0}]},
         {"psis": [{"label": ["x"], "atoms": [[0.0, 1.0]]}]},
+        # outside [0, 2^64): -1 keyed the same streams as 2^64 - 1
+        {"seed": -1},
+        {"seed": 2**64},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -191,6 +199,9 @@ class TestRunCommand:
         ("psis", {"call": 1e300}),
         ("psis", {"corridor": 1e300}),
         ("psis", {"atoms": [[1e300, 1.0]]}),
+        # a label that slugs like the first potential's: its plot data
+        # would overwrite the first one's
+        ("potentials", {"family": "abs", "params": {"c": 1.0000001}}),
     ])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,

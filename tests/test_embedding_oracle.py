@@ -18,19 +18,24 @@ import numpy as np
 import pytest
 
 from blverify import bass_embedding
-from blverify.bass_embedding import (ClarkIntegrand, simulate_embedding,
-                                     simulate_embeddings)
+from blverify.bass_embedding import (ClarkIntegrand, clark_integrands,
+                                     simulate_embedding, simulate_embeddings)
 
 from conftest import MATRIX_KEYS
+
+
+def interp_gprime(clark: ClarkIntegrand, x: np.ndarray) -> np.ndarray:
+    """g' from the integrand's dense table, continued as a constant."""
+    return np.interp(x, clark._fine_x, clark._fine_gp)
 
 
 def reference_grid(clark: ClarkIntegrand) -> np.ndarray:
     disp = clark._tau[:, None, None] * clark._gh_z[None, :, None]
     pts = clark._y[None, None, :] + disp
-    gp = clark._interp_gprime(pts.reshape(len(clark._tau), -1))
+    gp = interp_gprime(clark, pts.reshape(len(clark._tau), -1))
     gp = gp.reshape(len(clark._tau), len(clark._gh_z), len(clark._y))
     grid = np.einsum("k,tky->ty", clark._gh_w, gp)
-    grid[0] = clark._interp_gprime(clark._y)
+    grid[0] = interp_gprime(clark, clark._y)
     return grid
 
 
@@ -117,16 +122,17 @@ def test_grid_matches_one_shot_einsum(key, matrix_clarks, monkeypatch):
 
 def test_simulation_builds_fresh_grids_bit_for_bit(matrix_transports,
                                                    matrix_clarks, monkeypatch):
-    """Grids of fresh integrands equal the one-shot grid, and so do the
-    ensembles stepped on them, at every worker count."""
+    """Grids filled together by clark_integrands equal the one-shot grid,
+    and the ensembles stepped on them equal those on one ClarkIntegrand per
+    transport, at every worker count."""
     n_paths, n_steps = 4113, 130
     expected = simulate_embeddings(
         [matrix_clarks[key] for key in MATRIX_KEYS], n_paths, n_steps, 17)
     grids = [reference_grid(matrix_clarks[key]) for key in MATRIX_KEYS]
     for n in WORKER_COUNTS:
         set_workers(monkeypatch, n)
-        clarks = [ClarkIntegrand(matrix_transports[key])
-                  for key in MATRIX_KEYS]
+        clarks = clark_integrands([matrix_transports[key]
+                                   for key in MATRIX_KEYS])
         ensembles = simulate_embeddings(clarks, n_paths, n_steps, 17)
         for key, clark, ens, ref, grid in zip(MATRIX_KEYS, clarks, ensembles,
                                               expected, grids):
@@ -308,21 +314,85 @@ def test_memory_of_construction_and_simulation_is_bounded(matrix_transports):
         seed=3)) < 48 * 2**20
 
 
-def test_grid_chunk_allocates_only_the_interpolated_values(matrix_transports):
-    """After a thread's first chunk its node buffer is reused, so a chunk
-    allocates only np.interp's output.  A fresh node array beside it made
-    glibc re-fault the worker threads' heap pages around every chunk."""
-    clark = ClarkIntegrand(matrix_transports["abs"])
-    clark._fill_grid(2)     # sizes this thread's node buffer
-    chunk_bytes = 8 * (bass_embedding._GRID_TAU_ROWS * len(clark._gh_z)
-                       * len(clark._y))
+def test_grid_chunk_reuses_its_buffers(matrix_transports):
+    """After a thread's first chunk its buffers are reused, so a chunk of
+    six grids allocates well under one array of its nodes: numpy's
+    broadcast buffer for the node sum (about 118 kB), step-back indices and
+    other small arrays.  Fresh node-sized arrays made glibc re-fault the
+    worker threads' heap pages around every chunk."""
+    clarks = [ClarkIntegrand(matrix_transports[key]) for key in MATRIX_KEYS]
+    tables = [bass_embedding._interp_tables(c._fine_gp) for c in clarks]
+    bass_embedding._fill_chunk(clarks, tables, 2)   # sizes the buffers
+    chunk_bytes = 8 * (bass_embedding._GRID_TAU_ROWS * len(clarks[0]._gh_z)
+                       * len(clarks[0]._y))
     tracemalloc.start()
     try:
-        clark._fill_grid(4)
+        bass_embedding._fill_chunk(clarks, tables, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunk_bytes <= peak < 1.5 * chunk_bytes
+    assert peak < chunk_bytes / 4
+
+
+def fine_lookup(fine_gp: np.ndarray, x: np.ndarray):
+    """The grid fill's lookup of a g' table at arbitrary points: the values,
+    and the cells and offsets it located the points at."""
+    n = x.size
+    cell, below = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+    offset, out, scratch = np.empty(n), np.empty(n), np.empty(n)
+    with np.errstate(over="ignore"):    # +-max / h, clipped to the ends
+        bass_embedding._fine_cells(x, cell, offset, below)
+    bass_embedding._interp_cells(bass_embedding._interp_tables(fine_gp),
+                                 cell, offset, out, scratch)
+    return out, cell, offset
+
+
+def adversarial_points() -> np.ndarray:
+    """Every table node and its neighbours one ulp away, signed zeros and
+    denormals, and finite points beyond both ends out to the largest float."""
+    xp = ClarkIntegrand._fine_x
+    h = xp[1] - xp[0]
+    big = np.finfo(float).max
+    beyond = [xp[0] - h, xp[-1] + h, xp[0] - 0.5 * h, xp[-1] + 0.5 * h]
+    return np.concatenate([
+        xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+        [5e-324, -5e-324, 0.0, -0.0, -1e300, 1e300, -big, big], beyond,
+        np.nextafter(beyond, -np.inf), np.nextafter(beyond, np.inf)])
+
+
+@pytest.mark.parametrize("table", ["log_mixture_k", "abs", "rough"])
+def test_fine_lookup_matches_np_interp_bit_for_bit(table, matrix_clarks):
+    """The shared bracket plus np.interp's formula equals np.interp itself.
+
+    The rough table changes slope by O(1 / h) from cell to cell, so landing
+    in the neighbouring cell changes the last bits: a missing step back
+    shows there even where the smooth g' tables hide it."""
+    if table == "rough":
+        gp = np.random.default_rng(5).uniform(0.5, 1.5,
+                                              len(ClarkIntegrand._fine_x))
+    else:
+        gp = matrix_clarks[table]._fine_gp
+    xp = ClarkIntegrand._fine_x
+    x = adversarial_points()
+    got, cell, offset = fine_lookup(gp, x)
+    assert np.array_equal(got.view(np.int64),
+                          np.interp(x, xp, gp).view(np.int64))
+
+    # the bracket itself: xp[j] <= x < xp[j + 1], the first and last cells
+    # taking everything beyond the ends
+    j = cell - 1
+    assert np.array_equal(j == -1, x < xp[0])
+    assert np.array_equal(j == len(xp) - 1, x >= xp[-1])
+    inside = (j >= 0) & (j < len(xp) - 1)
+    assert np.all(xp[j[inside]] <= x[inside])
+    assert np.all(x[inside] < xp[j[inside] + 1])
+    assert np.array_equal(offset[inside], x[inside] - xp[j[inside]])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulation_rejects_seeds_outside_64_bits(seed, matrix_clarks):
+    with pytest.raises(ValueError, match="seed"):
+        simulate_embedding(matrix_clarks["abs"], 100, 32, seed)
 
 
 def test_worker_count_follows_affinity(monkeypatch):
