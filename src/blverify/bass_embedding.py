@@ -151,14 +151,13 @@ class ClarkIntegrand:
                                    np.asarray(transport.g(self._gh_z), float)))
         self._grid = np.empty((len(self._tau), len(self._y)))
 
-    def rows_for_steps(self, n_steps: int, start: int = 0,
-                       stop: int | None = None) -> np.ndarray:
-        """Integrand rows at s_i = i / n_steps for start <= i < stop.
+    def rows_for_steps(self, n_steps: int, start: int,
+                       stop: int) -> np.ndarray:
+        """Integrand rows at s_i = i / n_steps for start <= i < stop, with
+        0 <= start < stop <= n_steps + 1.
 
-        The rows are interpolated linearly in tau; `stop` defaults to
-        n_steps + 1, so the default range covers every grid time.
+        The rows are interpolated linearly in tau.
         """
-        stop = n_steps + 1 if stop is None else stop
         s = np.arange(start, stop) / n_steps
         tau = np.sqrt(1.0 - s)
         dtau = self._tau[1] - self._tau[0]

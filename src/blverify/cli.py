@@ -33,7 +33,8 @@ from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,  # noqa: F401
                              simulate_embedding, simulate_embeddings,
                              t_bound_check, wald_check)
 from .convex_tests import convex_test_from_spec
-from .local_time import est1_lower, est2_upper, local_time_gap_mc
+from .local_time import (check_variance_pair, est1_lower, est2_upper,
+                         local_time_gap_mc)
 from .potentials import SlopeMap, builtin_potential, builtin_slope_map
 from .transport import (DivergentNormalizerError, NonFinitePotentialError,
                         TransportMap, build_transport)
@@ -88,8 +89,8 @@ class ExperimentConfig:
         # the random streams are keyed by the seed as a 64-bit word
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"'seed' must lie in [0, 2^64), got {self.seed}")
-        if not (self.quadrature_tol > 0.0):
-            raise ConfigError("'quadrature_tol' must be positive")
+        if not (0.0 < self.quadrature_tol < math.inf):
+            raise ConfigError("'quadrature_tol' must be positive and finite")
         for spec in self.potentials:
             _parse_potential_entry(spec, self.A, self.quadrature_tol,
                                    build=False)
@@ -104,10 +105,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(raw, {f.name for f in dataclasses.fields(cls)}, "config")
         cfg = cls(**{k: raw[k] for k in raw})
         try:
             cfg.A = float(cfg.A)
@@ -166,6 +164,12 @@ class _Entry:
     improved_tmap: TransportMap | None = None
 
 
+def _check_keys(obj: dict, allowed, what: str) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+
+
 def _params(obj: dict) -> dict | None:
     params = obj.get("params")
     if params is not None and not isinstance(params, dict):
@@ -186,6 +190,7 @@ def _parse_potential_entry(spec, variance: float, tol: float,
     if not isinstance(spec, dict):
         raise ConfigError(f"potential entry must be an object, got {spec!r}")
     if "family" in spec:
+        _check_keys(spec, ("family", "params"), "potential entry")
         try:
             pot = builtin_potential(spec["family"], _params(spec))
         except _MALFORMED as exc:
@@ -199,9 +204,12 @@ def _parse_potential_entry(spec, variance: float, tol: float,
             return None
         return _Entry("theorem", build_transport(pot, variance, tol))
     if "slope_map" in spec:
+        _check_keys(spec, ("slope_map", "alpha", "beta", "improved_alpha"),
+                    "slope map entry")
         sm_spec = spec["slope_map"]
         if not isinstance(sm_spec, dict):
             raise ConfigError(f"'slope_map' must be an object in {spec!r}")
+        _check_keys(sm_spec, ("name", "params"), "'slope_map'")
         try:
             sm = builtin_slope_map(sm_spec["name"], _params(sm_spec))
             alpha = float(spec.get("alpha", sm.alpha))
@@ -229,19 +237,24 @@ def _parse_potential_entry(spec, variance: float, tol: float,
     raise ConfigError(f"potential entry needs 'family' or 'slope_map': {spec!r}")
 
 
-def _check_atom_levels(entries, psis) -> None:
-    """Reject psi'' atoms x with a non-finite x^2 + A at the Gaussian variance
-    A of any transport of a run: the bl2 correction evaluates the local time
-    at level sqrt(x^2 + A)."""
+def _check_transports(entries, levels) -> None:
+    """Reject a transport of a run that the local-time bounds cannot take:
+    var X above its Gaussian variance A (an ``improved_alpha`` above
+    1 / var X), or a level x (a psi'' atom or an x-grid level) with a
+    non-finite x^2 + A, since they evaluate the local time at sqrt(x^2 + A)."""
     for entry in entries:
         for tmap in (entry.tmap, entry.improved_tmap):
             if tmap is None:
                 continue
-            bad = [loc for psi in psis for loc, _ in psi.atoms
-                   if not math.isfinite(loc * loc + tmap.A)]
+            try:
+                check_variance_pair(tmap.A, tmap.var_mu)
+            except ValueError as exc:
+                raise ConfigError(f"potential {tmap.potential.label!r} at "
+                                  f"A = {tmap.A:g}: {exc}") from exc
+            bad = [x for x in levels if not math.isfinite(x * x + tmap.A)]
             if bad:
-                raise ConfigError(f"psi atoms need a finite x^2 + A at "
-                                  f"A = {tmap.A:g}: {bad}")
+                raise ConfigError(f"psi atoms and x-grid levels need a finite "
+                                  f"x^2 + A at A = {tmap.A:g}: {bad}")
 
 
 def _slug(label: str) -> str:
@@ -268,9 +281,9 @@ def _check_slugs(entries) -> None:
 # ---------------------------------------------------------------------------
 
 def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
-                   cfg: ExperimentConfig, with_verdicts: bool):
-    """Ensemble checks plus, with ``with_verdicts``, one verification report
-    per psi (and per psi at ``improved_alpha``)."""
+                   psis, p_list: tuple):
+    """Ensemble checks plus one verification report per parsed psi of
+    ``psis`` (and per psi at ``improved_alpha``); embed passes none."""
     tmap = entry.tmap
     record = {
         "kind": entry.kind,
@@ -287,33 +300,23 @@ def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
             record[key] = format_floats(dataclasses.asdict(check))
 
     reports = []
-    for psi_spec in cfg.psis if with_verdicts else ():
-        psi = convex_test_from_spec(psi_spec)
+    for psi in psis:
         if entry.kind == "theorem":
-            rep = verify_theorem(psi, tmap, p_list=tuple(cfg.p_list))
+            rep = verify_theorem(psi, tmap, p_list=p_list)
         else:
             rep = verify_appendix(psi, entry.slope_map, alpha=entry.alpha,
-                                  beta=entry.beta, p_list=tuple(cfg.p_list),
-                                  tmap=tmap)
+                                  tmap=tmap, beta=entry.beta, p_list=p_list)
         if ensemble is not None:
             rep.mc = mc_crosscheck(psi, ensemble, tmap, reference=rep.rhs)
             rep.passes["mc"] = rep.mc.within_3se
         reports.append(rep)
         if entry.improved_tmap is not None:
-            imp = verify_appendix(psi, entry.slope_map,
-                                  alpha=entry.improved_alpha, p_list=(),
-                                  require_slope_bound=False,
-                                  tmap=entry.improved_tmap)
+            imp = verify_appendix(psi, entry.slope_map, entry.improved_alpha,
+                                  entry.improved_tmap, p_list=(),
+                                  require_slope_bound=False)
             imp.psi_label += "~improved_alpha"
             reports.append(imp)
     return record, reports
-
-
-def _ensemble_checks_pass(entry: dict) -> bool:
-    for key in ("wald", "t_bound", "embedded_law"):
-        if key in entry and not entry[key]["passed"]:
-            return False
-    return True
 
 
 _SUMMARY_COLUMNS = ("potential", "A", "psi", "p", "q", "lhs", "rhs", "var_x",
@@ -408,10 +411,6 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     if x_grid is None:
         x_grid = (0.0, 0.5, 1.0, 2.0)
     with_mc = mode in ("run", "embed", "sandwich") and cfg.n_paths > 0
-    # est1_lower evaluates the local time at level sqrt(x^2 + A)
-    bad = [x for x in x_grid if not math.isfinite(x * x + cfg.A)]
-    if bad:
-        raise ConfigError(f"x-grid levels need a finite x^2 + A: {bad}")
     if mode in ("embed", "sandwich") and cfg.n_paths < 1:
         raise ConfigError(f"'{mode}' needs n_paths >= 1")
     if mode == "appendix":
@@ -425,7 +424,9 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     # grid; a configuration error raised here leaves nothing written
     entries = [_parse_potential_entry(spec, cfg.A, cfg.quadrature_tol)
                for spec in specs]
-    _check_atom_levels(entries, [convex_test_from_spec(s) for s in cfg.psis])
+    psis = [convex_test_from_spec(s) for s in cfg.psis]
+    _check_transports(entries, [*x_grid, *(loc for psi in psis
+                                           for loc, _ in psi.atoms)])
     _check_slugs(entries)
     clarks = clark_integrands([e.tmap for e in entries]) if with_mc else []
 
@@ -447,14 +448,15 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     all_ok = True
     single = len(specs) == 1
     for idx, (entry, ensemble) in enumerate(zip(entries, ensembles)):
-        record, reports = _process_entry(entry, ensemble, cfg,
-                                         with_verdicts=mode != "embed")
+        record, reports = _process_entry(
+            entry, ensemble, psis if mode != "embed" else (), tuple(cfg.p_list))
         slug = _slug(record["label"])
         if ensemble is not None:
             name = "ensemble.csv" if single else f"ensemble_{idx:02d}_{slug}.csv"
             ensemble.to_csv(out / name)
             record["ensemble_csv"] = name
-            all_ok &= _ensemble_checks_pass(record)
+            all_ok &= all(record[key]["passed"]
+                          for key in ("wald", "t_bound", "embedded_law"))
         if mode != "embed":
             record["reports"] = [rep.to_json_dict() for rep in reports]
             for rep in record["reports"]:

@@ -31,8 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .local_time import expected_local_time_array
+from .local_time import check_variance_pair, est1_lower
 from .gaussian_core import heat_kernel
+from .potentials import _from_catalog
 from .transport import _GL_W, _panel_nodes
 
 __all__ = [
@@ -142,22 +143,24 @@ def _finite(value, what: str) -> float:
     return x
 
 
+# each factory's arguments are the test function's parameters
+_CATALOG = {
+    "abs": _abs_test,
+    "square": _square_test,
+    "power": lambda p: _power_test(_finite(p, "power")),
+    "call": lambda strike=1.0: _call_test(_finite(strike, "strike")),
+    "corridor": lambda width=1.0: _corridor_test(_finite(width, "width")),
+}
+# the keys of an explicit psi'' object
+_DATA_KEYS = {"atoms", "density_poly_coeffs", "label", "value_at_zero",
+              "left_slope_at_zero"}
+
+
 def builtin_convex_test(name: str, **params) -> ConvexTest:
     """Catalog: ``abs``, ``square``, ``power(p)``, ``call(strike)``,
-    ``corridor(width)``; each parameter must be finite."""
-    if name == "abs":
-        return _abs_test()
-    if name == "square":
-        return _square_test()
-    if name == "power":
-        return _power_test(_finite(params["p"], "power"))
-    if name == "call":
-        return _call_test(_finite(params.get("strike", params.get("K", 1.0)),
-                                  "strike"))
-    if name == "corridor":
-        return _corridor_test(_finite(params.get("width", params.get("K", 1.0)),
-                                      "width"))
-    raise ValueError(f"unknown convex test {name!r}")
+    ``corridor(width)``; each parameter must be finite, and any other name
+    or parameter raises ValueError."""
+    return _from_catalog(_CATALOG, "convex test", name, params)
 
 
 def convex_test_from_spec(spec) -> ConvexTest:
@@ -166,61 +169,62 @@ def convex_test_from_spec(spec) -> ConvexTest:
     Accepts ``"abs"``, ``"square"``, ``{"power": p}``, ``{"call": K}``,
     ``{"corridor": K}``, or ``{"atoms": [[loc, mass], ...],
     "density_poly_coeffs": [c0, c1, ...]}`` (density sum_i c_i |y|^i,
-    required nonnegative, and an optional string ``label``); every number
-    must be finite.  The last form gets
-    the closed form
+    required nonnegative), optionally with a string ``label``,
+    ``value_at_zero`` and ``left_slope_at_zero``; every number must be
+    finite, and an object with any other key is rejected.  The last form
+    gets the closed form
     psi(0) + psi'_-(0) x + sum of kinks + sum_i c_i |x|^(i+2) / ((i+1)(i+2)).
     """
     if isinstance(spec, str):
         return builtin_convex_test(spec)
     if not isinstance(spec, dict):
         raise ValueError(f"cannot parse convex test spec {spec!r}")
-    if "power" in spec:
-        return builtin_convex_test("power", p=spec["power"])
-    if "call" in spec:
-        return builtin_convex_test("call", strike=spec["call"])
-    if "corridor" in spec:
-        return builtin_convex_test("corridor", width=spec["corridor"])
-    if "atoms" in spec or "density_poly_coeffs" in spec:
-        atoms = tuple((_finite(l, "atom location"), _finite(m, "atom mass"))
-                      for l, m in spec.get("atoms", []))
-        coeffs = tuple(_finite(c, "density coefficient")
-                       for c in spec.get("density_poly_coeffs", []))
-        label = spec.get("label", "custom")
-        if not isinstance(label, str):
-            raise ValueError(f"psi label must be a string, got {label!r}")
-        value_at_zero = _finite(spec.get("value_at_zero", 0.0), "value_at_zero")
-        left_slope = _finite(spec.get("left_slope_at_zero", 0.0),
-                             "left_slope_at_zero")
-        density = None
-        degree = 0
-        if coeffs:
-            if any(c < 0 for c in coeffs):
-                raise ValueError("density polynomial coefficients must be >= 0")
-            degree = len(coeffs) - 1
+    if len(spec) == 1 and next(iter(spec)) in ("power", "call", "corridor"):
+        (name, value), = spec.items()
+        return _CATALOG[name](value)
+    keys = set(spec)
+    if keys - _DATA_KEYS or not keys & {"atoms", "density_poly_coeffs"}:
+        raise ValueError(f"cannot parse convex test spec {spec!r}: an object "
+                         "is {'power': p}, {'call': K}, {'corridor': K} or "
+                         f"psi'' data with keys among {sorted(_DATA_KEYS)}")
+    atoms = tuple((_finite(l, "atom location"), _finite(m, "atom mass"))
+                  for l, m in spec.get("atoms", []))
+    coeffs = tuple(_finite(c, "density coefficient")
+                   for c in spec.get("density_poly_coeffs", []))
+    label = spec.get("label", "custom")
+    if not isinstance(label, str):
+        raise ValueError(f"psi label must be a string, got {label!r}")
+    value_at_zero = _finite(spec.get("value_at_zero", 0.0), "value_at_zero")
+    left_slope = _finite(spec.get("left_slope_at_zero", 0.0),
+                         "left_slope_at_zero")
+    density = None
+    degree = 0
+    if coeffs:
+        if any(c < 0 for c in coeffs):
+            raise ValueError("density polynomial coefficients must be >= 0")
+        degree = len(coeffs) - 1
 
-            def density(y, _c=coeffs):
-                ay = np.abs(np.asarray(y, float))
-                return sum(ci * ay ** i for i, ci in enumerate(_c))
+        def density(y, _c=coeffs):
+            ay = np.abs(np.asarray(y, float))
+            return sum(ci * ay ** i for i, ci in enumerate(_c))
 
-        def closed_form(x):
-            # the psi'' reconstruction integrated term by term:
-            # int_0^|x| (|x| - y) c_i y^i dy = c_i |x|^(i+2) / ((i+1)(i+2))
-            x = np.asarray(x, float)
-            out = value_at_zero + left_slope * x
-            for loc, mass in atoms:
-                out = out + mass * (np.maximum(x - loc, 0.0) if loc >= 0.0
-                                    else np.maximum(loc - x, 0.0))
-            ax = np.abs(x)
-            for i, ci in enumerate(coeffs):
-                out = out + ci * ax ** (i + 2) / ((i + 1) * (i + 2))
-            return out
+    def closed_form(x):
+        # the psi'' reconstruction integrated term by term:
+        # int_0^|x| (|x| - y) c_i y^i dy = c_i |x|^(i+2) / ((i+1)(i+2))
+        x = np.asarray(x, float)
+        out = value_at_zero + left_slope * x
+        for loc, mass in atoms:
+            out = out + mass * (np.maximum(x - loc, 0.0) if loc >= 0.0
+                                else np.maximum(loc - x, 0.0))
+        ax = np.abs(x)
+        for i, ci in enumerate(coeffs):
+            out = out + ci * ax ** (i + 2) / ((i + 1) * (i + 2))
+        return out
 
-        return ConvexTest(
-            label=label, value_at_zero=value_at_zero,
-            left_slope_at_zero=left_slope, atoms=atoms, density=density,
-            density_degree=degree, closed_form=closed_form)
-    raise ValueError(f"cannot parse convex test spec {spec!r}")
+    return ConvexTest(
+        label=label, value_at_zero=value_at_zero,
+        left_slope_at_zero=left_slope, atoms=atoms, density=density,
+        density_degree=degree, closed_form=closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +245,14 @@ def eval_psi(psi: ConvexTest, x: float) -> float:
     return out
 
 
-def second_derivative_mass(psi: ConvexTest, window: float = 200.0) -> float:
+def second_derivative_mass(psi: ConvexTest) -> float:
     """Total mass psi''(R); +inf when the density does not decay."""
     total = sum(mass for _, mass in psi.atoms)
     if psi.density is not None:
-        inner = _gauss_legendre(psi.density, -window, window, 1e-12, 1e-10)
-        strip = _gauss_legendre(psi.density, window, window * 1.05,
-                                1e-12, 1e-10)
-        strip2 = _gauss_legendre(psi.density, -window * 1.05, -window,
-                                 1e-12, 1e-10)
+        w = 200.0       # half-width of the density integral
+        inner = _gauss_legendre(psi.density, -w, w, 1e-12, 1e-10)
+        strip = _gauss_legendre(psi.density, w, w * 1.05, 1e-12, 1e-10)
+        strip2 = _gauss_legendre(psi.density, -w * 1.05, -w, 1e-12, 1e-10)
         if strip + strip2 > _TAIL_FRACTION * max(inner, 1e-300):
             return math.inf
         total += inner
@@ -341,28 +344,19 @@ def _gauss_legendre(h: Callable, lo: float, hi: float,
 def bl2_correction(psi: ConvexTest, variance: float, var_x: float) -> float:
     """Sharpening term of the lower moment inequality:
 
-        (1/2) int psi''(dx) int_0^{(A - var_x)^2 / A} p(s; sqrt(x^2 + A)) ds.
+        (1/2) int psi''(dx) est1_lower(x, A, var_x),
 
-    The inner time integral is the closed-form expected local time of
-    ``local_time.est1_lower``, evaluated on whole node arrays; the outer
-    integral runs against psi''.  Zero when var_x = A, nondecreasing as
-    var_x drops.
+    half the closed-form lower bound of ``local_time.est1_lower`` for the
+    residual local time E[L^x_A - L^x_T], integrated against psi'' on whole
+    node arrays.  Zero when var_x = A, nondecreasing as var_x drops; var_x
+    above A beyond rounding raises ValueError (``check_variance_pair``).
     """
-    if var_x > variance * (1.0 + 1e-9) + 1e-12:
-        raise ValueError(f"var_x={var_x} exceeds the Gaussian variance "
-                         f"{variance}; upstream moments are inconsistent")
-    var_x = min(max(var_x, 0.0), variance)
+    var_x = check_variance_pair(variance, var_x)
     if var_x == variance:
         return 0.0
     window = 12.0 * math.sqrt(variance) + 10.0
-    horizon = (variance - var_x) ** 2 / variance
-
-    def residual(x):
-        level = np.sqrt(np.square(x) + variance)
-        return np.maximum(expected_local_time_array(level, horizon), 0.0)
-
-    val = integrate_against_second_derivative(psi, residual, window=window)
-    return 0.5 * val
+    return 0.5 * integrate_against_second_derivative(
+        psi, lambda x: est1_lower(x, variance, var_x), window=window)
 
 
 def bl3_constant(psi: ConvexTest, variance: float, q: float) -> float:
@@ -397,8 +391,9 @@ class P1LimitBounds:
 
 
 def p1_limit_bounds(psi: ConvexTest, variance: float, var_x: float) -> P1LimitBounds:
-    """Evaluate the finite-mass gap bound and the MAD ratio lower bound."""
-    var_x = min(max(var_x, 0.0), variance)
+    """Evaluate the finite-mass gap bound and the MAD ratio lower bound;
+    var_x is checked against A as in :func:`bl2_correction`."""
+    var_x = check_variance_pair(variance, var_x)
     mass = second_derivative_mass(psi)
     if math.isinf(mass):
         fmb = None

@@ -18,9 +18,11 @@ embedded law of variance var_x and the horizon A:
     lower:  int_0^{(A - var_x)^2 / A} p(s; sqrt(x^2 + A)) ds
     upper:  2 (A(1+q))^{1/(2q)} p(1; x / sqrt(A(1+q))) (A - var_x)^{1/(2p)}
 
-with q the conjugate exponent of p.  ``local_time_gap_mc`` estimates the
-residual itself from an embedding ensemble through the strong Markov
-representation E[ E[L^{x-z}_{A-t}] at (t, z) = (T, B(T)) ].
+with q the conjugate exponent of p.  By Tanaka's formula the bl2 correction
+is (1/2) int psi''(dx) of the lower bound, so ``convex_tests`` integrates
+``est1_lower`` itself.  ``local_time_gap_mc`` estimates the residual from
+an embedding ensemble through the strong Markov representation
+E[ E[L^{x-z}_{A-t}] at (t, z) = (T, B(T)) ].
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "expected_local_time_array",
     "GapEstimate",
     "local_time_gap_mc",
+    "check_variance_pair",
     "est1_lower",
     "est2_upper",
 ]
@@ -85,18 +88,18 @@ class GapEstimate:
     clamp_count: int
 
 
-def local_time_gap_mc(ensemble, x: float, variance: float | None = None) -> GapEstimate:
+def local_time_gap_mc(ensemble, x: float) -> GapEstimate:
     """Estimate the residual expected local time from an embedding ensemble.
 
     By the strong Markov property the residual equals the ensemble average
-    of E[L^{x - B(T)}_{A - T}]; the inner expectation is the occupation
-    formula.  Paths whose discretized T marginally exceeds A contribute a
-    zero residual horizon and are counted as clamps.
+    of E[L^{x - B(T)}_{A - T}], with A the ensemble's Gaussian variance; the
+    inner expectation is the occupation formula.  Paths whose discretized T
+    marginally exceeds A contribute a zero residual horizon and are counted
+    as clamps.
     """
     if ensemble.n_paths == 0:
         raise ValueError("local_time_gap_mc needs a nonempty ensemble")
-    a_var = float(ensemble.A if variance is None else variance)
-    t_rem = a_var - ensemble.T
+    t_rem = float(ensemble.A) - ensemble.T
     clamps = int(np.count_nonzero(t_rem < 0.0))
     vals = expected_local_time_array(float(x) - ensemble.bt,
                                      np.maximum(t_rem, 0.0))
@@ -106,28 +109,31 @@ def local_time_gap_mc(ensemble, x: float, variance: float | None = None) -> GapE
                        n_paths=n, clamp_count=clamps)
 
 
-def _check_variance_pair(variance: float, var_x: float) -> float:
+def check_variance_pair(variance: float, var_x: float) -> float:
+    """var_x clamped into [0, variance]; ValueError when variance <= 0 or
+    var_x lies outside by more than rounding (relative 1e-9 plus 1e-12)."""
     if not (variance > 0.0):
         raise ValueError("variance must be positive")
     if var_x < -1e-12 or var_x > variance * (1.0 + 1e-9) + 1e-12:
-        raise ValueError(
-            f"var_x={var_x} outside [0, A={variance}]; upstream moments are "
-            "inconsistent")
+        raise ValueError(f"var_x={var_x} is negative or exceeds the Gaussian "
+                         f"variance {variance}; upstream moments disagree")
     return min(max(var_x, 0.0), variance)
 
 
-def est1_lower(x: float, variance: float, var_x: float) -> float:
+def est1_lower(x, variance: float, var_x: float):
     """Closed-form lower bound for E[L^x_A - L^x_T]:
 
         int_0^{(A - var_x)^2 / A} p(s; sqrt(x^2 + A)) ds,
 
     i.e. the expected local time at level sqrt(x^2 + A) over the shrunken
-    horizon (A - var_x)^2 / A.  Zero when var_x = A.
+    horizon (A - var_x)^2 / A.  Elementwise on an array ``x``, a float for
+    a scalar one; zero when var_x = A.
     """
-    var_x = _check_variance_pair(variance, var_x)
+    var_x = check_variance_pair(variance, var_x)
     horizon = (variance - var_x) ** 2 / variance
-    return max(expected_local_time_array(math.sqrt(x * x + variance),
-                                         horizon), 0.0)
+    out = np.maximum(expected_local_time_array(
+        np.sqrt(np.square(x) + variance), horizon), 0.0)
+    return out if out.ndim else float(out)
 
 
 def est2_upper(x: float, variance: float, var_x: float, p: float) -> float:
@@ -139,7 +145,7 @@ def est2_upper(x: float, variance: float, var_x: float, p: float) -> float:
     """
     if not (p > 1.0):
         raise ValueError(f"est2_upper requires p > 1, got {p}")
-    var_x = _check_variance_pair(variance, var_x)
+    var_x = check_variance_pair(variance, var_x)
     q = p / (p - 1.0)
     aq = variance * (1.0 + q)
     return (2.0 * aq ** (1.0 / (2.0 * q))

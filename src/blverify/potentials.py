@@ -17,6 +17,7 @@ by k itself.  Two families matter in practice: the cubic map k = x + x^3
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -63,21 +64,21 @@ class SlopeMap:
     """An increasing C^1 map k with declared slope bounds.
 
     ``alpha`` is the declared lower bound in the sense k' >= sqrt(alpha);
-    ``beta``, when set, declares k' <= sqrt(beta).  ``k_second`` is optional
-    and, when present, gives the generated potential an analytic derivative.
+    ``beta``, when set, declares k' <= sqrt(beta).  ``k_second`` gives the
+    generated potential its analytic derivative U' = k k' - k''/k'.
 
     The derivatives are called as ``k_prime(x, kx=None)`` and
-    ``k_second(x, kx=None, kpx=None)``: a caller that already holds
-    kx = k(x) and kpx = k'(x) passes them, so that a map whose derivatives
-    are expressed through k does not evaluate it again.
+    ``k_second(x, kx, kpx)``, with the arrays kx = k(x) and kpx = k'(x):
+    a caller that already holds k(x) passes it, so that a map whose
+    derivatives are expressed through k does not evaluate it again.
     """
 
     label: str
     k: Callable
     k_prime: Callable
+    k_second: Callable
     alpha: float
     beta: float | None = None
-    k_second: Callable | None = None
 
     def __post_init__(self):
         if not (self.alpha > 0.0):
@@ -100,6 +101,10 @@ class SlopeBoundReport:
 
 
 _BOUND_SLACK = 1e-10
+
+# where slope bounds and the convexity of a generated or rewritten
+# potential are checked
+_GRID = np.linspace(-8.0, 8.0, 1601)
 
 
 # ---------------------------------------------------------------------------
@@ -188,31 +193,42 @@ def _check_mixture_params(p: float, q: float, a: float, b: float) -> None:
             f"(residual {resid:.3e})")
 
 
+# each factory's keyword arguments are the family's parameters
 _POTENTIAL_FAMILIES = {
-    "zero": lambda params: _zero_potential(),
-    "linear": lambda params: _linear_potential(float(params.get("c", 1.0))),
-    "quadratic": lambda params: _quadratic_potential(float(params.get("c", 1.0))),
-    "abs": lambda params: _abs_potential(float(params.get("c", 1.0))),
-    "double_well": lambda params: _double_well_potential(),
-    "log_mixture": lambda params: _log_mixture_potential(
-        float(params["p"]), float(params["q"]),
-        float(params["a"]), float(params["b"])),
+    "zero": _zero_potential,
+    "linear": lambda c=1.0: _linear_potential(float(c)),
+    "quadratic": lambda c=1.0: _quadratic_potential(float(c)),
+    "abs": lambda c=1.0: _abs_potential(float(c)),
+    "double_well": _double_well_potential,
+    "log_mixture": lambda p, q, a, b: _log_mixture_potential(
+        float(p), float(q), float(a), float(b)),
 }
+
+
+def _from_catalog(catalog: dict, what: str, name: str, params: dict | None):
+    """The entry ``name`` of ``catalog``, its factory called with the keyword
+    arguments ``params``; ValueError for an unknown name or a bad parameter."""
+    params = params or {}
+    try:
+        factory = catalog[name]
+    except KeyError:
+        raise ValueError(f"unknown {what} {name!r}; "
+                         f"choose from {sorted(catalog)}") from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters of {what} {name!r}: {exc}") from None
+    return factory(**params)
 
 
 def builtin_potential(name: str, params: dict | None = None) -> Potential:
     """Construct a catalog potential by family name.
 
     Families: ``zero``, ``linear(c)``, ``quadratic(c)`` (= c x^2 / 2),
-    ``abs(c)``, ``double_well``, ``log_mixture(p, q, a, b)``.
+    ``abs(c)``, ``double_well``, ``log_mixture(p, q, a, b)``; any other
+    name or parameter raises ValueError.
     """
-    params = params or {}
-    try:
-        factory = _POTENTIAL_FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown potential family {name!r}; "
-                         f"choose from {sorted(_POTENTIAL_FAMILIES)}") from None
-    return factory(params)
+    return _from_catalog(_POTENTIAL_FAMILIES, "potential family", name, params)
 
 
 def rescale_potential(pot: Potential, scale: float) -> Potential:
@@ -246,7 +262,7 @@ def _identity_slope_map(scale: float = 1.0) -> SlopeMap:
         k_prime=lambda x, kx=None: np.full_like(np.asarray(x, float), scale) + 0.0,
         alpha=scale * scale,
         beta=scale * scale,
-        k_second=lambda x, kx=None, kpx=None: np.zeros_like(np.asarray(x, float)) + 0.0,
+        k_second=lambda x, kx, kpx: np.zeros_like(np.asarray(x, float)) + 0.0,
     )
 
 
@@ -257,7 +273,7 @@ def _cubic_slope_map() -> SlopeMap:
         k=lambda x: np.asarray(x, float) + np.asarray(x, float) ** 3,
         k_prime=lambda x, kx=None: 1.0 + 3.0 * np.asarray(x, float) ** 2,
         alpha=1.0,
-        k_second=lambda x, kx=None, kpx=None: 6.0 * np.asarray(x, float),
+        k_second=lambda x, kx, kpx: 6.0 * np.asarray(x, float),
     )
 
 
@@ -313,13 +329,11 @@ def gaussian_mixture_slope_map(atoms, label: str | None = None) -> SlopeMap:
         num = sum(w * std_normal_pdf(r * x) for w, r in zip(weights, roots))
         return num / std_normal_pdf(kx)
 
-    def k_second(x, kx=None, kpx=None):
+    def k_second(x, kx, kpx):
         x = np.asarray(x, float)
-        kx = np.asarray(k(x) if kx is None else kx, float)
-        kp = np.asarray(k_prime(x, kx) if kpx is None else kpx, float)
         num_prime = -x * sum(w * kv * std_normal_pdf(r * x)
                              for (w, kv), r in zip(atoms, roots))
-        return num_prime / std_normal_pdf(kx) + kx * kp * kp
+        return num_prime / std_normal_pdf(kx) + kx * kpx * kpx
 
     return SlopeMap(
         label=label or ("mixture_k(" + ",".join(
@@ -342,44 +356,36 @@ def log_mixture_slope_map(p: float, q: float, a: float, b: float) -> SlopeMap:
 
 
 _SLOPE_FAMILIES = {
-    "linear": lambda params: _identity_slope_map(float(params.get("scale", 1.0))),
-    "cubic": lambda params: _cubic_slope_map(),
-    "log_mixture": lambda params: log_mixture_slope_map(
-        float(params["p"]), float(params["q"]),
-        float(params["a"]), float(params["b"])),
+    "linear": lambda scale=1.0: _identity_slope_map(float(scale)),
+    "cubic": _cubic_slope_map,
+    "log_mixture": lambda p, q, a, b: log_mixture_slope_map(
+        float(p), float(q), float(a), float(b)),
 }
 
 
 def builtin_slope_map(name: str, params: dict | None = None) -> SlopeMap:
-    """Catalog slope maps: ``linear(scale)``, ``cubic`` (x + x^3), ``log_mixture``."""
-    params = params or {}
-    try:
-        factory = _SLOPE_FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown slope map {name!r}; "
-                         f"choose from {sorted(_SLOPE_FAMILIES)}") from None
-    return factory(params)
+    """Catalog slope maps: ``linear(scale)``, ``cubic`` (x + x^3),
+    ``log_mixture(p, q, a, b)``; any other name or parameter raises
+    ValueError."""
+    return _from_catalog(_SLOPE_FAMILIES, "slope map", name, params)
 
 
-def potential_from_slope_map(k: SlopeMap, grid: np.ndarray | None = None) -> Potential:
-    """The potential U = k^2/2 - log k' generated by a slope map.
+def potential_from_slope_map(k: SlopeMap) -> Potential:
+    """The potential U = k^2/2 - log k' generated by a slope map, with the
+    exact derivative U' = k k' - k''/k'.
 
     The convexity flag is decided by a monotonicity test of U' on a grid
-    (slope-map potentials are generally non-convex; that is their point).
-    When the map carries an analytic second derivative, U' is exact:
-    U' = k k' - k''/k'.  Otherwise U' falls back to a high-order central
-    difference of U, which is fine for the grid checks that consume it.
+    of |x| <= 8 (slope-map potentials are generally non-convex; that is
+    their point).
 
     Raises
     ------
     ValueError
         If k' is nonpositive anywhere on the validation grid.
     """
-    if grid is None:
-        grid = np.linspace(-8.0, 8.0, 1601)
-    kp = np.asarray(k.k_prime(grid), float)
+    kp = np.asarray(k.k_prime(_GRID), float)
     if not np.all(kp > 0.0):
-        bad = grid[kp <= 0.0]
+        bad = _GRID[kp <= 0.0]
         raise ValueError(f"slope map {k.label!r} has nonpositive derivative "
                          f"at x={bad[:3]}")
 
@@ -388,19 +394,13 @@ def potential_from_slope_map(k: SlopeMap, grid: np.ndarray | None = None) -> Pot
         kx = np.asarray(k.k(x), float)
         return 0.5 * kx ** 2 - np.log(k.k_prime(x, kx))
 
-    if k.k_second is not None:
-        def der(x):
-            x = np.asarray(x, float)
-            kx = np.asarray(k.k(x), float)
-            kp = np.asarray(k.k_prime(x, kx), float)
-            return kx * kp - np.asarray(k.k_second(x, kx, kp), float) / kp
-    else:
-        def der(x, _h=1e-5):
-            x = np.asarray(x, float)
-            return (8.0 * (val(x + _h) - val(x - _h))
-                    - (val(x + 2 * _h) - val(x - 2 * _h))) / (12.0 * _h)
+    def der(x):
+        x = np.asarray(x, float)
+        kx = np.asarray(k.k(x), float)
+        kp = np.asarray(k.k_prime(x, kx), float)
+        return kx * kp - np.asarray(k.k_second(x, kx, kp), float) / kp
 
-    dvals = np.asarray(der(grid), float)
+    dvals = np.asarray(der(_GRID), float)
     convex = bool(np.all(np.diff(dvals) >= -1e-10))
     return Potential(label=f"slope[{k.label}]", value=val,
                      left_derivative=der, right_derivative=der, convex=convex)

@@ -46,7 +46,7 @@ from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            builtin_convex_test, eval_psi,
                            integrate_against_second_derivative, p1_limit_bounds)
 from .gaussian_core import std_normal_cdf, std_normal_pdf
-from .potentials import (Potential, SlopeBoundReport, SlopeMap,
+from .potentials import (_GRID, Potential, SlopeBoundReport, SlopeMap,
                          check_slope_bounds, potential_from_slope_map)
 from .transport import NonConvexPotentialError, TransportMap, build_transport
 
@@ -76,9 +76,6 @@ BL2_TOL = BL1_TOL
 BL3_TOL = 1e-8
 MAD_TOL = 1e-9
 GAP_P1_TOL = 1e-8
-
-# where slope bounds and the convexity of a rewritten potential are checked
-_GRID = np.linspace(-8.0, 8.0, 1601)
 
 
 class SlopeBoundError(ValueError):
@@ -254,9 +251,10 @@ def _bl3_entries(psi, variance, rhs, lhs, delta, p_list):
 
 
 def _verdict(kind: str, psi: ConvexTest, tmap: TransportMap,
-             variance: float, p_list) -> VerificationReport:
+             p_list) -> VerificationReport:
     """The bl1/bl2/bl3 verdict of psi for the build ``tmap`` against
-    N(0, variance), shared by the theorem and appendix routes."""
+    N(0, tmap.A), shared by the theorem and appendix routes."""
+    variance = tmap.A
     lhs = moment_lhs(psi, variance)
     rhs = moment_rhs(psi, tmap)
     var_x = tmap.var_mu
@@ -292,7 +290,7 @@ def verify_theorem(psi: ConvexTest, tmap: TransportMap,
         raise NonConvexPotentialError(
             f"potential {tmap.potential.label!r} is not convex; "
             "use verify_appendix with its slope map")
-    rep = _verdict("theorem", psi, tmap, tmap.A, p_list)
+    rep = _verdict("theorem", psi, tmap, p_list)
     rb = p1_limit_bounds(psi, rep.gaussian_variance, rep.var_x)
     rep.mad_ratio = moment_rhs(builtin_convex_test("abs"), tmap) / rep.var_x
     rep.mad_lower_bound = rb.mad_lower
@@ -333,11 +331,11 @@ def gaussianized_potential(lebesgue_potential: Potential,
                      convex=convex, kinks=lebesgue_potential.kinks)
 
 
-def appendix_transport(slope_map: SlopeMap, alpha: float | None = None,
+def appendix_transport(slope_map: SlopeMap, alpha: float,
                        quadrature_tol: float = 1e-12) -> TransportMap:
     """Transport build for mu = exp(-U) dx / Z' with U = k^2/2 - log k',
     expressed against the effective Gaussian N(0, 1/alpha)."""
-    a = float(alpha if alpha is not None else slope_map.alpha)
+    a = float(alpha)
     if not (a > 0.0):
         raise ValueError("alpha must be positive")
     u_pot = potential_from_slope_map(slope_map)
@@ -345,19 +343,18 @@ def appendix_transport(slope_map: SlopeMap, alpha: float | None = None,
                            quadrature_tol)
 
 
-def check_declared_slope_bounds(slope_map: SlopeMap,
-                                alpha: float | None = None,
+def check_declared_slope_bounds(slope_map: SlopeMap, alpha: float,
                                 beta: float | None = None,
                                 required: bool = True) -> SlopeBoundReport:
-    """Grid report of k' against the declared bounds sqrt(alpha) and
-    sqrt(beta) on |x| <= 8.
+    """Grid report of k' against the declared bounds sqrt(alpha) and, when
+    ``beta`` is set, sqrt(beta) on |x| <= 8.
 
     Raises
     ------
     SlopeBoundError
         When ``required`` and a declared bound fails on the grid.
     """
-    a = float(alpha if alpha is not None else slope_map.alpha)
+    a = float(alpha)
     declared = dataclasses.replace(slope_map, alpha=a, beta=beta)
     report = check_slope_bounds(declared, _GRID)
     if required and report.lower_violations:
@@ -371,16 +368,17 @@ def check_declared_slope_bounds(slope_map: SlopeMap,
     return report
 
 
-def verify_appendix(psi: ConvexTest, slope_map: SlopeMap,
-                    alpha: float | None = None, beta: float | None = None,
-                    p_list=(1.5, 2.0, 4.0), require_slope_bound: bool = True,
-                    tmap: TransportMap | None = None) -> VerificationReport:
+def verify_appendix(psi: ConvexTest, slope_map: SlopeMap, alpha: float,
+                    tmap: TransportMap, beta: float | None = None,
+                    p_list=(1.5, 2.0, 4.0),
+                    require_slope_bound: bool = True) -> VerificationReport:
     """Verdict for a slope-map measure against N(0, 1/alpha).
 
-    The declared lower slope bound is checked on a grid of |x| <= 8 first;
-    a failure raises unless ``require_slope_bound`` is False, which is how
-    the sharper comparison variances that hold without a pointwise slope
-    bound are verified.  With ``beta`` set, the reverse inequality against
+    ``tmap`` is ``appendix_transport(slope_map, alpha)``.  The declared
+    lower slope bound is checked on a grid of |x| <= 8 first; a failure
+    raises unless ``require_slope_bound`` is False, which is how the sharper
+    comparison variances that hold without a pointwise slope bound are
+    verified.  With ``beta`` set, the reverse inequality against
     N(0, 1/beta) is checked as well.
 
     Raises
@@ -388,18 +386,16 @@ def verify_appendix(psi: ConvexTest, slope_map: SlopeMap,
     ValueError
         When ``tmap`` was built at another Gaussian variance than 1/alpha.
     """
-    a = float(alpha if alpha is not None else slope_map.alpha)
+    a = float(alpha)
     variance = 1.0 / a
-    if tmap is not None and tmap.A != variance:
+    if tmap.A != variance:
         raise ValueError(
             f"transport of {tmap.potential.label!r} has Gaussian variance "
             f"{tmap.A:g}, but alpha = {a:g} needs {variance:g}")
     slope_report = check_declared_slope_bounds(
         slope_map, a, beta, required=require_slope_bound)
-    if tmap is None:
-        tmap = appendix_transport(slope_map, a)
 
-    rep = _verdict("appendix", psi, tmap, variance, p_list)
+    rep = _verdict("appendix", psi, tmap, p_list)
     # Lebesgue normalizer of exp(-U) is sqrt(2 pi), i.e. Z = 1/sqrt(variance)
     rep.normalizer_residual = tmap.Z * math.sqrt(variance) - 1.0
     rep.slope_min = slope_report.min_kprime
@@ -425,10 +421,10 @@ def _eval_psi_samples(psi: ConvexTest, x: np.ndarray) -> np.ndarray:
 
 
 def mc_crosscheck(psi: ConvexTest, ensemble: EmbeddingEnsemble,
-                  tmap: TransportMap,
-                  reference: float | None = None) -> McCrossCheck:
+                  tmap: TransportMap, reference: float) -> McCrossCheck:
     """Sample mean of psi over the embedded values, against the quadrature
-    moment.  The ensemble must come from the same transport build.
+    moment ``reference`` = ``moment_rhs(psi, tmap)``, a verdict's ``rhs``;
+    the ensemble must come from the same transport build.
 
     Raises
     ------
@@ -445,7 +441,7 @@ def mc_crosscheck(psi: ConvexTest, ensemble: EmbeddingEnsemble,
     n = ensemble.n_paths
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    ref = moment_rhs(psi, tmap) if reference is None else float(reference)
+    ref = float(reference)
     ok = bool(abs(est - ref) <= 3.0 * se) if not math.isinf(ref) else True
     return McCrossCheck(estimate=est, std_error=se, reference=ref,
                         within_3se=ok)

@@ -14,11 +14,10 @@ MATRIX_KEYS = ("zero", "linear", "quadratic", "abs",
 
 
 def make_matrix_transport(key):
-    if key == "double_well_k":
-        return appendix_transport(builtin_slope_map("cubic"))
-    if key == "log_mixture_k":
-        return appendix_transport(
-            builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS))
+    if key in ("double_well_k", "log_mixture_k"):
+        sm = (builtin_slope_map("cubic") if key == "double_well_k" else
+              builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS))
+        return appendix_transport(sm, sm.alpha)
     params = {"c": 1.0} if key in ("linear", "quadratic", "abs") else None
     return build_transport(builtin_potential(key, params), 1.0)
 

@@ -23,8 +23,8 @@ from blverify.local_time import (est1_lower, est2_upper, expected_local_time,
 from blverify.potentials import builtin_potential, builtin_slope_map, \
     check_slope_bounds
 from blverify.transport import build_transport
-from blverify.verifier import (moment_lhs, moment_rhs, verify_appendix,
-                               verify_theorem)
+from blverify.verifier import (appendix_transport, moment_lhs, moment_rhs,
+                               verify_appendix, verify_theorem)
 
 from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS
 from test_local_time import worst_pairwise_disagreement
@@ -165,20 +165,21 @@ def test_criterion_6_residual_sandwich(matrix_transports,
                "x in {0,.5,1,2}, p in {1.5,2,4})", ok, "; ".join(details))
 
 
-def _matrix_reports():
+def _matrix_reports(transports):
     reports = {}
     for key in MATRIX_KEYS:
+        tm = transports[key]
         if key == "double_well_k":
             sm = builtin_slope_map("cubic")
-            entries = [(psi, verify_appendix(psi, sm, p_list=P_LIST))
+            entries = [(psi, verify_appendix(psi, sm, sm.alpha, tm,
+                                             p_list=P_LIST))
                        for psi in PSIS]
         elif key == "log_mixture_k":
             sm = builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS)
-            entries = [(psi, verify_appendix(psi, sm, beta=2.0, p_list=P_LIST))
+            entries = [(psi, verify_appendix(psi, sm, sm.alpha, tm, beta=2.0,
+                                             p_list=P_LIST))
                        for psi in PSIS]
         else:
-            params = {"c": 1.0} if key != "zero" else None
-            tm = build_transport(builtin_potential(key, params), 1.0)
             entries = [(psi, verify_theorem(psi, tm, p_list=P_LIST))
                        for psi in PSIS]
         reports[key] = entries
@@ -186,8 +187,8 @@ def _matrix_reports():
 
 
 @pytest.fixture(scope="module")
-def matrix_reports():
-    return _matrix_reports()
+def matrix_reports(matrix_transports):
+    return _matrix_reports(matrix_transports)
 
 
 def test_criterion_7_theorem_matrix(matrix_reports):
@@ -236,20 +237,25 @@ def test_criterion_8_mad_and_p1_bounds(matrix_reports):
                "bound", ok, "; ".join(details))
 
 
-def test_criterion_9_appendix_suite():
+def test_criterion_9_appendix_suite(matrix_transports):
     ok = True
     details = []
     sm_dw = builtin_slope_map("cubic")
+    tm_dw = matrix_transports["double_well_k"]
     for psi in PSIS:
-        rep = verify_appendix(psi, sm_dw, p_list=())
+        rep = verify_appendix(psi, sm_dw, sm_dw.alpha, tm_dw, p_list=())
         if rep.bl1_margin < -1e-7:
             ok = False
             details.append(f"double_well/{psi.label} {rep.bl1_margin:.2e}")
     sm_lm = builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS)
+    tm_lm = matrix_transports["log_mixture_k"]
+    a = LOG_MIXTURE_PARAMS["a"]
+    tm_improved = appendix_transport(sm_lm, a)
     for psi in PSIS:
-        rep = verify_appendix(psi, sm_lm, beta=2.0, p_list=())
-        improved = verify_appendix(psi, sm_lm, alpha=LOG_MIXTURE_PARAMS["a"],
-                                   p_list=(), require_slope_bound=False)
+        rep = verify_appendix(psi, sm_lm, sm_lm.alpha, tm_lm, beta=2.0,
+                              p_list=())
+        improved = verify_appendix(psi, sm_lm, a, tm_improved, p_list=(),
+                                   require_slope_bound=False)
         if rep.bl1_margin < -1e-7:
             ok = False
             details.append(f"log_mixture/{psi.label} upper {rep.bl1_margin:.2e}")

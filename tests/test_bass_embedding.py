@@ -80,7 +80,7 @@ class TestClarkIntegrand:
             assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
 
     def test_grid_interpolation_matches_direct(self, abs_clark):
-        rows = abs_clark.rows_for_steps(64)
+        rows = abs_clark.rows_for_steps(64, 0, 65)
         y_nodes = abs_clark._y
         for i, s in enumerate(np.arange(65) / 64):
             direct = np.asarray(direct_a(abs_clark, s, y_nodes), float)

@@ -12,6 +12,7 @@ import pytest
 
 import blverify
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
+from blverify.convex_tests import convex_test_from_spec
 from blverify.cli import (_MARGIN_COLUMNS, _SUMMARY_COLUMNS, ConfigError,
                           ExperimentConfig, _parse_potential_entry,
                           _process_entry, _summary_rows,
@@ -107,6 +108,20 @@ class TestConfig:
         # outside [0, 2^64): -1 keyed the same streams as 2^64 - 1
         {"seed": -1},
         {"seed": 2**64},
+        # unknown keys inside entries were dropped, and the run went on
+        {"potentials": [{"family": "linear", "params": {"C": 30}}]},
+        {"potentials": [{"slope_map": {"name": "cubic",
+                                       "params": {"scale": 3}}}]},
+        {"potentials": [{"slope_map": {"name": "linear",
+                                       "params": {"scael": 2.0}}}]},
+        {"potentials": [{"slope_map": {"name": "cubic", "scale": 3}}]},
+        {"potentials": [{"slope_map": {"name": "cubic"},
+                         "improved_alhpa": 1.0}]},
+        {"potentials": [{"family": "abs", "beta": 2.0}]},
+        {"psis": [{"power": 3, "call": 1.0}]},
+        {"psis": [{"lable": "x", "atoms": [[0.0, 1.0]]}]},
+        # JSON's 1e400 parses to inf
+        {"quadrature_tol": json.loads("1e400")},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -202,6 +217,10 @@ class TestRunCommand:
         # a label that slugs like the first potential's: its plot data
         # would overwrite the first one's
         ("potentials", {"family": "abs", "params": {"c": 1.0000001}}),
+        # an improved_alpha above 1 / var X = 4/3 compares X with a
+        # narrower Gaussian; the bl2 correction used to crash on it
+        ("potentials", dict(LOG_MIXTURE_ENTRY, improved_alpha=1.5)),
+        ("potentials", dict(LOG_MIXTURE_ENTRY, improved_alpha=10.0)),
     ])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,
@@ -503,8 +522,10 @@ def oracle_reports():
                                      cfg.quadrature_tol)
     ensemble = simulate_embedding(ClarkIntegrand(theorem.tmap), 400, 32,
                                   seed=3)
-    reports = (_process_entry(theorem, ensemble, cfg, True)[1]
-               + _process_entry(mixture, None, cfg, True)[1])
+    psis = [convex_test_from_spec(s) for s in cfg.psis]
+    p_list = tuple(cfg.p_list)
+    reports = (_process_entry(theorem, ensemble, psis, p_list)[1]
+               + _process_entry(mixture, None, psis, p_list)[1])
     explosive = TestVerifyTheorem._explosive_psi()
     zero = build_transport(builtin_potential("zero"), 1.0)
     reports += [verify_theorem(explosive, theorem.tmap),

@@ -14,7 +14,7 @@ from blverify.convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                                    integrate_against_second_derivative,
                                    p1_limit_bounds, second_derivative_mass)
 from blverify.gaussian_core import heat_kernel, std_normal_cdf
-from blverify.local_time import expected_local_time_array
+from blverify.local_time import est1_lower, expected_local_time_array
 from blverify.verifier import _gaussian_call, moment_lhs, moment_rhs
 
 from conftest import MATRIX_KEYS
@@ -233,7 +233,68 @@ class TestSecondDerivativeIntegrals:
         assert second_derivative_mass(builtin_convex_test("power", p=3)) == math.inf
 
 
+def closed_over_residual(variance, var_x):
+    """The bl2 inner integrand closed over its own level sqrt(x^2 + A),
+    horizon (A - var_x)^2 / A and clamp: the oracle of est1_lower."""
+    var_x = min(max(var_x, 0.0), variance)
+    horizon = (variance - var_x) ** 2 / variance
+
+    def residual(x):
+        level = np.sqrt(np.square(x) + variance)
+        return np.maximum(expected_local_time_array(level, horizon), 0.0)
+
+    return residual
+
+
+def closed_over_bl2(psi, variance, var_x):
+    """The bl2 correction through the closed-over residual, independent of
+    est1_lower and check_variance_pair."""
+    if var_x > variance * (1.0 + 1e-9) + 1e-12:
+        raise ValueError("exceeds")
+    if min(max(var_x, 0.0), variance) == variance:
+        return 0.0
+    window = 12.0 * math.sqrt(variance) + 10.0
+    return 0.5 * integrate_against_second_derivative(
+        psi, closed_over_residual(variance, var_x), window=window)
+
+
+# the psis of the benchmark's verify sweep, with its explicit psi'' data at
+# their template values
+SWEEP_PSIS = [convex_test_from_spec(s) for s in (
+    "abs", "square", {"power": 3}, {"power": 5}, {"call": 1.0},
+    {"corridor": 1.0},
+    {"label": "data_kinks_linear", "atoms": [[-0.75, 0.5], [1.25, 1.5]],
+     "density_poly_coeffs": [0.5, 0.25]},
+    {"label": "data_atom_quadratic", "atoms": [[0.0, 1.0]],
+     "density_poly_coeffs": [1.0, 0.0, 0.3]})]
+
+
 class TestBl2Correction:
+    @pytest.mark.parametrize("variance", [1.0, 4.0])
+    def test_matches_closed_over_oracle_bit_for_bit(self, matrix_transports,
+                                                    variance):
+        for key in MATRIX_KEYS:
+            var_x = matrix_transports[key].var_mu
+            for psi in SWEEP_PSIS:
+                got = bl2_correction(psi, variance, var_x)
+                assert got == closed_over_bl2(psi, variance, var_x), \
+                    (key, psi.label)
+
+    @pytest.mark.parametrize("variance", [1.0, 4.0])
+    def test_est1_lower_is_the_residual_elementwise(self, matrix_transports,
+                                                    variance):
+        x = np.concatenate([np.linspace(-60.0, 60.0, 2401),
+                            [0.0, -0.0, 5e-324, 1e-300, 1e15, -1e15]])
+        for key in MATRIX_KEYS:
+            var_x = matrix_transports[key].var_mu
+            expected = closed_over_residual(variance, var_x)(x)
+            got = est1_lower(x, variance, var_x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, expected), key
+            scalars = [est1_lower(float(v), variance, var_x) for v in x]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(np.array(scalars), expected), key
+
     def test_zero_when_variances_match(self):
         for psi in ALL_BUILTINS:
             assert bl2_correction(psi, 1.0, 1.0) == 0.0
@@ -344,6 +405,16 @@ class TestSpecParsing:
     def test_rejects_power_below_two(self):
         with pytest.raises(ValueError):
             convex_test_from_spec({"power": 1.5})
+
+    @pytest.mark.parametrize("spec", [
+        {"power": 3, "call": 1.0},
+        {"call": 1.0, "label": "c"},
+        {"lable": "x", "atoms": [[0.0, 1.0]]},
+        {"atoms": [[0.0, 1.0]], "density": [1.0]},
+    ])
+    def test_rejects_unknown_keys(self, spec):
+        with pytest.raises(ValueError, match="key"):
+            convex_test_from_spec(spec)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

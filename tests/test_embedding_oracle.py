@@ -42,7 +42,7 @@ def reference_grid(clark: ClarkIntegrand) -> np.ndarray:
 def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
                          seed: int):
     """(T, bt, w1) stepping one 4096-path block at a time."""
-    rows = clark.rows_for_steps(n_steps)
+    rows = clark.rows_for_steps(n_steps, 0, n_steps + 1)
     y0 = clark._y[0]
     inv_dy = (len(clark._y) - 1) / (clark._y[-1] - clark._y[0])
     n_y = len(clark._y)
@@ -116,7 +116,7 @@ def test_grid_matches_one_shot_einsum(key, matrix_clarks, monkeypatch):
         set_workers(monkeypatch, n)
         clark = ClarkIntegrand(matrix_clarks[key].transport)
         assert np.array_equal(clark._grid, expected), n
-        assert np.array_equal(clark.rows_for_steps(64),
+        assert np.array_equal(clark.rows_for_steps(64, 0, 65),
                               reference_rows(expected, clark, 64, 0, 65)), n
 
 

@@ -151,7 +151,9 @@ class TestLogMixtureSlopeMap:
     def test_k_second_matches_finite_differences(self):
         sm = log_mixture_slope_map(**LM)
         x = np.linspace(-5.0, 5.0, 81)
-        np.testing.assert_allclose(sm.k_second(x), finite_diff(sm.k_prime, x),
+        kx = sm.k(x)
+        np.testing.assert_allclose(sm.k_second(x, kx, sm.k_prime(x, kx)),
+                                   finite_diff(sm.k_prime, x),
                                    atol=1e-7, rtol=1e-7)
 
     def test_slope_bounds_p_and_sqrt_b(self):
@@ -217,10 +219,22 @@ class TestGaussianMixtureSlopeMap:
             gaussian_mixture_slope_map([(0.5, 1.0), (0.5, 1.0)])
 
 
+def test_catalogs_reject_unknown_parameters():
+    with pytest.raises(ValueError, match="bad parameters"):
+        builtin_potential("linear", {"C": 30.0})
+    with pytest.raises(ValueError, match="bad parameters"):
+        builtin_potential("zero", {"c": 1.0})
+    with pytest.raises(ValueError, match="bad parameters"):
+        builtin_slope_map("cubic", {"scale": 3.0})
+    with pytest.raises(ValueError, match="bad parameters"):
+        builtin_slope_map("log_mixture", dict(LM, r=1.0))
+
+
 def test_potential_from_slope_map_rejects_nonincreasing():
     from blverify.potentials import SlopeMap
     bad = SlopeMap("bad", k=lambda x: np.asarray(x, float) ** 3,
                    k_prime=lambda x: 3.0 * np.asarray(x, float) ** 2,
+                   k_second=lambda x, kx, kpx: 6.0 * np.asarray(x, float),
                    alpha=1e-6)
     with pytest.raises(ValueError, match="nonpositive"):
         potential_from_slope_map(bad)

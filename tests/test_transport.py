@@ -79,7 +79,7 @@ class TestCdfQuantile:
     def test_round_trip_double_well(self):
         from blverify.verifier import appendix_transport
         from blverify.potentials import builtin_slope_map
-        tm = appendix_transport(builtin_slope_map("cubic"))
+        tm = appendix_transport(builtin_slope_map("cubic"), 1.0)
         for u in (0.123, 0.5, 0.77, 0.999):
             assert tm.cdf(tm.quantile(u)) == pytest.approx(u, abs=1e-10)
 
@@ -145,7 +145,7 @@ class TestGPrimeBound:
     def test_double_well_slope_bound(self):
         from blverify.verifier import appendix_transport
         from blverify.potentials import builtin_slope_map
-        tm = appendix_transport(builtin_slope_map("cubic"))
+        tm = appendix_transport(builtin_slope_map("cubic"), 1.0)
         rep = check_g_prime_bound(tm, X)
         assert rep.passed
         # max of g' = 1/k'(k^{-1}) is 1 at the origin

@@ -154,14 +154,16 @@ class TestVerifyTheorem:
 class TestVerifyAppendix:
     def test_identity_slope_map_is_standard_gaussian(self):
         sm = builtin_slope_map("linear")
+        tm = appendix_transport(sm, sm.alpha)
         for psi in PSIS[:3]:
-            rep = verify_appendix(psi, sm)
+            rep = verify_appendix(psi, sm, sm.alpha, tm)
             assert abs(rep.bl1_margin) <= 1e-9
             assert rep.all_passed
 
     def test_double_well_bounds(self):
         sm = builtin_slope_map("cubic")
-        rep = verify_appendix(builtin_convex_test("square"), sm)
+        rep = verify_appendix(builtin_convex_test("square"), sm, sm.alpha,
+                              appendix_transport(sm, sm.alpha))
         assert rep.gaussian_variance == 1.0
         # frozen Lebesgue-quadrature oracle for the double-well variance
         assert rep.var_x == pytest.approx(0.356291797871914, abs=1e-10)
@@ -171,7 +173,8 @@ class TestVerifyAppendix:
     def test_log_mixture_variance_mixture_identity(self):
         # two-atom mixture with weights (1/2, 1/2): var = (1 + 1/2)/2 = 3/4
         sm = builtin_slope_map("log_mixture", LM)
-        rep = verify_appendix(builtin_convex_test("square"), sm, beta=2.0)
+        rep = verify_appendix(builtin_convex_test("square"), sm, sm.alpha,
+                              appendix_transport(sm, sm.alpha), beta=2.0)
         assert rep.var_x == pytest.approx(0.75, abs=1e-10)
         assert rep.gaussian_variance == pytest.approx(4.0)   # 1/p^2
         assert rep.passes["lower"]
@@ -180,7 +183,8 @@ class TestVerifyAppendix:
 
     def test_log_mixture_improved_alpha(self):
         sm = builtin_slope_map("log_mixture", LM)
-        rep = verify_appendix(builtin_convex_test("square"), sm, alpha=LM["a"],
+        rep = verify_appendix(builtin_convex_test("square"), sm, LM["a"],
+                              appendix_transport(sm, LM["a"]),
                               require_slope_bound=False)
         assert rep.gaussian_variance == pytest.approx(1.0)
         assert rep.bl1_margin == pytest.approx(0.25, abs=1e-9)
@@ -190,7 +194,8 @@ class TestVerifyAppendix:
         # k' < sqrt(a) far out, so the pointwise check must reject alpha = a
         sm = builtin_slope_map("log_mixture", LM)
         with pytest.raises(SlopeBoundError):
-            verify_appendix(builtin_convex_test("square"), sm, alpha=LM["a"])
+            verify_appendix(builtin_convex_test("square"), sm, LM["a"],
+                            appendix_transport(sm, LM["a"]))
 
     def test_rejects_transport_built_at_another_alpha(self):
         sm = builtin_slope_map("log_mixture", LM)
@@ -202,7 +207,7 @@ class TestVerifyAppendix:
         # Z' = sqrt(2 pi) for every slope-map potential
         for sm in (builtin_slope_map("cubic"),
                    builtin_slope_map("log_mixture", LM)):
-            tm = appendix_transport(sm)
+            tm = appendix_transport(sm, sm.alpha)
             assert tm.Z * math.sqrt(tm.A) == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussianized_potential_identity(self):
@@ -224,13 +229,15 @@ class TestMcCrossCheck:
 
     def test_square_recovers_variance(self, quad_setup):
         tm, ens = quad_setup
-        chk = mc_crosscheck(builtin_convex_test("square"), ens, tm)
+        square = builtin_convex_test("square")
+        chk = mc_crosscheck(square, ens, tm, moment_rhs(square, tm))
         assert chk.within_3se
         assert abs(chk.estimate - 0.5) <= 3.0 * chk.std_error
 
     def test_abs_half_normal_mean(self, quad_setup):
         tm, ens = quad_setup
-        chk = mc_crosscheck(builtin_convex_test("abs"), ens, tm)
+        psi = builtin_convex_test("abs")
+        chk = mc_crosscheck(psi, ens, tm, moment_rhs(psi, tm))
         assert abs(chk.estimate - math.sqrt(2 * 0.5 / math.pi)) <= 3 * chk.std_error
         assert chk.within_3se
 
@@ -238,14 +245,14 @@ class TestMcCrossCheck:
         tm, ens = quad_setup
         linear = ConvexTest("linear", 0.0, 1.0,
                             closed_form=lambda x: np.asarray(x, float))
-        chk = mc_crosscheck(linear, ens, tm)
+        chk = mc_crosscheck(linear, ens, tm, moment_rhs(linear, tm))
         assert abs(chk.estimate) <= 3.0 * chk.std_error
 
     def test_provenance_mismatch_rejected(self, quad_setup):
         _, ens = quad_setup
         other = build_transport(builtin_potential("abs"), 1.0)
         with pytest.raises(ValueError, match="provenance"):
-            mc_crosscheck(builtin_convex_test("abs"), ens, other)
+            mc_crosscheck(builtin_convex_test("abs"), ens, other, 0.0)
 
 
 def test_format_float():
