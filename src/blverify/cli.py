@@ -35,7 +35,8 @@ from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,  # noqa: F401
 from .convex_tests import convex_test_from_spec
 from .local_time import (check_variance_pair, est1_lower, est2_upper,
                          local_time_gap_mc)
-from .potentials import SlopeMap, builtin_potential, builtin_slope_map
+from .potentials import (SlopeBoundReport, builtin_potential,
+                         builtin_slope_map)
 from .transport import (DivergentNormalizerError, NonFinitePotentialError,
                         TransportMap, build_transport)
 from .verifier import (SlopeBoundError, appendix_transport,
@@ -151,16 +152,14 @@ def default_matrix_config(**overrides) -> ExperimentConfig:
 class _Entry:
     """One potential of a run, built before anything is simulated or written.
 
-    ``improved_tmap`` is the transport at ``improved_alpha``, built once for
-    all psis.
+    A slope-map entry carries the grid report of its declared bounds, checked
+    once for all psis, and ``improved_tmap``, its transport at
+    ``improved_alpha``, built once for all psis.
     """
 
     kind: str                           # "theorem" or "appendix"
     tmap: TransportMap
-    slope_map: SlopeMap | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    improved_alpha: float | None = None
+    slope: SlopeBoundReport | None = None
     improved_tmap: TransportMap | None = None
 
 
@@ -228,10 +227,8 @@ def _parse_potential_entry(spec, variance: float, tol: float,
             raise ConfigError(f"bad slope map entry {spec!r}: {exc}") from exc
         if not build:
             return None
-        check_declared_slope_bounds(sm, alpha, beta)
         return _Entry("appendix", appendix_transport(sm, alpha, tol),
-                      slope_map=sm, alpha=alpha, beta=beta,
-                      improved_alpha=improved,
+                      slope=check_declared_slope_bounds(sm, alpha, beta),
                       improved_tmap=None if improved is None
                       else appendix_transport(sm, improved, tol))
     raise ConfigError(f"potential entry needs 'family' or 'slope_map': {spec!r}")
@@ -304,16 +301,14 @@ def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
         if entry.kind == "theorem":
             rep = verify_theorem(psi, tmap, p_list=p_list)
         else:
-            rep = verify_appendix(psi, entry.slope_map, alpha=entry.alpha,
-                                  tmap=tmap, beta=entry.beta, p_list=p_list)
+            rep = verify_appendix(psi, tmap, entry.slope, p_list=p_list)
         if ensemble is not None:
             rep.mc = mc_crosscheck(psi, ensemble, tmap, reference=rep.rhs)
             rep.passes["mc"] = rep.mc.within_3se
         reports.append(rep)
         if entry.improved_tmap is not None:
-            imp = verify_appendix(psi, entry.slope_map, entry.improved_alpha,
-                                  entry.improved_tmap, p_list=(),
-                                  require_slope_bound=False)
+            imp = verify_appendix(psi, entry.improved_tmap, entry.slope,
+                                  p_list=())
             imp.psi_label += "~improved_alpha"
             reports.append(imp)
     return record, reports

@@ -64,12 +64,12 @@ class ConvexTest:
     """A convex test function given by (psi(0), psi'_-(0), psi'').
 
     ``atoms`` are (location, mass >= 0) pairs; ``density`` is a nonnegative
-    callable with polynomial growth of degree ``density_degree`` (declared by
-    the author).  It must accept a 1-d array of points and return their
-    values elementwise, because the quadrature evaluates it on all nodes of
-    a refinement round at once.  ``closed_form``, when available, evaluates
-    psi directly on arrays and is what the Monte Carlo cross-check uses on
-    large samples.
+    callable of polynomial growth.  It must accept a 1-d array of points and
+    return their values elementwise, because the quadrature evaluates it on
+    all nodes of a refinement round at once.  ``closed_form`` evaluates psi
+    directly on arrays; the Monte Carlo cross-check needs it (every catalog
+    and psi'' data test function has one), while the quadrature verdicts
+    use only psi(0), psi'_-(0) and psi''.
     """
 
     label: str
@@ -77,7 +77,6 @@ class ConvexTest:
     left_slope_at_zero: float
     atoms: tuple[tuple[float, float], ...] = ()
     density: Callable | None = None
-    density_degree: int = 0
     closed_form: Callable | None = None
 
     def __post_init__(self):
@@ -98,7 +97,6 @@ def _abs_test() -> ConvexTest:
 def _square_test() -> ConvexTest:
     return ConvexTest("square", 0.0, 0.0,
                       density=lambda y: np.full_like(np.asarray(y, float), 2.0),
-                      density_degree=0,
                       closed_form=lambda x: np.asarray(x, float) ** 2)
 
 
@@ -113,7 +111,6 @@ def _power_test(p: float) -> ConvexTest:
     return ConvexTest(
         f"power({p:g})", 0.0, 0.0,
         density=lambda y, _c=c, _e=p - 2.0: _c * np.abs(np.asarray(y, float)) ** _e,
-        density_degree=max(int(math.ceil(p - 2.0)), 0),
         closed_form=lambda x, _p=p: np.abs(np.asarray(x, float)) ** _p)
 
 
@@ -198,11 +195,9 @@ def convex_test_from_spec(spec) -> ConvexTest:
     left_slope = _finite(spec.get("left_slope_at_zero", 0.0),
                          "left_slope_at_zero")
     density = None
-    degree = 0
     if coeffs:
         if any(c < 0 for c in coeffs):
             raise ValueError("density polynomial coefficients must be >= 0")
-        degree = len(coeffs) - 1
 
         def density(y, _c=coeffs):
             ay = np.abs(np.asarray(y, float))
@@ -224,7 +219,7 @@ def convex_test_from_spec(spec) -> ConvexTest:
     return ConvexTest(
         label=label, value_at_zero=value_at_zero,
         left_slope_at_zero=left_slope, atoms=atoms, density=density,
-        density_degree=degree, closed_form=closed_form)
+        closed_form=closed_form)
 
 
 # ---------------------------------------------------------------------------

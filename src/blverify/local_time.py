@@ -84,8 +84,6 @@ class GapEstimate:
 
     estimate: float
     std_error: float
-    n_paths: int
-    clamp_count: int
 
 
 def local_time_gap_mc(ensemble, x: float) -> GapEstimate:
@@ -94,19 +92,17 @@ def local_time_gap_mc(ensemble, x: float) -> GapEstimate:
     By the strong Markov property the residual equals the ensemble average
     of E[L^{x - B(T)}_{A - T}], with A the ensemble's Gaussian variance; the
     inner expectation is the occupation formula.  Paths whose discretized T
-    marginally exceeds A contribute a zero residual horizon and are counted
-    as clamps.
+    marginally exceeds A contribute a zero residual horizon (the ensemble's
+    ``clamp_count`` counts them).
     """
     if ensemble.n_paths == 0:
         raise ValueError("local_time_gap_mc needs a nonempty ensemble")
     t_rem = float(ensemble.A) - ensemble.T
-    clamps = int(np.count_nonzero(t_rem < 0.0))
     vals = expected_local_time_array(float(x) - ensemble.bt,
                                      np.maximum(t_rem, 0.0))
     n = ensemble.n_paths
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return GapEstimate(estimate=float(np.mean(vals)), std_error=se,
-                       n_paths=n, clamp_count=clamps)
+    return GapEstimate(estimate=float(np.mean(vals)), std_error=se)
 
 
 def check_variance_pair(variance: float, var_x: float) -> float:

@@ -55,9 +55,6 @@ class Potential:
     convex: bool
     kinks: tuple[float, ...] = ()
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 @dataclass(frozen=True)
 class SlopeMap:
@@ -89,8 +86,11 @@ class SlopeMap:
 
 @dataclass(frozen=True)
 class SlopeBoundReport:
-    """Grid check of declared slope bounds for a SlopeMap."""
+    """Grid check of a SlopeMap's declared slope bounds ``alpha`` and
+    ``beta``."""
 
+    alpha: float
+    beta: float | None
     min_kprime: float
     max_kprime: float
     arg_min: float
@@ -426,6 +426,8 @@ def check_slope_bounds(k: SlopeMap, grid) -> SlopeBoundReport:
         upper_bad = np.empty(0)
     imin, imax = int(np.argmin(kp)), int(np.argmax(kp))
     return SlopeBoundReport(
+        alpha=k.alpha,
+        beta=k.beta,
         min_kprime=float(kp[imin]),
         max_kprime=float(kp[imax]),
         arg_min=float(grid[imin]),

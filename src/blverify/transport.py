@@ -267,7 +267,7 @@ class TransportMap:
         frac = (target - cum[j]) / np.maximum(self._mass[j], _TINY)
         x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
         for _ in range(_NEWTON_ITERS):
-            resid = self._cache_free_cdf_mass(j, x) - target
+            resid = (cum[j] + self._partial_mass(lo, x)) - target
             x = np.clip(x - resid / np.maximum(self._unnormalized_density(x), _TINY),
                         lo, hi)
         return x
@@ -285,9 +285,6 @@ class TransportMap:
             x = np.clip(x + resid / np.maximum(self._unnormalized_density(x), _TINY),
                         lo, hi)
         return x
-
-    def _cache_free_cdf_mass(self, j: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._cum_lo[j] + self._partial_mass(self.edges[j], x)
 
     def quantile(self, u):
         """F_mu^{-1}(u) for u in (0, 1); inverse of :meth:`cdf` to build tol."""

@@ -19,13 +19,15 @@ adaptive Gauss-Legendre integrator of ``convex_tests`` hands them the whole
 array of a refinement round's nodes, and ``moment_rhs`` evaluates the table
 call values on the nodes y >= 0 and the put values on the nodes y < 0.
 Monte Carlo through the embedding is only a cross-check, never the primary
-estimator, and the variance entering the corrections is always the
-quadrature value.
+estimator (it evaluates psi by its closed form), and the variance entering
+the corrections is always the quadrature value.
 
 The appendix route covers non-convex potentials generated by a slope map k
 with k' >= sqrt(alpha): the same machinery applies verbatim with effective
 Gaussian variance 1/alpha, because the transport derivative is bounded by
-1/sqrt(alpha) and the stopping time by 1/alpha.
+1/sqrt(alpha) and the stopping time by 1/alpha.  The declared bounds are
+checked on a grid once per map (``check_declared_slope_bounds``); every
+verdict of the map reads that report.
 
 Infinite sides follow the convention that an inequality with both sides
 infinite holds; upper-bound entries with an infinite constant are skipped
@@ -43,7 +45,7 @@ import numpy as np
 
 from .bass_embedding import EmbeddingEnsemble
 from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
-                           builtin_convex_test, eval_psi,
+                           builtin_convex_test,
                            integrate_against_second_derivative, p1_limit_bounds)
 from .gaussian_core import std_normal_cdf, std_normal_pdf
 from .potentials import (_GRID, Potential, SlopeBoundReport, SlopeMap,
@@ -344,69 +346,56 @@ def appendix_transport(slope_map: SlopeMap, alpha: float,
 
 
 def check_declared_slope_bounds(slope_map: SlopeMap, alpha: float,
-                                beta: float | None = None,
-                                required: bool = True) -> SlopeBoundReport:
+                                beta: float | None = None) -> SlopeBoundReport:
     """Grid report of k' against the declared bounds sqrt(alpha) and, when
-    ``beta`` is set, sqrt(beta) on |x| <= 8.
+    ``beta`` is set, sqrt(beta) on |x| <= 8; the report carries the alpha
+    and beta it was checked against.
 
     Raises
     ------
     SlopeBoundError
-        When ``required`` and a declared bound fails on the grid.
+        When a declared bound fails on the grid.
     """
     a = float(alpha)
     declared = dataclasses.replace(slope_map, alpha=a, beta=beta)
     report = check_slope_bounds(declared, _GRID)
-    if required and report.lower_violations:
+    if report.lower_violations:
         raise SlopeBoundError(
             f"slope map {slope_map.label!r} violates k' >= sqrt({a:g}) on "
             f"the grid (min k' = {report.min_kprime:.12g})")
-    if required and report.upper_violations:
+    if report.upper_violations:
         raise SlopeBoundError(
             f"slope map {slope_map.label!r} violates k' <= sqrt({beta:g}) on "
             f"the grid (max k' = {report.max_kprime:.12g})")
     return report
 
 
-def verify_appendix(psi: ConvexTest, slope_map: SlopeMap, alpha: float,
-                    tmap: TransportMap, beta: float | None = None,
-                    p_list=(1.5, 2.0, 4.0),
-                    require_slope_bound: bool = True) -> VerificationReport:
-    """Verdict for a slope-map measure against N(0, 1/alpha).
+def verify_appendix(psi: ConvexTest, tmap: TransportMap,
+                    slope: SlopeBoundReport,
+                    p_list=(1.5, 2.0, 4.0)) -> VerificationReport:
+    """Verdict for a slope-map measure against N(0, tmap.A).
 
-    ``tmap`` is ``appendix_transport(slope_map, alpha)``.  The declared
-    lower slope bound is checked on a grid of |x| <= 8 first; a failure
-    raises unless ``require_slope_bound`` is False, which is how the sharper
-    comparison variances that hold without a pointwise slope bound are
-    verified.  With ``beta`` set, the reverse inequality against
-    N(0, 1/beta) is checked as well.
-
-    Raises
-    ------
-    ValueError
-        When ``tmap`` was built at another Gaussian variance than 1/alpha.
+    ``tmap`` is an ``appendix_transport`` build of the slope map and
+    ``slope`` the map's :func:`check_declared_slope_bounds` report; the
+    verdict copies its k' extremes.  When ``tmap`` is the build at the
+    declared alpha (A = 1/alpha), the verdict records the slope check's
+    pass flag and, with beta declared, checks the reverse inequality
+    against N(0, 1/beta) as well; a build at another alpha (a sharper
+    comparison variance that holds without a pointwise slope bound) gets
+    the bl1/bl2/bl3 verdict only.
     """
-    a = float(alpha)
-    variance = 1.0 / a
-    if tmap.A != variance:
-        raise ValueError(
-            f"transport of {tmap.potential.label!r} has Gaussian variance "
-            f"{tmap.A:g}, but alpha = {a:g} needs {variance:g}")
-    slope_report = check_declared_slope_bounds(
-        slope_map, a, beta, required=require_slope_bound)
-
     rep = _verdict("appendix", psi, tmap, p_list)
-    # Lebesgue normalizer of exp(-U) is sqrt(2 pi), i.e. Z = 1/sqrt(variance)
-    rep.normalizer_residual = tmap.Z * math.sqrt(variance) - 1.0
-    rep.slope_min = slope_report.min_kprime
-    rep.slope_max = slope_report.max_kprime
-    if require_slope_bound:   # else the grid report is informational
-        rep.passes["slope_bounds"] = slope_report.passed
-    if beta is not None:
-        rep.lower_variance = 1.0 / float(beta)
-        rep.lower_lhs = moment_lhs(psi, rep.lower_variance)
-        rep.lower_margin = rep.rhs - rep.lower_lhs
-        rep.passes["lower"] = bool(rep.lower_margin >= -BL1_TOL)
+    # Lebesgue normalizer of exp(-U) is sqrt(2 pi), i.e. Z = 1/sqrt(A)
+    rep.normalizer_residual = tmap.Z * math.sqrt(tmap.A) - 1.0
+    rep.slope_min = slope.min_kprime
+    rep.slope_max = slope.max_kprime
+    if tmap.A == 1.0 / slope.alpha:
+        rep.passes["slope_bounds"] = slope.passed
+        if slope.beta is not None:
+            rep.lower_variance = 1.0 / slope.beta
+            rep.lower_lhs = moment_lhs(psi, rep.lower_variance)
+            rep.lower_margin = rep.rhs - rep.lower_lhs
+            rep.passes["lower"] = bool(rep.lower_margin >= -BL1_TOL)
     return rep
 
 
@@ -414,22 +403,18 @@ def verify_appendix(psi: ConvexTest, slope_map: SlopeMap, alpha: float,
 # Monte Carlo cross-check
 # ---------------------------------------------------------------------------
 
-def _eval_psi_samples(psi: ConvexTest, x: np.ndarray) -> np.ndarray:
-    if psi.closed_form is not None:
-        return np.asarray(psi.closed_form(x), float)
-    return np.array([eval_psi(psi, v) for v in x])
-
-
 def mc_crosscheck(psi: ConvexTest, ensemble: EmbeddingEnsemble,
                   tmap: TransportMap, reference: float) -> McCrossCheck:
     """Sample mean of psi over the embedded values, against the quadrature
     moment ``reference`` = ``moment_rhs(psi, tmap)``, a verdict's ``rhs``;
-    the ensemble must come from the same transport build.
+    the ensemble must come from the same transport build.  psi is
+    evaluated on the samples by its ``closed_form``.
 
     Raises
     ------
     ValueError
-        On mismatched provenance (different potential label or variance).
+        On mismatched provenance (different potential label or variance),
+        or when psi has no closed form.
     """
     if (ensemble.potential_label != tmap.potential.label
             or ensemble.A != tmap.A):
@@ -437,7 +422,10 @@ def mc_crosscheck(psi: ConvexTest, ensemble: EmbeddingEnsemble,
             "ensemble provenance mismatch: ensemble is for "
             f"({ensemble.potential_label!r}, A={ensemble.A}) but the "
             f"transport is ({tmap.potential.label!r}, A={tmap.A})")
-    vals = _eval_psi_samples(psi, ensemble.bt)
+    if psi.closed_form is None:
+        raise ValueError(f"psi {psi.label!r} has no closed form to evaluate "
+                         "on the samples")
+    vals = np.asarray(psi.closed_form(ensemble.bt), float)
     n = ensemble.n_paths
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf

@@ -23,8 +23,9 @@ from blverify.local_time import (est1_lower, est2_upper, expected_local_time,
 from blverify.potentials import builtin_potential, builtin_slope_map, \
     check_slope_bounds
 from blverify.transport import build_transport
-from blverify.verifier import (appendix_transport, moment_lhs, moment_rhs,
-                               verify_appendix, verify_theorem)
+from blverify.verifier import (appendix_transport,
+                               check_declared_slope_bounds, moment_lhs,
+                               moment_rhs, verify_appendix, verify_theorem)
 
 from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS
 from test_local_time import worst_pairwise_disagreement
@@ -171,13 +172,13 @@ def _matrix_reports(transports):
         tm = transports[key]
         if key == "double_well_k":
             sm = builtin_slope_map("cubic")
-            entries = [(psi, verify_appendix(psi, sm, sm.alpha, tm,
-                                             p_list=P_LIST))
+            slope = check_declared_slope_bounds(sm, sm.alpha)
+            entries = [(psi, verify_appendix(psi, tm, slope, p_list=P_LIST))
                        for psi in PSIS]
         elif key == "log_mixture_k":
             sm = builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS)
-            entries = [(psi, verify_appendix(psi, sm, sm.alpha, tm, beta=2.0,
-                                             p_list=P_LIST))
+            slope = check_declared_slope_bounds(sm, sm.alpha, 2.0)
+            entries = [(psi, verify_appendix(psi, tm, slope, p_list=P_LIST))
                        for psi in PSIS]
         else:
             entries = [(psi, verify_theorem(psi, tm, p_list=P_LIST))
@@ -242,8 +243,9 @@ def test_criterion_9_appendix_suite(matrix_transports):
     details = []
     sm_dw = builtin_slope_map("cubic")
     tm_dw = matrix_transports["double_well_k"]
+    slope_dw = check_declared_slope_bounds(sm_dw, sm_dw.alpha)
     for psi in PSIS:
-        rep = verify_appendix(psi, sm_dw, sm_dw.alpha, tm_dw, p_list=())
+        rep = verify_appendix(psi, tm_dw, slope_dw, p_list=())
         if rep.bl1_margin < -1e-7:
             ok = False
             details.append(f"double_well/{psi.label} {rep.bl1_margin:.2e}")
@@ -251,11 +253,10 @@ def test_criterion_9_appendix_suite(matrix_transports):
     tm_lm = matrix_transports["log_mixture_k"]
     a = LOG_MIXTURE_PARAMS["a"]
     tm_improved = appendix_transport(sm_lm, a)
+    slope_lm = check_declared_slope_bounds(sm_lm, sm_lm.alpha, 2.0)
     for psi in PSIS:
-        rep = verify_appendix(psi, sm_lm, sm_lm.alpha, tm_lm, beta=2.0,
-                              p_list=())
-        improved = verify_appendix(psi, sm_lm, a, tm_improved, p_list=(),
-                                   require_slope_bound=False)
+        rep = verify_appendix(psi, tm_lm, slope_lm, p_list=())
+        improved = verify_appendix(psi, tm_improved, slope_lm, p_list=())
         if rep.bl1_margin < -1e-7:
             ok = False
             details.append(f"log_mixture/{psi.label} upper {rep.bl1_margin:.2e}")

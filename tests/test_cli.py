@@ -21,6 +21,7 @@ from blverify.potentials import builtin_potential
 from blverify.transport import build_transport
 from blverify.verifier import format_float, verify_theorem
 
+from test_convex_tests import SWEEP_SPECS
 from test_verifier import TestVerifyTheorem
 
 LOG_MIXTURE_ENTRY = {
@@ -371,6 +372,33 @@ class TestSubcommands:
                      "--out", str(tmp_path / "o")]) == 0
         # declared alpha is 0.25; one more build at the improved alpha
         assert sorted(alphas) == [0.25, 1.0]
+
+    @pytest.mark.parametrize("n_psis", [1, len(SWEEP_SPECS)])
+    def test_slope_bounds_checked_once_per_slope_map_entry(self, tmp_path,
+                                                           monkeypatch,
+                                                           n_psis):
+        # the benchmark's verify sweep: the default matrix with an improved
+        # alpha on the log-mixture, at A = 4, against its psis
+        import blverify.verifier as verifier_mod
+        calls = []
+        real = verifier_mod.check_slope_bounds
+
+        def counting(k, grid):
+            calls.append(k.label)
+            return real(k, grid)
+
+        monkeypatch.setattr(verifier_mod, "check_slope_bounds", counting)
+        potentials = default_matrix_config().potentials
+        potentials[-1] = LOG_MIXTURE_ENTRY
+        cfg = write_config(tmp_path, overrides={
+            "potentials": potentials, "A": 4.0, "psis": SWEEP_SPECS[:n_psis],
+            "p_list": [1.3, 2.0, 2.6, 3.5, 4.8], "n_paths": 0})
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert sum(len(p["reports"]) for p in report["potentials"]) == \
+            7 * n_psis
+        assert len(calls) == 2 and len(set(calls)) == 2
 
     def test_improved_alpha_transport_uses_the_config_tolerance(self):
         spec = {"slope_map": {"name": "log_mixture",

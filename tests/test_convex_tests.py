@@ -260,13 +260,14 @@ def closed_over_bl2(psi, variance, var_x):
 
 # the psis of the benchmark's verify sweep, with its explicit psi'' data at
 # their template values
-SWEEP_PSIS = [convex_test_from_spec(s) for s in (
+SWEEP_SPECS = [
     "abs", "square", {"power": 3}, {"power": 5}, {"call": 1.0},
     {"corridor": 1.0},
     {"label": "data_kinks_linear", "atoms": [[-0.75, 0.5], [1.25, 1.5]],
      "density_poly_coeffs": [0.5, 0.25]},
     {"label": "data_atom_quadratic", "atoms": [[0.0, 1.0]],
-     "density_poly_coeffs": [1.0, 0.0, 0.3]})]
+     "density_poly_coeffs": [1.0, 0.0, 0.3]}]
+SWEEP_PSIS = [convex_test_from_spec(s) for s in SWEEP_SPECS]
 
 
 class TestBl2Correction:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,13 +7,17 @@ import pytest
 
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
 from blverify.convex_tests import ConvexTest, builtin_convex_test
-from blverify.potentials import builtin_potential, builtin_slope_map
+from blverify.potentials import (_GRID, builtin_potential,
+                                 builtin_slope_map, check_slope_bounds)
 from blverify.transport import NonConvexPotentialError, build_transport
-from blverify.verifier import (SlopeBoundError, appendix_transport,
-                               format_float, format_floats,
-                               gaussianized_potential,
+from blverify.verifier import (BL1_TOL, SlopeBoundError, _verdict,
+                               appendix_transport,
+                               check_declared_slope_bounds, format_float,
+                               format_floats, gaussianized_potential,
                                mc_crosscheck, moment_lhs, moment_rhs,
                                verify_appendix, verify_theorem)
+
+from test_convex_tests import SWEEP_PSIS
 
 LM = dict(p=0.5, q=0.5 * math.sqrt(2.0), a=1.0, b=2.0)
 PSIS = [builtin_convex_test("abs"), builtin_convex_test("square"),
@@ -151,19 +156,23 @@ class TestVerifyTheorem:
         assert (float(parsed["bl1_margin"]) >= -1e-8) == parsed["passes"]["bl1"]
 
 
+def _declared(sm, beta=None):
+    return check_declared_slope_bounds(sm, sm.alpha, beta)
+
+
 class TestVerifyAppendix:
     def test_identity_slope_map_is_standard_gaussian(self):
         sm = builtin_slope_map("linear")
         tm = appendix_transport(sm, sm.alpha)
         for psi in PSIS[:3]:
-            rep = verify_appendix(psi, sm, sm.alpha, tm)
+            rep = verify_appendix(psi, tm, _declared(sm))
             assert abs(rep.bl1_margin) <= 1e-9
             assert rep.all_passed
 
     def test_double_well_bounds(self):
         sm = builtin_slope_map("cubic")
-        rep = verify_appendix(builtin_convex_test("square"), sm, sm.alpha,
-                              appendix_transport(sm, sm.alpha))
+        rep = verify_appendix(builtin_convex_test("square"),
+                              appendix_transport(sm, sm.alpha), _declared(sm))
         assert rep.gaussian_variance == 1.0
         # frozen Lebesgue-quadrature oracle for the double-well variance
         assert rep.var_x == pytest.approx(0.356291797871914, abs=1e-10)
@@ -173,8 +182,9 @@ class TestVerifyAppendix:
     def test_log_mixture_variance_mixture_identity(self):
         # two-atom mixture with weights (1/2, 1/2): var = (1 + 1/2)/2 = 3/4
         sm = builtin_slope_map("log_mixture", LM)
-        rep = verify_appendix(builtin_convex_test("square"), sm, sm.alpha,
-                              appendix_transport(sm, sm.alpha), beta=2.0)
+        rep = verify_appendix(builtin_convex_test("square"),
+                              appendix_transport(sm, sm.alpha),
+                              _declared(sm, 2.0))
         assert rep.var_x == pytest.approx(0.75, abs=1e-10)
         assert rep.gaussian_variance == pytest.approx(4.0)   # 1/p^2
         assert rep.passes["lower"]
@@ -182,26 +192,33 @@ class TestVerifyAppendix:
         assert rep.all_passed
 
     def test_log_mixture_improved_alpha(self):
+        # the declared report, read by a build at another alpha: the slope
+        # extremes are copied, the pass flag and reverse bound are not
         sm = builtin_slope_map("log_mixture", LM)
-        rep = verify_appendix(builtin_convex_test("square"), sm, LM["a"],
-                              appendix_transport(sm, LM["a"]),
-                              require_slope_bound=False)
+        slope = _declared(sm, 2.0)
+        rep = verify_appendix(builtin_convex_test("square"),
+                              appendix_transport(sm, LM["a"]), slope)
         assert rep.gaussian_variance == pytest.approx(1.0)
         assert rep.bl1_margin == pytest.approx(0.25, abs=1e-9)
+        assert (rep.slope_min, rep.slope_max) == (slope.min_kprime,
+                                                  slope.max_kprime)
+        assert set(rep.passes) == {"bl1", "bl2", "bl3"}
+        assert rep.lower_variance is None
         assert rep.all_passed
 
     def test_improved_alpha_slope_bound_really_fails(self):
         # k' < sqrt(a) far out, so the pointwise check must reject alpha = a
         sm = builtin_slope_map("log_mixture", LM)
         with pytest.raises(SlopeBoundError):
-            verify_appendix(builtin_convex_test("square"), sm, LM["a"],
-                            appendix_transport(sm, LM["a"]))
+            check_declared_slope_bounds(sm, LM["a"])
 
-    def test_rejects_transport_built_at_another_alpha(self):
+    def test_declared_report_carries_its_bounds(self):
         sm = builtin_slope_map("log_mixture", LM)
-        with pytest.raises(ValueError, match="Gaussian variance"):
-            verify_appendix(builtin_convex_test("abs"), sm, alpha=0.25,
-                            tmap=appendix_transport(sm, 1.0))
+        slope = _declared(sm, 2.0)
+        assert (slope.alpha, slope.beta) == (sm.alpha, 2.0)
+        assert slope.passed
+        with pytest.raises(SlopeBoundError, match="<= sqrt"):
+            check_declared_slope_bounds(sm, sm.alpha, 0.3)
 
     def test_normalizer_is_sqrt_2pi(self):
         # Z' = sqrt(2 pi) for every slope-map potential
@@ -216,6 +233,73 @@ class TestVerifyAppendix:
         ref = builtin_potential("double_well")
         np.testing.assert_allclose(
             np.asarray(pot.value(xs)) + 0.5 * xs**2, ref.value(xs), atol=1e-12)
+
+
+def verify_appendix_oracle(psi, slope_map, alpha, tmap, beta=None,
+                           p_list=(1.5, 2.0, 4.0), require_slope_bound=True):
+    """The appendix verdict as it was when it checked the declared slope
+    bounds itself, for every psi, behind a flag for the improved alpha."""
+    a = float(alpha)
+    variance = 1.0 / a
+    assert tmap.A == variance
+    slope = check_slope_bounds(
+        dataclasses.replace(slope_map, alpha=a, beta=beta), _GRID)
+    if require_slope_bound and not slope.passed:
+        raise SlopeBoundError(slope_map.label)
+    rep = _verdict("appendix", psi, tmap, p_list)
+    rep.normalizer_residual = tmap.Z * math.sqrt(variance) - 1.0
+    rep.slope_min = slope.min_kprime
+    rep.slope_max = slope.max_kprime
+    if require_slope_bound:
+        rep.passes["slope_bounds"] = slope.passed
+    if beta is not None:
+        rep.lower_variance = 1.0 / float(beta)
+        rep.lower_lhs = moment_lhs(psi, rep.lower_variance)
+        rep.lower_margin = rep.rhs - rep.lower_lhs
+        rep.passes["lower"] = bool(rep.lower_margin >= -BL1_TOL)
+    return rep
+
+
+class TestVerifyAppendixOracle:
+    """The verdicts that read the declared report equal the oracle's, field
+    for field, at the declared alpha and at improved alpha 1."""
+
+    @pytest.mark.parametrize("key,beta", [("double_well_k", None),
+                                          ("log_mixture_k", 2.0)])
+    def test_declared_alpha(self, matrix_transports, key, beta):
+        sm = (builtin_slope_map("cubic") if key == "double_well_k"
+              else builtin_slope_map("log_mixture", LM))
+        tm = matrix_transports[key]
+        slope = _declared(sm, beta)
+        for psi in SWEEP_PSIS:
+            want = verify_appendix_oracle(psi, sm, sm.alpha, tm, beta=beta)
+            assert verify_appendix(psi, tm, slope).to_json_dict() == \
+                want.to_json_dict(), psi.label
+
+    def test_improved_alpha(self, matrix_transports):
+        sm = builtin_slope_map("log_mixture", LM)
+        slope = _declared(sm, 2.0)
+        tm = appendix_transport(sm, 1.0)
+        for psi in SWEEP_PSIS:
+            want = verify_appendix_oracle(psi, sm, 1.0, tm, p_list=(),
+                                          require_slope_bound=False)
+            assert verify_appendix(psi, tm, slope, p_list=()).to_json_dict() \
+                == want.to_json_dict(), psi.label
+
+    def test_improved_alpha_at_the_declared_alpha(self, matrix_transports):
+        # the cubic map declares alpha = 1, so its "improved" build is the
+        # declared one and gets the declared verdict, slope flag included;
+        # the flagged oracle left that flag out
+        sm = builtin_slope_map("cubic")
+        slope = _declared(sm)
+        tm = matrix_transports["double_well_k"]
+        for psi in SWEEP_PSIS:
+            got = verify_appendix(psi, tm, slope, p_list=()).to_json_dict()
+            want = verify_appendix_oracle(psi, sm, 1.0, tm, p_list=(),
+                                          require_slope_bound=False)
+            want = want.to_json_dict()
+            want["passes"]["slope_bounds"] = True
+            assert got == want, psi.label
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +331,13 @@ class TestMcCrossCheck:
                             closed_form=lambda x: np.asarray(x, float))
         chk = mc_crosscheck(linear, ens, tm, moment_rhs(linear, tm))
         assert abs(chk.estimate) <= 3.0 * chk.std_error
+
+    def test_psi_without_closed_form_rejected(self, quad_setup):
+        tm, ens = quad_setup
+        square = builtin_convex_test("square")
+        bare = dataclasses.replace(square, closed_form=None)
+        with pytest.raises(ValueError, match="closed form"):
+            mc_crosscheck(bare, ens, tm, moment_rhs(square, tm))
 
     def test_provenance_mismatch_rejected(self, quad_setup):
         _, ens = quad_setup
