@@ -70,6 +70,9 @@ _MAX_EDGES = 9000
 _MAX_REFINE_ROUNDS = 30
 _BOUNDARY_MASS_LIMIT = 1e-6   # relative tail-panel mass that flags divergence
 _G_XMAX = 11.5                # |x| beyond which g is linearly extrapolated
+# Fixed count.  On the benchmark workloads' inputs, iterating only the points
+# that the previous iteration moved does 56-59% of the point-iterations with
+# the same bits, but showed no end-to-end gain in wall time.
 _NEWTON_ITERS = 6
 _TINY = 5e-324
 
