@@ -23,7 +23,7 @@ from .local_time import (est1_lower, est2_upper, expected_local_time,
 from .potentials import (Potential, SlopeMap, builtin_potential,
                          builtin_slope_map, check_slope_bounds,
                          gaussian_mixture_slope_map, log_mixture_slope_map,
-                         potential_from_slope_map, rescale_potential)
+                         rescale_potential)
 from .transport import (DivergentNormalizerError, NonConvexPotentialError,
                         NonFinitePotentialError, TransportMap,
                         build_transport, check_density_quantile_gap,

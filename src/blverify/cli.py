@@ -227,8 +227,10 @@ def _parse_potential_entry(spec, variance: float, tol: float,
             raise ConfigError(f"bad slope map entry {spec!r}: {exc}") from exc
         if not build:
             return None
+        # the bounds first: the transport build never looks at k'
+        slope = check_declared_slope_bounds(sm, alpha, beta)
         return _Entry("appendix", appendix_transport(sm, alpha, tol),
-                      slope=check_declared_slope_bounds(sm, alpha, beta),
+                      slope=slope,
                       improved_tmap=None if improved is None
                       else appendix_transport(sm, improved, tol))
     raise ConfigError(f"potential entry needs 'family' or 'slope_map': {spec!r}")

@@ -5,21 +5,24 @@ mu(dx) = (1/Z) exp(-V(x)) nu(dx); the built-in catalog carries exact
 one-sided derivatives so that downstream checks can evaluate supporting-line
 inequalities at kinks without finite differencing.
 
-A :class:`SlopeMap` is a C^1 increasing function k with k'(x) >= sqrt(alpha);
-it generates the (generally non-convex) potential
+A :class:`SlopeMap` is a C^1 increasing function k with k'(x) >= sqrt(alpha)
+that pushes the (generally non-convex) measure exp(-U(x)) dx / sqrt(2 pi)
+to the standard normal, where
 
-    U(x) = k(x)^2 / 2 - log k'(x),
+    U(x) = k(x)^2 / 2 - log k'(x).
 
-whose normalized density exp(-U)/sqrt(2 pi) is pushed to the standard normal
-by k itself.  Two families matter in practice: the cubic map k = x + x^3
-(a double-well U) and the two-atom Gaussian log-mixture map.
+Each catalog map carries U in closed form: the cubic map k = x + x^3 gives
+the ``double_well`` potential, a Gaussian-mixture map gives
+-log sum_i w_i exp(-kappa_i x^2 / 2) (the ``log_mixture`` family for two
+atoms), and ``linear(s)`` gives s^2 x^2 / 2 - log s.  Densities are never
+evaluated through k; k and k' serve the slope-bound check.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,7 +37,6 @@ __all__ = [
     "builtin_slope_map",
     "gaussian_mixture_slope_map",
     "log_mixture_slope_map",
-    "potential_from_slope_map",
     "rescale_potential",
     "check_slope_bounds",
 ]
@@ -61,19 +63,15 @@ class SlopeMap:
     """An increasing C^1 map k with declared slope bounds.
 
     ``alpha`` is the declared lower bound in the sense k' >= sqrt(alpha);
-    ``beta``, when set, declares k' <= sqrt(beta).  ``k_second`` gives the
-    generated potential its analytic derivative U' = k k' - k''/k'.
-
-    The derivatives are called as ``k_prime(x, kx=None)`` and
-    ``k_second(x, kx, kpx)``, with the arrays kx = k(x) and kpx = k'(x):
-    a caller that already holds k(x) passes it, so that a map whose
-    derivatives are expressed through k does not evaluate it again.
+    ``beta``, when set, declares k' <= sqrt(beta).  ``potential`` is the
+    Lebesgue potential U = k^2/2 - log k' of the measure k pushes to the
+    standard normal, in closed form and labelled ``slope[<label>]``.
     """
 
     label: str
     k: Callable
     k_prime: Callable
-    k_second: Callable
+    potential: Potential
     alpha: float
     beta: float | None = None
 
@@ -102,8 +100,7 @@ class SlopeBoundReport:
 
 _BOUND_SLACK = 1e-10
 
-# where slope bounds and the convexity of a generated or rewritten
-# potential are checked
+# where slope bounds and the convexity of a rewritten potential are checked
 _GRID = np.linspace(-8.0, 8.0, 1601)
 
 
@@ -162,23 +159,29 @@ def _double_well_potential() -> Potential:
     return Potential("double_well", val, der, der, convex=False)
 
 
-def _log_mixture_potential(p: float, q: float, a: float, b: float) -> Potential:
-    _check_mixture_params(p, q, a, b)
+def _gaussian_mixture_potential(atoms, label: str) -> Potential:
+    """U = -log sum_i w_i exp(-kappa_i x^2 / 2) for (w_i, kappa_i) pairs
+    sorted by increasing kappa; non-convex in general."""
+    (w0, kappa0), *others = atoms
+    rest = [(w, kp - kappa0) for w, kp in others]
+
+    def tails(x2):
+        # w_i exp(-(kappa_i - kappa_0) x^2 / 2): the smallest kappa is
+        # factored out for stability at large |x|
+        return [w * np.exp(-0.5 * d * x2) for w, d in rest]
 
     def val(x):
         x = np.asarray(x, float)
         x2 = x * x
-        # a < b: factor out the slower decay for stability at large |x|
-        return 0.5 * a * x2 - np.log(p + q * np.exp(-0.5 * (b - a) * x2))
+        return 0.5 * kappa0 * x2 - np.log(w0 + sum(tails(x2)))
 
     def der(x):
         x = np.asarray(x, float)
-        x2 = x * x
-        w = q * np.exp(-0.5 * (b - a) * x2)
-        return a * x + (b - a) * x * w / (p + w)
+        t = tails(x * x)
+        return x * (kappa0 + sum(d * ti for (_, d), ti in zip(rest, t))
+                    / (w0 + sum(t)))
 
-    return Potential(f"log_mixture(p={p:g},q={q:g},a={a:g},b={b:g})",
-                     val, der, der, convex=False)
+    return Potential(label, val, der, der, convex=False)
 
 
 def _check_mixture_params(p: float, q: float, a: float, b: float) -> None:
@@ -193,6 +196,12 @@ def _check_mixture_params(p: float, q: float, a: float, b: float) -> None:
             f"(residual {resid:.3e})")
 
 
+def _log_mixture_family(p: float, q: float, a: float, b: float) -> Potential:
+    _check_mixture_params(p, q, a, b)
+    return _gaussian_mixture_potential(
+        [(p, a), (q, b)], f"log_mixture(p={p:g},q={q:g},a={a:g},b={b:g})")
+
+
 # each factory's keyword arguments are the family's parameters
 _POTENTIAL_FAMILIES = {
     "zero": _zero_potential,
@@ -200,7 +209,7 @@ _POTENTIAL_FAMILIES = {
     "quadratic": lambda c=1.0: _quadratic_potential(float(c)),
     "abs": lambda c=1.0: _abs_potential(float(c)),
     "double_well": _double_well_potential,
-    "log_mixture": lambda p, q, a, b: _log_mixture_potential(
+    "log_mixture": lambda p, q, a, b: _log_mixture_family(
         float(p), float(q), float(a), float(b)),
 }
 
@@ -254,15 +263,23 @@ def rescale_potential(pot: Potential, scale: float) -> Potential:
 # ---------------------------------------------------------------------------
 
 def _identity_slope_map(scale: float = 1.0) -> SlopeMap:
+    # k = s x: U = s^2 x^2 / 2 - log s, the N(0, 1/s^2) potential; the
+    # constant keeps exp(-U) normalized to sqrt(2 pi)
     if scale <= 0:
         raise ValueError("slope scale must be positive")
+    label = f"linear_k({scale:g})"
+    s2, log_s = scale * scale, math.log(scale)
+    der = lambda x: s2 * np.asarray(x, float)
     return SlopeMap(
-        label=f"linear_k({scale:g})",
+        label=label,
         k=lambda x: scale * np.asarray(x, float),
-        k_prime=lambda x, kx=None: np.full_like(np.asarray(x, float), scale) + 0.0,
-        alpha=scale * scale,
-        beta=scale * scale,
-        k_second=lambda x, kx, kpx: np.zeros_like(np.asarray(x, float)) + 0.0,
+        k_prime=lambda x: np.full_like(np.asarray(x, float), scale) + 0.0,
+        potential=Potential(
+            f"slope[{label}]",
+            lambda x: 0.5 * s2 * np.asarray(x, float) ** 2 - log_s,
+            der, der, convex=True),
+        alpha=s2,
+        beta=s2,
     )
 
 
@@ -271,9 +288,9 @@ def _cubic_slope_map() -> SlopeMap:
     return SlopeMap(
         label="cubic_k",
         k=lambda x: np.asarray(x, float) + np.asarray(x, float) ** 3,
-        k_prime=lambda x, kx=None: 1.0 + 3.0 * np.asarray(x, float) ** 2,
+        k_prime=lambda x: 1.0 + 3.0 * np.asarray(x, float) ** 2,
+        potential=replace(_double_well_potential(), label="slope[cubic_k]"),
         alpha=1.0,
-        k_second=lambda x, kx, kpx: 6.0 * np.asarray(x, float),
     )
 
 
@@ -327,23 +344,17 @@ def gaussian_mixture_slope_map(atoms, label: str | None = None) -> SlopeMap:
                 np.clip(_mix_tail(arr[pos]), 1e-300, 0.5))
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
-    def k_prime(x, kx=None):
+    def k_prime(x):
         x = np.asarray(x, float)
-        kx = k(x) if kx is None else kx
         num = sum(w * std_normal_pdf(r * x) for w, r in zip(weights, roots))
-        return num / std_normal_pdf(kx)
+        return num / std_normal_pdf(k(x))
 
-    def k_second(x, kx, kpx):
-        x = np.asarray(x, float)
-        num_prime = -x * sum(w * kv * std_normal_pdf(r * x)
-                             for (w, kv), r in zip(atoms, roots))
-        return num_prime / std_normal_pdf(kx) + kx * kpx * kpx
-
+    label = label or ("mixture_k(" + ",".join(
+        f"{w:g}@{kp:g}" for w, kp in atoms) + ")")
     return SlopeMap(
-        label=label or ("mixture_k(" + ",".join(
-            f"{w:g}@{kp:g}" for w, kp in atoms) + ")"),
-        k=k, k_prime=k_prime, alpha=atoms[0][0] ** 2, beta=kappas[-1],
-        k_second=k_second,
+        label=label, k=k, k_prime=k_prime,
+        potential=_gaussian_mixture_potential(atoms, f"slope[{label}]"),
+        alpha=atoms[0][0] ** 2, beta=kappas[-1],
     )
 
 
@@ -372,42 +383,6 @@ def builtin_slope_map(name: str, params: dict | None = None) -> SlopeMap:
     ``log_mixture(p, q, a, b)``; any other name or parameter raises
     ValueError."""
     return _from_catalog(_SLOPE_FAMILIES, "slope map", name, params)
-
-
-def potential_from_slope_map(k: SlopeMap) -> Potential:
-    """The potential U = k^2/2 - log k' generated by a slope map, with the
-    exact derivative U' = k k' - k''/k'.
-
-    The convexity flag is decided by a monotonicity test of U' on a grid
-    of |x| <= 8 (slope-map potentials are generally non-convex; that is
-    their point).
-
-    Raises
-    ------
-    ValueError
-        If k' is nonpositive anywhere on the validation grid.
-    """
-    kp = np.asarray(k.k_prime(_GRID), float)
-    if not np.all(kp > 0.0):
-        bad = _GRID[kp <= 0.0]
-        raise ValueError(f"slope map {k.label!r} has nonpositive derivative "
-                         f"at x={bad[:3]}")
-
-    def val(x):
-        x = np.asarray(x, float)
-        kx = np.asarray(k.k(x), float)
-        return 0.5 * kx ** 2 - np.log(k.k_prime(x, kx))
-
-    def der(x):
-        x = np.asarray(x, float)
-        kx = np.asarray(k.k(x), float)
-        kp = np.asarray(k.k_prime(x, kx), float)
-        return kx * kp - np.asarray(k.k_second(x, kx, kp), float) / kp
-
-    dvals = np.asarray(der(_GRID), float)
-    convex = bool(np.all(np.diff(dvals) >= -1e-10))
-    return Potential(label=f"slope[{k.label}]", value=val,
-                     left_derivative=der, right_derivative=der, convex=convex)
 
 
 def check_slope_bounds(k: SlopeMap, grid) -> SlopeBoundReport:

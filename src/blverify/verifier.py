@@ -49,7 +49,7 @@ from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            integrate_against_second_derivative, p1_limit_bounds)
 from .gaussian_core import std_normal_cdf, std_normal_pdf
 from .potentials import (_GRID, Potential, SlopeBoundReport, SlopeMap,
-                         check_slope_bounds, potential_from_slope_map)
+                         check_slope_bounds)
 from .transport import NonConvexPotentialError, TransportMap, build_transport
 
 __all__ = [
@@ -336,13 +336,16 @@ def gaussianized_potential(lebesgue_potential: Potential,
 def appendix_transport(slope_map: SlopeMap, alpha: float,
                        quadrature_tol: float = 1e-12) -> TransportMap:
     """Transport build for mu = exp(-U) dx / Z' with U = k^2/2 - log k',
-    expressed against the effective Gaussian N(0, 1/alpha)."""
+    expressed against the effective Gaussian N(0, 1/alpha).
+
+    U is the map's closed-form ``potential``; the build never evaluates k or
+    k', so the declared slope bounds are checked separately, by
+    :func:`check_declared_slope_bounds`."""
     a = float(alpha)
     if not (a > 0.0):
         raise ValueError("alpha must be positive")
-    u_pot = potential_from_slope_map(slope_map)
-    return build_transport(gaussianized_potential(u_pot, 1.0 / a), 1.0 / a,
-                           quadrature_tol)
+    return build_transport(gaussianized_potential(slope_map.potential, 1.0 / a),
+                           1.0 / a, quadrature_tol)
 
 
 def check_declared_slope_bounds(slope_map: SlopeMap, alpha: float,

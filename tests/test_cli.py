@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import blverify
+import blverify.potentials as potentials_mod
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
 from blverify.convex_tests import convex_test_from_spec
 from blverify.cli import (_MARGIN_COLUMNS, _SUMMARY_COLUMNS, ConfigError,
@@ -22,7 +23,7 @@ from blverify.transport import build_transport
 from blverify.verifier import format_float, verify_theorem
 
 from test_convex_tests import SWEEP_SPECS
-from test_verifier import TestVerifyTheorem
+from test_verifier import TestVerifyTheorem, nonincreasing_slope_map
 
 LOG_MIXTURE_ENTRY = {
     "slope_map": {"name": "log_mixture",
@@ -204,6 +205,21 @@ class TestRunCommand:
         })
         assert main(["verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_nonincreasing_slope_map_exits_2_writing_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # k = x^3 declares alpha = 1e-6, but k'(0) = 0; the bound check runs
+        # before the map's transport is built
+        monkeypatch.setitem(potentials_mod._SLOPE_FAMILIES, "cube",
+                            nonincreasing_slope_map)
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "abs", "params": {"c": 1.0}},
+                           {"slope_map": {"name": "cube"}}],
+            "n_paths": 300})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "violates k' >= sqrt(1e-06)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_entry", [
         ("potentials", {"slope_map": {"name": "cubic"}, "alpha": 4.0}),

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from blverify.gaussian_core import std_normal_pdf
 from blverify.potentials import (builtin_potential, builtin_slope_map,
                                  check_slope_bounds,
                                  gaussian_mixture_slope_map,
-                                 log_mixture_slope_map,
-                                 potential_from_slope_map, rescale_potential)
+                                 log_mixture_slope_map, rescale_potential)
 
 LM = dict(p=0.5, q=0.5 * math.sqrt(2.0), a=1.0, b=2.0)
+# three atoms with sum w / sqrt(kappa) = 1
+ATOMS3 = [(0.3, 1.0), (0.4, 2.0), (2.0 * (1.0 - 0.3 - 0.4 / math.sqrt(2.0)), 4.0)]
 GRID = np.linspace(-8.0, 8.0, 1601)
+U = 2.0 ** -53
 
 
 def finite_diff(f, x, h=1e-6):
@@ -84,10 +87,71 @@ class TestBuiltinPotentials:
         assert float(pot.right_derivative(1.0)) == pytest.approx(4.0)
 
 
+def mixture_k_second(sm, atoms):
+    """k'' of a Gaussian-mixture map: differentiating
+    k' phi(k) = sum_i w_i phi(sqrt(kappa_i) x) gives
+    k'' = -x sum_i w_i kappa_i phi(sqrt(kappa_i) x) / phi(k) + k k'^2."""
+    def k_second(x):
+        kx, kpx = sm.k(x), sm.k_prime(x)
+        num = -x * sum(w * kp * std_normal_pdf(math.sqrt(kp) * x)
+                       for w, kp in atoms)
+        return num / std_normal_pdf(kx) + kx * kpx * kpx
+    return k_second
+
+
+def slope_map_case(name):
+    """(map, its k'') for each catalog map of the oracle test."""
+    if name == "linear_sqrt2":
+        sm = builtin_slope_map("linear", {"scale": math.sqrt(2.0)})
+        return sm, np.zeros_like
+    if name == "cubic":
+        return builtin_slope_map("cubic"), lambda x: 6.0 * x
+    if name == "log_mixture":
+        sm = builtin_slope_map("log_mixture", LM)
+        return sm, mixture_k_second(sm, [(LM["p"], LM["a"]),
+                                         (LM["q"], LM["b"])])
+    sm = gaussian_mixture_slope_map(ATOMS3)
+    return sm, mixture_k_second(sm, ATOMS3)
+
+
+class TestSlopeMapPotentialOracle:
+    """Each catalog map's closed-form U against the construction through k:
+    U = k^2/2 - log k' and U' = k k' - k''/k'."""
+
+    # the grid plus points near 0, where k' -> 1 and log k' loses its
+    # relative accuracy
+    X = np.concatenate([np.linspace(-30.0, 30.0, 60001),
+                        np.geomspace(1e-12, 1e-2, 200),
+                        -np.geomspace(1e-12, 1e-2, 200)])
+
+    @pytest.mark.parametrize("name", ["linear_sqrt2", "cubic", "log_mixture",
+                                      "mixture3"])
+    def test_closed_form_matches_k_construction(self, name):
+        sm, k_second = slope_map_case(name)
+        x = self.X
+        kx, kpx, k2x = sm.k(x), sm.k_prime(x), k_second(x)
+        u_oracle = 0.5 * kx ** 2 - np.log(kpx)
+        du_oracle = kx * kpx - k2x / kpx
+        # Errors are scaled by the terms' sizes, not by |U| or |U'|: both
+        # cross zero.  log k' of a k' with relative error u is off by u in
+        # absolute terms, hence the 1.  Measured worst cases: 7.6 u (cubic,
+        # x = 16.1) for U and 5.7 u (3-atom mixture, x = -0.99) for U'.
+        u_scale = np.abs(0.5 * kx ** 2) + np.abs(np.log(kpx)) + 1.0
+        du_scale = np.abs(kx * kpx) + np.abs(k2x / kpx)
+        pot = sm.potential
+        assert pot.label == f"slope[{sm.label}]"
+        assert np.all(np.abs(pot.value(x) - u_oracle) <= 10 * U * u_scale)
+        for der in (pot.left_derivative, pot.right_derivative):
+            assert np.all(np.abs(der(x) - du_oracle) <= 8 * U * du_scale)
+        # the oracle's k'' itself, against differences of k'
+        xs = np.linspace(-5.0, 5.0, 81)
+        np.testing.assert_allclose(k_second(xs), finite_diff(sm.k_prime, xs),
+                                   atol=1e-7, rtol=1e-7)
+
+
 class TestSlopeMaps:
     def test_linear_map_gives_gaussian_potential(self):
-        sm = builtin_slope_map("linear")
-        pot = potential_from_slope_map(sm)
+        pot = builtin_slope_map("linear").potential
         x = np.linspace(-4, 4, 41)
         np.testing.assert_allclose(pot.value(x), 0.5 * x**2, atol=1e-14)
         assert pot.convex
@@ -95,16 +159,18 @@ class TestSlopeMaps:
     def test_scaled_linear_map(self):
         # k = sqrt(2) x: U = x^2 - log(sqrt 2), the N(0, 1/2) potential
         sm = builtin_slope_map("linear", {"scale": math.sqrt(2.0)})
-        pot = potential_from_slope_map(sm)
         x = np.linspace(-3, 3, 31)
-        np.testing.assert_allclose(pot.value(x),
+        np.testing.assert_allclose(sm.potential.value(x),
                                    x**2 - 0.5 * math.log(2.0), atol=1e-14)
 
     def test_cubic_map_reproduces_double_well(self):
-        pot = potential_from_slope_map(builtin_slope_map("cubic"))
+        # the cubic map's potential is the double_well family's, bit for bit
+        pot = builtin_slope_map("cubic").potential
         ref = builtin_potential("double_well")
         x = np.linspace(-2.5, 2.5, 101)
-        np.testing.assert_allclose(pot.value(x), ref.value(x), atol=1e-12)
+        np.testing.assert_array_equal(pot.value(x), ref.value(x))
+        np.testing.assert_array_equal(pot.right_derivative(x),
+                                      ref.right_derivative(x))
         assert not pot.convex
 
     def test_cubic_slope_bounds(self):
@@ -148,14 +214,6 @@ class TestLogMixtureSlopeMap:
         np.testing.assert_allclose(sm.k_prime(x), finite_diff(sm.k, x),
                                    atol=1e-8, rtol=1e-8)
 
-    def test_k_second_matches_finite_differences(self):
-        sm = log_mixture_slope_map(**LM)
-        x = np.linspace(-5.0, 5.0, 81)
-        kx = sm.k(x)
-        np.testing.assert_allclose(sm.k_second(x, kx, sm.k_prime(x, kx)),
-                                   finite_diff(sm.k_prime, x),
-                                   atol=1e-7, rtol=1e-7)
-
     def test_slope_bounds_p_and_sqrt_b(self):
         sm = log_mixture_slope_map(**LM)
         rep = check_slope_bounds(sm, np.arange(-8.0, 8.0 + 1e-12, 0.01))
@@ -164,13 +222,13 @@ class TestLogMixtureSlopeMap:
         assert rep.max_kprime <= math.sqrt(LM["b"]) + 1e-10
 
     def test_potential_identity(self):
-        # U from the slope map equals -log(p e^{-a x^2/2} + q e^{-b x^2/2})
-        sm = log_mixture_slope_map(**LM)
-        pot = potential_from_slope_map(sm)
+        # the map's potential is the log_mixture family's, bit for bit
+        pot = log_mixture_slope_map(**LM).potential
         ref = builtin_potential("log_mixture", LM)
         x = np.linspace(-8.0, 8.0, 321)
-        assert np.max(np.abs(np.asarray(pot.value(x)) -
-                             np.asarray(ref.value(x)))) <= 1e-10
+        np.testing.assert_array_equal(pot.value(x), ref.value(x))
+        np.testing.assert_array_equal(pot.right_derivative(x),
+                                      ref.right_derivative(x))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -180,8 +238,7 @@ class TestLogMixtureSlopeMap:
 
 
 class TestGaussianMixtureSlopeMap:
-    # three atoms with sum w / sqrt(kappa) = 1
-    ATOMS = [(0.3, 1.0), (0.4, 2.0), (2.0 * (1.0 - 0.3 - 0.4 / math.sqrt(2.0)), 4.0)]
+    ATOMS = ATOMS3
 
     def test_two_atom_case_matches_dedicated_constructor(self):
         lm = log_mixture_slope_map(**LM)
@@ -189,13 +246,6 @@ class TestGaussianMixtureSlopeMap:
         x = np.linspace(-6, 6, 101)
         np.testing.assert_array_equal(lm.k(x), gm.k(x))
         assert lm.alpha == gm.alpha and lm.beta == gm.beta
-
-    def test_three_atom_potential_identity(self):
-        sm = gaussian_mixture_slope_map(self.ATOMS)
-        pot = potential_from_slope_map(sm)
-        x = np.linspace(-6.0, 6.0, 121)
-        ref = -np.log(sum(w * np.exp(-0.5 * k * x**2) for w, k in self.ATOMS))
-        np.testing.assert_allclose(pot.value(x), ref, atol=1e-10)
 
     def test_three_atom_slope_bounds(self):
         sm = gaussian_mixture_slope_map(self.ATOMS)
@@ -228,13 +278,3 @@ def test_catalogs_reject_unknown_parameters():
         builtin_slope_map("cubic", {"scale": 3.0})
     with pytest.raises(ValueError, match="bad parameters"):
         builtin_slope_map("log_mixture", dict(LM, r=1.0))
-
-
-def test_potential_from_slope_map_rejects_nonincreasing():
-    from blverify.potentials import SlopeMap
-    bad = SlopeMap("bad", k=lambda x: np.asarray(x, float) ** 3,
-                   k_prime=lambda x: 3.0 * np.asarray(x, float) ** 2,
-                   k_second=lambda x, kx, kpx: 6.0 * np.asarray(x, float),
-                   alpha=1e-6)
-    with pytest.raises(ValueError, match="nonpositive"):
-        potential_from_slope_map(bad)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -7,8 +8,11 @@ import pytest
 
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
 from blverify.convex_tests import ConvexTest, builtin_convex_test
-from blverify.potentials import (_GRID, builtin_potential,
-                                 builtin_slope_map, check_slope_bounds)
+from blverify.gaussian_core import std_normal_cdf, std_normal_pdf
+from blverify.potentials import (_GRID, Potential, SlopeMap,
+                                 builtin_potential, builtin_slope_map,
+                                 check_slope_bounds,
+                                 gaussian_mixture_slope_map)
 from blverify.transport import NonConvexPotentialError, build_transport
 from blverify.verifier import (BL1_TOL, SlopeBoundError, _verdict,
                                appendix_transport,
@@ -18,6 +22,7 @@ from blverify.verifier import (BL1_TOL, SlopeBoundError, _verdict,
                                verify_appendix, verify_theorem)
 
 from test_convex_tests import SWEEP_PSIS
+from test_potentials import ATOMS3
 
 LM = dict(p=0.5, q=0.5 * math.sqrt(2.0), a=1.0, b=2.0)
 PSIS = [builtin_convex_test("abs"), builtin_convex_test("square"),
@@ -233,6 +238,154 @@ class TestVerifyAppendix:
         ref = builtin_potential("double_well")
         np.testing.assert_allclose(
             np.asarray(pot.value(xs)) + 0.5 * xs**2, ref.value(xs), atol=1e-12)
+
+
+def nonincreasing_slope_map():
+    """k = x^3 declared with alpha = 1e-6: k' = 3 x^2 vanishes at 0, so the
+    map is not strictly increasing there and its U = k^2/2 - log k' is
+    infinite at 0."""
+    der = lambda x: 3.0 * np.asarray(x, float) ** 5 - 2.0 / np.asarray(x, float)
+    return SlopeMap(
+        "cube_k", k=lambda x: np.asarray(x, float) ** 3,
+        k_prime=lambda x: 3.0 * np.asarray(x, float) ** 2,
+        potential=Potential(
+            "slope[cube_k]",
+            lambda x: (0.5 * np.asarray(x, float) ** 6
+                       - np.log(3.0 * np.asarray(x, float) ** 2)),
+            der, der, convex=False),
+        alpha=1e-6)
+
+
+def test_nonincreasing_slope_map_rejected():
+    with pytest.raises(SlopeBoundError, match="min k' = 0"):
+        check_declared_slope_bounds(nonincreasing_slope_map(), 1e-6)
+
+
+def _raise(x):
+    raise AssertionError("a density evaluation went through k or k'")
+
+
+@pytest.mark.parametrize("sm", [
+    builtin_slope_map("linear"), builtin_slope_map("cubic"),
+    builtin_slope_map("log_mixture", LM), gaussian_mixture_slope_map(ATOMS3),
+], ids=lambda sm: sm.label)
+def test_appendix_transport_never_evaluates_k(sm):
+    # the build reads the map's closed-form potential only
+    guarded = dataclasses.replace(sm, k=_raise, k_prime=_raise)
+    want = appendix_transport(sm, sm.alpha)
+    got = appendix_transport(guarded, sm.alpha)
+    assert (got.Z, got.var_mu) == (want.Z, want.var_mu)
+
+
+def _mixture_law(atoms):
+    """CDF, survival, variance and upper call value of the mixture
+    sum_i c_i N(0, s_i^2), c_i = w_i / sqrt(kappa_i), s_i = 1/sqrt(kappa_i),
+    the law of a Gaussian-mixture map's measure."""
+    cs = [(w / math.sqrt(kp), 1.0 / math.sqrt(kp)) for w, kp in atoms]
+    return (lambda y: sum(c * std_normal_cdf(y / s) for c, s in cs),
+            lambda y: sum(c * std_normal_cdf(-y / s) for c, s in cs),
+            sum(c * s * s for c, s in cs),
+            lambda k: sum(c * (s * std_normal_pdf(k / s)
+                               - k * std_normal_cdf(-k / s)) for c, s in cs),
+            lambda k: sum(c * (s * std_normal_pdf(k / s)
+                               + np.abs(k) * std_normal_cdf(-k / s))
+                          for c, s in cs))
+
+
+LAW_MAPS = {
+    "cubic": lambda: builtin_slope_map("cubic"),
+    "log_mixture": lambda: builtin_slope_map("log_mixture", LM),
+    "mixture3": lambda: gaussian_mixture_slope_map(ATOMS3),
+}
+LAW_ATOMS = {"log_mixture": [(LM["p"], LM["a"]), (LM["q"], LM["b"])],
+             "mixture3": ATOMS3}
+# each map at its declared alpha and at an improved alpha below 1 / var X
+LAW_CASES = [("cubic", 1.0), ("cubic", 2.0), ("log_mixture", 0.25),
+             ("log_mixture", 1.0), ("mixture3", 0.09), ("mixture3", 1.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _law_build(name, alpha):
+    return appendix_transport(LAW_MAPS[name](), alpha)
+
+
+class TestSlopeMapBuildExactLaw:
+    """Slope-map builds against the exact law of their measure, which does
+    not depend on the alpha of the build: F_mu = Phi o k, the mixture
+    sum_i c_i N(0, 1/kappa_i), and for the cubic map g(z) = the real root of
+    x + x^3 = z, so that g = k^{-1}.  g takes a standard normal argument,
+    g = F_mu^{-1} o Phi.  Every bound is 1.5 to 2 times the worst error
+    measured over the six builds."""
+
+    Z = np.linspace(-8.0, 8.0, 321)
+
+    def _exact_law(self, name):
+        if name == "cubic":
+            k = builtin_slope_map("cubic").k
+            return (lambda y: std_normal_cdf(k(y)),
+                    lambda y: std_normal_cdf(-k(y)))
+        return _mixture_law(LAW_ATOMS[name])[:2]
+
+    @pytest.mark.parametrize("name,alpha", LAW_CASES)
+    def test_g_pushes_the_gaussian_to_mu(self, name, alpha):
+        tm = _law_build(name, alpha)
+        z = self.Z
+        g = tm.g(z)
+        left = z <= 0.0
+        phi = std_normal_cdf(np.where(left, z, -z))
+        # the build's own cdf on the left and survival on the right;
+        # measured 1.13e-14 relative
+        built = np.where(left, tm.cdf(g), tm.survival(g))
+        assert np.max(np.abs(built / phi - 1.0)) <= 1.7e-14
+        # the exact law at g; measured 2.04e-14 (cubic, z = -8)
+        cdf, survival = self._exact_law(name)
+        exact = np.where(left, cdf(g), survival(g))
+        assert np.max(np.abs(exact / phi - 1.0)) <= 3e-14
+        # the build's cdf and survival against the exact law; measured 1.25e-14
+        assert np.max(np.abs(built / exact - 1.0)) <= 2e-14
+
+    @pytest.mark.parametrize("name,alpha", LAW_CASES)
+    def test_g_prime_is_one_over_k_prime(self, name, alpha):
+        # g = k^{-1}, so g' = 1 / k'(g); measured 1.9e-14 relative (cubic,
+        # z = -7.1)
+        tm = _law_build(name, alpha)
+        exact = 1.0 / LAW_MAPS[name]().k_prime(tm.g(self.Z))
+        assert np.max(np.abs(tm.g_prime(self.Z) / exact - 1.0)) <= 3e-14
+
+    @pytest.mark.parametrize("name,alpha", LAW_CASES)
+    def test_mean_is_zero(self, name, alpha):
+        # the maps are odd; measured 5.6e-17
+        assert abs(_law_build(name, alpha).mean_mu) <= 1e-16
+
+    @pytest.mark.parametrize("name,alpha", LAW_CASES[2:])
+    def test_mixture_variance(self, name, alpha):
+        # var X = sum_i c_i / kappa_i, 0.75 for the default entry; measured
+        # 1.1e-16
+        var = _mixture_law(LAW_ATOMS[name])[2]
+        if name == "log_mixture":
+            assert var == pytest.approx(0.75, abs=1e-16)
+        assert abs(_law_build(name, alpha).var_mu - var) <= 2.2e-16
+
+    @pytest.mark.parametrize("name,alpha", LAW_CASES[2:])
+    def test_mixture_upper_call(self, name, alpha):
+        # sum_i c_i (s_i phi(c/s_i) - c Phi(-c/s_i)), scaled by its terms'
+        # sizes since the difference cancels at large c; measured 1.95e-15
+        *_, call, size = _mixture_law(LAW_ATOMS[name])
+        c = np.linspace(-5.0, 5.0, 201)
+        err = np.abs(_law_build(name, alpha).upper_call_value(c) - call(c))
+        assert np.all(err <= 3e-15 * size(c))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_cubic_g_is_the_real_root(self, alpha):
+        # t^3 = |z|/2 + sqrt(z^2/4 + 1/27) makes t - 1/(3t) the real root
+        # of x + x^3 = |z|, written here without cancellation (3.5 u from a
+        # 40-digit root); g is off by its median offset near 0, measured
+        # 9.2e-16 at z = 0, and by 4.3e-16 relative for |z| >= 1
+        z = self.Z
+        t = np.cbrt(np.abs(z) / 2.0 + np.sqrt(z * z / 4.0 + 1.0 / 27.0))
+        root = z / (t * t + 1.0 / 3.0 + 1.0 / (9.0 * t * t))
+        g = _law_build("cubic", alpha).g(z)
+        assert np.max(np.abs(g - root)) <= 1.5e-15
 
 
 def verify_appendix_oracle(psi, slope_map, alpha, tmap, beta=None,
