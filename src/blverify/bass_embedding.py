@@ -11,8 +11,11 @@ and time-changing it produces a Brownian motion B for which
     T = int_0^1 a(s, W_s)^2 ds
 
 is a stopping time with B(T) = g(W_1) - E[g(W_1)], distributed as the
-centered mu.  Since a <= sup g' <= sqrt(A), the stopping time is bounded by
-the Gaussian variance A, and Wald's identity gives E[T] = var(X).
+centered mu.  Since a <= sup g' <= sqrt(A) (Caffarelli's bound for convex V;
+g' = 1/k'(g) for a slope map with k' >= sqrt(alpha) = 1/sqrt(A)), the
+stopping time is bounded by the Gaussian variance A, and Wald's identity
+gives E[T] = var(X).  `t_bound_check` checks each link of that chain at
+round-off on the tables a run builds.
 
 The simulator draws W on a uniform grid, integrates a(s, W_s)^2 by the
 trapezoidal rule, and evaluates the embedded value through the distributional
@@ -80,6 +83,13 @@ _FINE_CELLS = 8192             # cells of the dense g' table on [-11.5, 11.5]
 _CHUNK_VALUES = 1 << 18        # float64 values per step-chunk table (2 MB)
 _GRID_TAU_ROWS = 2             # tau rows per Clark-grid chunk (~1 MB of nodes)
 _CSV_ROWS = 2048               # rows formatted per CSV write (~0.6 MB transient)
+_U = 2.0**-53                  # unit roundoff
+# Relative round-off allowed above sqrt(A) on the g' table and the Clark
+# grid: 10x the largest excess that test_bass_embedding.py's
+# TestChecks::test_t_bound_tolerances_cover_measured_round_off measures
+# (844 u = 9.4e-14, on the g' table of linear(20) at A = 1.44), a test
+# that fails from 1/4 of it.
+_G_PRIME_REL_TOL = 1e-12
 
 
 @dataclass
@@ -303,8 +313,8 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
         Number of Brownian paths (>= 1).
     n_steps : int
         Uniform time steps on [0, 1] (>= 16).  The stopping time of each
-        path is the trapezoidal integral of a(s, W_s)^2; the discretization
-        bias budget quoted by the checks is 2 sqrt(A) / n_steps.
+        path is the trapezoidal integral of a(s, W_s)^2; Wald's check allows
+        it a discretization bias of 2 sqrt(A) / n_steps.
     seed : int
         Stream key in [0, 2^64); identical (seed, n_paths, n_steps)
         reproduce the ensemble bit-for-bit, independent of the worker count.
@@ -440,9 +450,18 @@ class WaldReport:
 
 @dataclass(frozen=True)
 class TBoundReport:
+    """The maxima behind T <= A and the bounds they must not exceed.
+
+    ``g_prime_bound`` (sqrt(A) widened by round-off) bounds both the dense
+    g' table and the Clark grid a, and ``T_bound`` (A widened by the same
+    round-off squared and by the rounding of the trapezoid sum) bounds T.
+    """
+
+    max_g_prime: float
+    max_a: float
+    g_prime_bound: float
     max_T: float
-    slack: float
-    violation_count: int
+    T_bound: float
     passed: bool
 
 
@@ -466,15 +485,31 @@ def wald_check(ensemble: EmbeddingEnsemble, var_x: float) -> WaldReport:
                       passed=bool(abs(mean_t - var_x) <= budget))
 
 
-def t_bound_check(ensemble: EmbeddingEnsemble) -> TBoundReport:
-    """T <= A up to the trapezoid discretization slack 2 sqrt(A)/n_steps."""
+def t_bound_check(ensemble: EmbeddingEnsemble,
+                  clark: ClarkIntegrand) -> TBoundReport:
+    """T <= A, and Caffarelli's g' <= sqrt(A) behind it, at round-off.
+
+    g' <= sqrt(A) on the integrand's dense g' table; its Gauss-Hermite
+    averages a <= sqrt(A) on the Clark grid; and T <= A, since each T is a
+    trapezoid sum of a^2 whose weights sum to 1.  The T bound adds to the
+    squared a bound (n_steps + 32) u: the recursive sum of n_steps + 1
+    terms rounds by at most n_steps u / (1 - n_steps u) relative (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 4.2), and
+    the weights, the two linear interpolations and the square of each term
+    by less than 20 u, which leaves the second-order terms room.
+    """
     if ensemble.n_paths == 0:
         raise ValueError("t_bound_check needs a nonempty ensemble")
-    slack = 2.0 * math.sqrt(ensemble.A) / ensemble.n_steps
-    limit = ensemble.A * (1.0 + 1e-9) + slack
-    violations = int(np.count_nonzero(ensemble.T > limit))
-    return TBoundReport(max_T=float(np.max(ensemble.T)), slack=slack,
-                        violation_count=violations, passed=(violations == 0))
+    gp_bound = math.sqrt(ensemble.A) * (1.0 + _G_PRIME_REL_TOL)
+    t_bound = gp_bound**2 * (1.0 + (ensemble.n_steps + 32) * _U)
+    max_gp = float(np.max(clark._fine_gp))
+    max_a = float(np.max(clark._grid))
+    max_t = float(np.max(ensemble.T))
+    return TBoundReport(
+        max_g_prime=max_gp, max_a=max_a, g_prime_bound=gp_bound, max_T=max_t,
+        T_bound=t_bound,
+        passed=bool(max_gp <= gp_bound and max_a <= gp_bound
+                    and max_t <= t_bound))
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -26,8 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-# ClarkIntegrand and simulate_embedding are not called here, but they stay
-# importable from this module: blbench's tracer wraps them under these names
+# simulate_embedding is not called here, and ClarkIntegrand only names a
+# type, but both stay importable from this module: blbench's tracer wraps
+# them under these names
 from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,  # noqa: F401
                              clark_integrands, embedded_law_check,
                              simulate_embedding, simulate_embeddings,
@@ -35,7 +37,7 @@ from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,  # noqa: F401
 from .convex_tests import convex_test_from_spec
 from .local_time import (check_variance_pair, est1_lower, est2_upper,
                          local_time_gap_mc)
-from .potentials import (SlopeBoundReport, builtin_potential,
+from .potentials import (SlopeBoundReport, _real_number, builtin_potential,
                          builtin_slope_map)
 from .transport import (DivergentNormalizerError, NonFinitePotentialError,
                         TransportMap, build_transport)
@@ -108,13 +110,16 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         _check_keys(raw, {f.name for f in dataclasses.fields(cls)}, "config")
         cfg = cls(**{k: raw[k] for k in raw})
+        if not isinstance(cfg.p_list, list):
+            raise ConfigError(f"'p_list' must be a list, got {cfg.p_list!r}")
         try:
-            cfg.A = float(cfg.A)
-            cfg.p_list = [float(p) for p in cfg.p_list]
-            cfg.n_paths = int(cfg.n_paths)
-            cfg.n_steps = int(cfg.n_steps)
-            cfg.seed = int(cfg.seed)
-            cfg.quadrature_tol = float(cfg.quadrature_tol)
+            cfg.A = _real_number(cfg.A, "'A'")
+            cfg.p_list = [_real_number(p, "'p_list' entry") for p in cfg.p_list]
+            cfg.n_paths = _integer(cfg.n_paths, "'n_paths'")
+            cfg.n_steps = _integer(cfg.n_steps, "'n_steps'")
+            cfg.seed = _integer(cfg.seed, "'seed'")
+            cfg.quadrature_tol = _real_number(cfg.quadrature_tol,
+                                              "'quadrature_tol'")
         except _MALFORMED as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         cfg.output_dir = str(cfg.output_dir)
@@ -161,6 +166,16 @@ class _Entry:
     tmap: TransportMap
     slope: SlopeBoundReport | None = None
     improved_tmap: TransportMap | None = None
+
+
+def _integer(value, what: str) -> int:
+    """An integral config number as an int (32.0 reads as 32); ValueError
+    for a fraction, a bool, a string or any other non-number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_keys(obj: dict, allowed, what: str) -> None:
@@ -211,11 +226,12 @@ def _parse_potential_entry(spec, variance: float, tol: float,
         _check_keys(sm_spec, ("name", "params"), "'slope_map'")
         try:
             sm = builtin_slope_map(sm_spec["name"], _params(sm_spec))
-            alpha = float(spec.get("alpha", sm.alpha))
+            alpha = _real_number(spec.get("alpha", sm.alpha), "'alpha'")
             beta = spec.get("beta", sm.beta)
-            beta = None if beta is None else float(beta)
+            beta = None if beta is None else _real_number(beta, "'beta'")
             improved = spec.get("improved_alpha")
-            improved = None if improved is None else float(improved)
+            improved = (None if improved is None
+                        else _real_number(improved, "'improved_alpha'"))
             if not all(math.isfinite(b) for b in (alpha, beta, improved)
                        if b is not None):
                 raise ValueError("slope bounds must be finite")
@@ -279,10 +295,11 @@ def _check_slugs(entries) -> None:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
-                   psis, p_list: tuple):
-    """Ensemble checks plus one verification report per parsed psi of
-    ``psis`` (and per psi at ``improved_alpha``); embed passes none."""
+def _process_entry(entry: _Entry, clark: ClarkIntegrand | None,
+                   ensemble: EmbeddingEnsemble | None, psis, p_list: tuple):
+    """Ensemble checks of ``ensemble``, simulated on ``clark``, plus one
+    verification report per parsed psi of ``psis`` (and per psi at
+    ``improved_alpha``); embed passes none."""
     tmap = entry.tmap
     record = {
         "kind": entry.kind,
@@ -293,7 +310,7 @@ def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None,
     }
     if ensemble is not None:
         checks = {"wald": wald_check(ensemble, tmap.var_mu),
-                  "t_bound": t_bound_check(ensemble),
+                  "t_bound": t_bound_check(ensemble, clark),
                   "embedded_law": embedded_law_check(ensemble, tmap)}
         for key, check in checks.items():
             record[key] = format_floats(dataclasses.asdict(check))
@@ -425,7 +442,8 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     _check_transports(entries, [*x_grid, *(loc for psi in psis
                                            for loc, _ in psi.atoms)])
     _check_slugs(entries)
-    clarks = clark_integrands([e.tmap for e in entries]) if with_mc else []
+    clarks = (clark_integrands([e.tmap for e in entries]) if with_mc
+              else [None] * len(entries))
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -444,9 +462,11 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     summary = []
     all_ok = True
     single = len(specs) == 1
-    for idx, (entry, ensemble) in enumerate(zip(entries, ensembles)):
+    for idx, (entry, clark, ensemble) in enumerate(zip(entries, clarks,
+                                                       ensembles)):
         record, reports = _process_entry(
-            entry, ensemble, psis if mode != "embed" else (), tuple(cfg.p_list))
+            entry, clark, ensemble, psis if mode != "embed" else (),
+            tuple(cfg.p_list))
         slug = _slug(record["label"])
         if ensemble is not None:
             name = "ensemble.csv" if single else f"ensemble_{idx:02d}_{slug}.csv"

@@ -33,7 +33,7 @@ import numpy as np
 
 from .local_time import check_variance_pair, est1_lower
 from .gaussian_core import heat_kernel
-from .potentials import _from_catalog
+from .potentials import _from_catalog, _real_number
 from .transport import _GL_W, _panel_nodes
 
 __all__ = [
@@ -134,7 +134,7 @@ def _corridor_test(width: float) -> ConvexTest:
 
 
 def _finite(value, what: str) -> float:
-    x = float(value)
+    x = _real_number(value, what)
     if not math.isfinite(x):
         raise ValueError(f"{what} must be finite, got {x}")
     return x

@@ -1,10 +1,10 @@
 """Standard-normal primitives.
 
 Everything downstream (transport maps, local-time formulas, the embedding
-simulator) reduces to four functions: the standard normal CDF and quantile,
-the Gaussian heat kernel, and the density-at-quantile map.  They accept
-scalars or numpy arrays and are stateless, so they are safe to call from any
-number of threads.  They need numpy only.
+simulator) reduces to three functions: the standard normal CDF and
+quantile, and the Gaussian heat kernel.  They accept scalars or numpy
+arrays and are stateless, so they are safe to call from any number of
+threads.  They need numpy only.
 
 Algorithms and accuracy
 -----------------------
@@ -330,18 +330,4 @@ def heat_kernel(t, x):
         raise ValueError(f"heat_kernel requires t > 0, got t={t}")
     arr, scalar = _as_array(x)
     out = np.exp(-arr * arr / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-    return float(out) if scalar else out
-
-
-def gauss_density_of_quantile(xi):
-    """The map xi -> Phi'(Phi^{-1}(xi)) on (0, 1).
-
-    Concave, symmetric about xi = 1/2, with boundary limits 0 at both ends;
-    its derivative is -Phi^{-1}(xi).  Used by the transport checks to compare
-    a tilted density-at-quantile against the Gaussian one.
-    """
-    arr, scalar = _as_array(xi)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("gauss_density_of_quantile requires xi in (0, 1)")
-    out = std_normal_pdf(std_normal_quantile(np.clip(arr, _Q_EDGE, 1.0 - _Q_EDGE)))
     return float(out) if scalar else out

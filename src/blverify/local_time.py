@@ -91,9 +91,10 @@ def local_time_gap_mc(ensemble, x: float) -> GapEstimate:
 
     By the strong Markov property the residual equals the ensemble average
     of E[L^{x - B(T)}_{A - T}], with A the ensemble's Gaussian variance; the
-    inner expectation is the occupation formula.  Paths whose discretized T
-    marginally exceeds A contribute a zero residual horizon (the ensemble's
-    ``clamp_count`` counts them).
+    inner expectation is the occupation formula.  T exceeds A by round-off
+    at most (``bass_embedding.t_bound_check`` bounds it), so clamping the
+    residual horizon A - T at 0 only absorbs that rounding; the ensemble's
+    ``clamp_count`` counts the clamped paths.
     """
     if ensemble.n_paths == 0:
         raise ValueError("local_time_gap_mc needs a nonempty ensemble")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -37,7 +38,6 @@ __all__ = [
     "builtin_slope_map",
     "gaussian_mixture_slope_map",
     "log_mixture_slope_map",
-    "rescale_potential",
     "check_slope_bounds",
 ]
 
@@ -214,9 +214,19 @@ _POTENTIAL_FAMILIES = {
 }
 
 
+def _real_number(value, what: str) -> float:
+    """``value`` as a float; ValueError for a bool, a string or any other
+    non-number, which float() would take (True as 1, "32" as 32) or reject
+    with a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _from_catalog(catalog: dict, what: str, name: str, params: dict | None):
     """The entry ``name`` of ``catalog``, its factory called with the keyword
-    arguments ``params``; ValueError for an unknown name or a bad parameter."""
+    arguments ``params``, each a number; ValueError for an unknown name or a
+    bad parameter."""
     params = params or {}
     try:
         factory = catalog[name]
@@ -227,7 +237,9 @@ def _from_catalog(catalog: dict, what: str, name: str, params: dict | None):
         inspect.signature(factory).bind(**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters of {what} {name!r}: {exc}") from None
-    return factory(**params)
+    return factory(**{key: _real_number(value, f"parameter {key!r} of {what} "
+                                               f"{name!r}")
+                      for key, value in params.items()})
 
 
 def builtin_potential(name: str, params: dict | None = None) -> Potential:
@@ -238,24 +250,6 @@ def builtin_potential(name: str, params: dict | None = None) -> Potential:
     name or parameter raises ValueError.
     """
     return _from_catalog(_POTENTIAL_FAMILIES, "potential family", name, params)
-
-
-def rescale_potential(pot: Potential, scale: float) -> Potential:
-    """The potential x -> V(scale * x), with derivatives scaled accordingly.
-
-    Used to reduce a build with Gaussian variance A to the normalized A = 1
-    coordinates (scale = sqrt(A)); convexity is preserved for scale > 0.
-    """
-    if not (scale > 0.0):
-        raise ValueError("rescale_potential requires a positive scale")
-    return Potential(
-        label=f"{pot.label}~scaled({scale:g})",
-        value=lambda x: pot.value(scale * np.asarray(x, float)),
-        left_derivative=lambda x: scale * pot.left_derivative(scale * np.asarray(x, float)),
-        right_derivative=lambda x: scale * pot.right_derivative(scale * np.asarray(x, float)),
-        convex=pot.convex,
-        kinks=tuple(k / scale for k in pot.kinks),
-    )
 
 
 # ---------------------------------------------------------------------------

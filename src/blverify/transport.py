@@ -15,35 +15,24 @@ increasing rearrangement map g = F_mu^{-1} o Phi and its derivative
 are then accurate deep into both tails.  The derivative is always evaluated
 through this density ratio, never by finite differences.
 
-For convex V the map satisfies g' <= sqrt(A); ``check_g_prime_bound``,
-``check_hazard_bounds`` and ``check_density_quantile_gap`` probe that bound
-and the two pointwise inequalities behind it on evaluation grids, after an
-internal reduction to unit Gaussian variance (V~(x) = V(sqrt(A) x), A~ = 1,
-under which g_A(x) = sqrt(A) g_1(x)).
+For convex V the map satisfies g' <= sqrt(A) (Caffarelli); every simulating
+run checks that bound on the dense g' table of its Clark integrand
+(``bass_embedding.t_bound_check``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gaussian_core import (gauss_density_of_quantile, std_normal_cdf,
-                            std_normal_pdf)
-from .potentials import Potential, rescale_potential
+from .gaussian_core import std_normal_cdf, std_normal_pdf
+from .potentials import Potential
 
 __all__ = [
     "TransportMap",
     "DivergentNormalizerError",
     "NonFinitePotentialError",
     "NonConvexPotentialError",
-    "GPrimeBoundReport",
-    "HazardBoundReport",
-    "DensityQuantileGapReport",
     "build_transport",
-    "check_g_prime_bound",
-    "check_hazard_bounds",
-    "check_density_quantile_gap",
 ]
 
 
@@ -100,7 +89,6 @@ class TransportMap:
         self.A = float(variance)
         self.quadrature_tol = float(quadrature_tol)
         self.extrapolation_count = 0
-        self._unit_map: "TransportMap | None" = None
 
         sd = np.sqrt(self.A)
         self._log_norm = np.log(np.sqrt(2.0 * np.pi) * sd)
@@ -382,18 +370,6 @@ class TransportMap:
         out = np.maximum(out, 0.0)
         return float(out[0]) if np.ndim(c) == 0 else out.reshape(np.shape(c))
 
-    # -- unit-variance reduction ----------------------------------------------
-
-    def unit_variance_map(self) -> "TransportMap":
-        """The reduced build with V~(x) = V(sqrt(A) x) and A~ = 1 (cached)."""
-        if self.A == 1.0:
-            return self
-        if self._unit_map is None:
-            self._unit_map = TransportMap(
-                rescale_potential(self.potential, np.sqrt(self.A)),
-                1.0, self.quadrature_tol)
-        return self._unit_map
-
 
 def build_transport(potential: Potential, variance: float,
                     quadrature_tol: float = 1e-12) -> TransportMap:
@@ -408,111 +384,3 @@ def build_transport(potential: Potential, variance: float,
         If V takes non-finite values on the evaluation window.
     """
     return TransportMap(potential, variance, quadrature_tol)
-
-
-# ---------------------------------------------------------------------------
-# grid checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GPrimeBoundReport:
-    max_g_prime: float
-    arg_max: float
-    bound: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class HazardBoundReport:
-    """Worst relative deficits of the two supporting-line inequalities.
-
-    In unit-variance coordinates, with z = x + V'(x) taken for both one-sided
-    derivatives, the checks are F'/F (x) >= Phi'/Phi (z) and F'(x) >= Phi'(z).
-    """
-
-    max_ratio_deficit: float
-    max_density_deficit: float
-    violations: tuple[float, ...]
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DensityQuantileGapReport:
-    min_gap: float
-    arg_min: float
-    passed: bool
-
-
-def check_g_prime_bound(tmap: TransportMap, grid) -> GPrimeBoundReport:
-    """Check g' <= sqrt(A) on a grid, with 1e-8 relative headroom."""
-    grid = np.asarray(grid, float)
-    gp = np.asarray(tmap.g_prime(grid), float)
-    i = int(np.argmax(gp))
-    bound = np.sqrt(tmap.A)
-    return GPrimeBoundReport(
-        max_g_prime=float(gp[i]), arg_max=float(grid[i]), bound=float(bound),
-        passed=bool(gp[i] <= bound * (1.0 + 1e-8)))
-
-
-_HAZARD_REL_SLACK = 1e-9
-
-
-def check_hazard_bounds(tmap: TransportMap, grid=None) -> HazardBoundReport:
-    """Verify the one-sided tilted-hazard inequalities for convex potentials.
-
-    The build is reduced to unit Gaussian variance first.  Non-convex
-    potentials are rejected: the supporting-line argument behind the
-    inequalities needs convexity.
-    """
-    if not tmap.potential.convex:
-        raise NonConvexPotentialError(
-            "hazard bounds require a convex potential; got "
-            f"{tmap.potential.label!r}")
-    unit = tmap.unit_variance_map()
-    if grid is None:
-        grid = np.linspace(-5.0, 5.0, 201)
-    grid = np.unique(np.concatenate(
-        [np.asarray(grid, float), np.asarray(unit.potential.kinks, float)]))
-
-    dens = np.asarray(unit.density(grid), float)
-    cdf = np.asarray(unit.cdf(grid), float)
-    ratio_deficit = np.full_like(grid, -np.inf)
-    dens_deficit = np.full_like(grid, -np.inf)
-    for deriv in (unit.potential.left_derivative, unit.potential.right_derivative):
-        z = grid + np.asarray(deriv(grid), float)
-        phi_z = std_normal_pdf(z)
-        cdf_z = std_normal_cdf(z)
-        rd = (phi_z / cdf_z - dens / np.maximum(cdf, _TINY)) / (phi_z / cdf_z)
-        dd = (phi_z - dens) / phi_z
-        ratio_deficit = np.maximum(ratio_deficit, rd)
-        dens_deficit = np.maximum(dens_deficit, dd)
-    worst = np.maximum(ratio_deficit, dens_deficit)
-    bad = grid[worst > _HAZARD_REL_SLACK]
-    return HazardBoundReport(
-        max_ratio_deficit=float(np.max(ratio_deficit)),
-        max_density_deficit=float(np.max(dens_deficit)),
-        violations=tuple(float(v) for v in bad),
-        passed=(bad.size == 0))
-
-
-def check_density_quantile_gap(tmap: TransportMap,
-                               xi_grid=None) -> DensityQuantileGapReport:
-    """Check F'(F^{-1}(xi)) >= Phi'(Phi^{-1}(xi)) on a quantile grid.
-
-    Equivalent to the g' bound in unit-variance coordinates; requires a
-    convex potential and reduces to A = 1 internally.
-    """
-    if not tmap.potential.convex:
-        raise NonConvexPotentialError(
-            "density-quantile gap requires a convex potential; got "
-            f"{tmap.potential.label!r}")
-    unit = tmap.unit_variance_map()
-    if xi_grid is None:
-        xi_grid = np.linspace(0.0005, 0.9995, 1999)
-    xi_grid = np.asarray(xi_grid, float)
-    gap = (np.asarray(unit.density(unit.quantile(xi_grid)), float)
-           - gauss_density_of_quantile(xi_grid))
-    i = int(np.argmin(gap))
-    return DensityQuantileGapReport(
-        min_gap=float(gap[i]), arg_min=float(xi_grid[i]),
-        passed=bool(gap[i] >= -1e-9))

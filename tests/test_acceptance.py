@@ -41,10 +41,19 @@ _BUILD_SECONDS = {}
 
 
 @pytest.fixture(scope="session")
-def timed_matrix_ensembles(matrix_transports):
+def matrix_clarks(matrix_transports):
     t0 = time.perf_counter()
-    clarks = [ClarkIntegrand(matrix_transports[key]) for key in MATRIX_KEYS]
-    ensembles = simulate_embeddings(clarks, 100_000, 2048, seed=42)
+    clarks = {key: ClarkIntegrand(matrix_transports[key])
+              for key in MATRIX_KEYS}
+    _BUILD_SECONDS["grids"] = time.perf_counter() - t0
+    return clarks
+
+
+@pytest.fixture(scope="session")
+def timed_matrix_ensembles(matrix_clarks):
+    t0 = time.perf_counter()
+    ensembles = simulate_embeddings([matrix_clarks[key] for key in MATRIX_KEYS],
+                                    100_000, 2048, seed=42)
     _BUILD_SECONDS["matrix"] = time.perf_counter() - t0
     return dict(zip(MATRIX_KEYS, ensembles))
 
@@ -108,23 +117,27 @@ def test_criterion_3_embedding_law(matrix_transports, timed_matrix_ensembles):
             f"worst KS {worst[1]:.5f} at {worst[0]}, total {total:.1f}s")
 
 
-def test_criterion_4_stopping_time_and_wald(matrix_transports,
+def test_criterion_4_stopping_time_and_wald(matrix_transports, matrix_clarks,
                                             timed_matrix_ensembles):
     ok = True
     details = []
     for key in MATRIX_KEYS:
         ens = timed_matrix_ensembles[key]
         tmap = matrix_transports[key]
-        tb = t_bound_check(ens)
+        tb = t_bound_check(ens, matrix_clarks[key])
         wd = wald_check(ens, tmap.var_mu)
-        ok &= tb.passed and wd.passed
-        if not (tb.passed and wd.passed):
-            details.append(f"{key}: t_bound={tb.passed} wald={wd.passed}")
+        within = (tb.max_g_prime <= tb.g_prime_bound
+                  and tb.max_a <= tb.g_prime_bound and tb.max_T <= tb.T_bound)
+        ok &= within and wd.passed
+        if not (within and wd.passed):
+            details.append(f"{key}: g'={tb.max_g_prime!r} a={tb.max_a!r} "
+                           f"T={tb.max_T!r} wald={wd.passed}")
     exact_zero = np.max(np.abs(timed_matrix_ensembles["zero"].T - 1.0))
     exact_quad = np.max(np.abs(timed_matrix_ensembles["quadratic"].T - 0.5))
     ok &= exact_zero <= 1e-12 and exact_quad <= 1e-12
-    _report(4, "T <= A + slack, |mean T - var X| within budget; constant-T "
-               "cases exact to 1e-12",
+    _report(4, "g' and a <= sqrt(A), T <= A, each at round-off; "
+               "|mean T - var X| within budget; constant-T cases exact to "
+               "1e-12",
             ok, "; ".join(details) or
             f"|T-A|={exact_zero:.1e}, |T-1/2|={exact_quad:.1e}")
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -7,12 +8,16 @@ import numpy as np
 import pytest
 
 from blverify import bass_embedding
-from blverify.bass_embedding import (ClarkIntegrand, embedded_law_check,
-                                     ks_distance, simulate_embedding,
+from blverify.bass_embedding import (ClarkIntegrand, clark_integrands,
+                                     embedded_law_check, ks_distance,
+                                     simulate_embedding, simulate_embeddings,
                                      t_bound_check, wald_check)
 from blverify.gaussian_core import std_normal_cdf
-from blverify.potentials import builtin_potential
+from blverify.potentials import builtin_potential, builtin_slope_map
 from blverify.transport import build_transport
+from blverify.verifier import appendix_transport
+
+from conftest import LOG_MIXTURE_PARAMS
 
 _DIRECT_EVAL_BAND = 1e-6       # 1 - s below which a(s, y) = g'(y) directly
 
@@ -46,6 +51,33 @@ def quad_clark():
 @pytest.fixture(scope="module")
 def abs_clark():
     return ClarkIntegrand(build_transport(builtin_potential("abs"), 1.0))
+
+
+A_VALUES = (0.25, 1.0, 4.0)
+# the largest excesses of g' over sqrt(A) found in sweeps of linear(c)
+# over c in [-7, 20] and A in [0.01, 50]
+WORST_LINEAR = (("linear", 20.0, 1.4399033208816328),
+                ("linear", 5.0, 7.4989))
+
+
+@pytest.fixture(scope="module")
+def bound_clarks():
+    """Integrands keyed (label, A): zero, linear(1), quadratic(1), abs(1)
+    and the cubic slope map at alpha = 1/A for each A of A_VALUES, the
+    log-mixture map at its alpha, and WORST_LINEAR."""
+    transports = {}
+    for a in A_VALUES:
+        for name in ("zero", "linear", "quadratic", "abs"):
+            transports[name, a] = build_transport(builtin_potential(name), a)
+        transports["cubic", a] = appendix_transport(
+            builtin_slope_map("cubic"), 1.0 / a)
+    for name, c, a in WORST_LINEAR:
+        transports[f"{name}({c:g})", a] = build_transport(
+            builtin_potential(name, {"c": c}), a)
+    mixture = builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS)
+    transports["log_mixture", 1.0 / mixture.alpha] = appendix_transport(
+        mixture, mixture.alpha)
+    return dict(zip(transports, clark_integrands(transports.values())))
 
 
 class TestClarkIntegrand:
@@ -209,16 +241,101 @@ class TestChecks:
         rep = wald_check(ens, abs_clark.transport.var_mu)
         assert rep.passed
 
-    def test_t_bound_equality_case(self, zero_clark):
-        ens = simulate_embedding(zero_clark, 400, 64, seed=2)
-        rep = t_bound_check(ens)
-        assert rep.passed
-        assert rep.max_T == pytest.approx(1.0, abs=1e-12)
+    def test_t_bound_equality_case(self, bound_clarks):
+        # zero: g' = a = sqrt(A) everywhere and T = A on every path; the
+        # cubic map at its alpha = 1: g' = 1/k'(g) reaches 1 = sqrt(A) at
+        # x = 0 only
+        for key in [("zero", a) for a in A_VALUES] + [("cubic", 1.0)]:
+            clark = bound_clarks[key]
+            a = clark.transport.A
+            rep = t_bound_check(simulate_embedding(clark, 400, 64, seed=2),
+                                clark)
+            assert rep.passed
+            assert rep.max_g_prime == pytest.approx(math.sqrt(a), rel=1e-13)
+            assert rep.max_a == pytest.approx(math.sqrt(a), rel=1e-13)
+            if key[0] == "zero":
+                assert rep.max_T == pytest.approx(a, rel=1e-13)
+        cubic = bound_clarks["cubic", 1.0]
+        assert cubic._fine_x[np.argmax(cubic._fine_gp)] == 0.0
 
-    def test_t_bound_tilted(self, abs_clark):
-        ens = simulate_embedding(abs_clark, 20_000, 256, seed=19)
-        rep = t_bound_check(ens)
-        assert rep.passed and rep.violation_count == 0
+    def test_t_bound_tilted(self, bound_clarks):
+        # abs(1) at every A, and the cubic map below its alpha: strictly
+        # inside every bound
+        for key in [("abs", a) for a in A_VALUES] + [("cubic", 4.0)]:
+            clark = bound_clarks[key]
+            a = clark.transport.A
+            rep = t_bound_check(simulate_embedding(clark, 20_000, 256,
+                                                   seed=19), clark)
+            assert rep.passed
+            assert rep.max_a <= rep.max_g_prime < math.sqrt(a) * (1 - 1e-3)
+            assert rep.max_T < a * (1 - 1e-3)
+
+    def test_t_bound_tolerances_cover_measured_round_off(self, bound_clarks):
+        # the g' tables and grids stay within a quarter of the tolerance
+        # above sqrt(A) (measured: 844 u on linear(20) at A = 1.44); the
+        # cubic map at alpha = 4 breaks its slope bound, see below
+        excess = max(max(np.max(c._fine_gp), np.max(c._grid))
+                     / math.sqrt(c.transport.A) - 1.0
+                     for key, c in bound_clarks.items()
+                     if key != ("cubic", 0.25))
+        assert excess <= bass_embedding._G_PRIME_REL_TOL / 4
+        # T over the squared grid maximum is the rounding of the trapezoid
+        # sum: at most a quarter of the (n_steps + 32) u the bound allows
+        keys = [("zero", 1.0), ("linear(5)", 7.4989)]
+        max_t = {}
+        for n_steps in (16, 1000, 3001, 16384):
+            ensembles = simulate_embeddings([bound_clarks[k] for k in keys],
+                                            64, n_steps, seed=3)
+            for key, ens in zip(keys, ensembles):
+                max_t[key, n_steps] = np.max(ens.T)
+                used = max_t[key, n_steps] / np.max(bound_clarks[key]._grid)**2
+                assert used - 1.0 <= (n_steps + 32) * bass_embedding._U / 4
+        # T = A exactly for zero, yet the sum rounds it up (+148 u at 3001
+        # steps, +2740 u above A = 7.5 at 16384): no tolerance without an
+        # n_steps term would hold
+        assert max_t[("zero", 1.0), 3001] > 1.0
+        assert max_t[("linear(5)", 7.4989), 16384] > 7.4989 * (
+            1.0 + 2048 * bass_embedding._U)
+
+    def test_t_bound_fails_on_g_prime_above_the_bound(self, bound_clarks):
+        # a real g' table, then a real grid, scaled by 1 + 2 tol: only the
+        # scaled maximum exceeds its bound
+        zero = bound_clarks["zero", 1.0]
+        ens = simulate_embedding(zero, 400, 64, seed=2)
+        scale = 1.0 + 2.0 * bass_embedding._G_PRIME_REL_TOL
+        scaled = copy.copy(zero)
+        scaled._fine_gp = zero._fine_gp * scale
+        rep = t_bound_check(ens, scaled)
+        assert not rep.passed
+        assert rep.max_g_prime > rep.g_prime_bound
+        assert rep.max_a <= rep.g_prime_bound and rep.max_T <= rep.T_bound
+        scaled = copy.copy(zero)
+        scaled._grid = zero._grid * scale
+        rep = t_bound_check(ens, scaled)
+        assert not rep.passed
+        assert rep.max_a > rep.g_prime_bound
+        assert rep.max_g_prime <= rep.g_prime_bound
+        # the cubic map at alpha = 4: k' >= 2 fails at x = 0, where
+        # g' = 1 = 2 sqrt(A), and T exceeds A
+        cubic = bound_clarks["cubic", 0.25]
+        ens = simulate_embedding(cubic, 400, 64, seed=2)
+        rep = t_bound_check(ens, cubic)
+        assert not rep.passed
+        assert rep.max_g_prime == pytest.approx(1.0, rel=1e-13)
+        assert rep.max_T > rep.T_bound
+
+    def test_t_bound_fails_on_one_T_above_the_bound(self, bound_clarks):
+        clark = bound_clarks["abs", 1.0]
+        ens = simulate_embedding(clark, 4000, 128, seed=19)
+        rep = t_bound_check(ens, clark)
+        assert rep.passed
+        T = ens.T.copy()
+        T[0] = np.nextafter(rep.T_bound, np.inf)
+        raised = dataclasses.replace(ens, T=T)
+        assert wald_check(raised, clark.transport.var_mu).passed
+        rep = t_bound_check(raised, clark)
+        assert not rep.passed and rep.max_T > rep.T_bound
+        assert rep.max_g_prime <= rep.g_prime_bound
 
     def test_embedded_law_exact_sampler(self, zero_clark):
         ens = simulate_embedding(zero_clark, 100_000, 64, seed=23)
@@ -239,7 +356,8 @@ class TestChecks:
         ens = simulate_embedding(zero_clark, 2, 64, seed=1)
         empty = dataclasses.replace(ens, T=np.empty(0), bt=np.empty(0),
                                     w1=np.empty(0))
-        for fn in (lambda e: wald_check(e, 1.0), t_bound_check,
+        for fn in (lambda e: wald_check(e, 1.0),
+                   lambda e: t_bound_check(e, zero_clark),
                    lambda e: embedded_law_check(e, zero_clark.transport)):
             with pytest.raises(ValueError):
                 fn(empty)

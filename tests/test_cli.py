@@ -62,6 +62,14 @@ class TestConfig:
         assert cfg.quadrature_tol == 1e-10
         assert len(cfg.potentials) == 6 and len(cfg.psis) == 5
 
+    def test_integral_and_int_numbers_are_accepted(self):
+        cfg = ExperimentConfig.from_dict(dict(
+            SMALL, A=4, p_list=[2], n_steps=128.0, seed=7.0, quadrature_tol=1,
+            potentials=[{"family": "abs", "params": {"c": 1}}]))
+        assert (cfg.A, cfg.p_list, cfg.quadrature_tol) == (4.0, [2.0], 1.0)
+        assert type(cfg.n_steps) is int and cfg.n_steps == 128
+        assert type(cfg.seed) is int and cfg.seed == 7
+
     def test_seed_takes_every_64_bit_word(self):
         for seed in (0, 2**64 - 1):
             cfg = ExperimentConfig.from_dict(dict(SMALL, seed=seed))
@@ -124,6 +132,21 @@ class TestConfig:
         {"psis": [{"lable": "x", "atoms": [[0.0, 1.0]]}]},
         # JSON's 1e400 parses to inf
         {"quadrature_tol": json.loads("1e400")},
+        # numbers of the wrong type were coerced: seed 3.7 ran as 3, "32"
+        # steps as 32, A = true as 1, and c = true built abs(1)
+        {"seed": 3.7},
+        {"n_paths": 1500.5},
+        {"n_steps": "32"},
+        {"A": True},
+        {"quadrature_tol": "1e-10"},
+        {"p_list": "23"},
+        {"p_list": [True]},
+        {"potentials": [{"family": "abs", "params": {"c": True}}]},
+        {"potentials": [{"slope_map": {"name": "linear",
+                                       "params": {"scale": "2"}}}]},
+        {"potentials": [{"slope_map": {"name": "cubic"}, "alpha": True}]},
+        {"psis": [{"call": True}]},
+        {"psis": [{"atoms": [[0.0, "1"]]}]},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -238,6 +261,10 @@ class TestRunCommand:
         # narrower Gaussian; the bl2 correction used to crash on it
         ("potentials", dict(LOG_MIXTURE_ENTRY, improved_alpha=1.5)),
         ("potentials", dict(LOG_MIXTURE_ENTRY, improved_alpha=10.0)),
+        # a bool where a number belongs
+        ("potentials", {"family": "abs", "params": {"c": True}}),
+        ("psis", {"call": True}),
+        ("p_list", True),
     ])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,
@@ -251,6 +278,15 @@ class TestRunCommand:
         cfg = write_config(tmp_path, overrides=dict(lists, n_paths=300))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [{"seed": 3.7}, {"n_steps": "32"},
+                                     {"A": True}])
+    def test_wrongly_typed_number_exits_2_writing_nothing(self, bad,
+                                                          tmp_path):
+        cfg = write_config(tmp_path, overrides=bad)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_failed_inequality_exits_1(self, tmp_path, monkeypatch):
@@ -564,12 +600,12 @@ def oracle_reports():
         cfg.quadrature_tol)
     mixture = _parse_potential_entry(LOG_MIXTURE_ENTRY, cfg.A,
                                      cfg.quadrature_tol)
-    ensemble = simulate_embedding(ClarkIntegrand(theorem.tmap), 400, 32,
-                                  seed=3)
+    clark = ClarkIntegrand(theorem.tmap)
+    ensemble = simulate_embedding(clark, 400, 32, seed=3)
     psis = [convex_test_from_spec(s) for s in cfg.psis]
     p_list = tuple(cfg.p_list)
-    reports = (_process_entry(theorem, ensemble, psis, p_list)[1]
-               + _process_entry(mixture, None, psis, p_list)[1])
+    reports = (_process_entry(theorem, clark, ensemble, psis, p_list)[1]
+               + _process_entry(mixture, None, None, psis, p_list)[1])
     explosive = TestVerifyTheorem._explosive_psi()
     zero = build_transport(builtin_potential("zero"), 1.0)
     reports += [verify_theorem(explosive, theorem.tmap),

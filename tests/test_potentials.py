@@ -7,7 +7,7 @@ from blverify.gaussian_core import std_normal_pdf
 from blverify.potentials import (builtin_potential, builtin_slope_map,
                                  check_slope_bounds,
                                  gaussian_mixture_slope_map,
-                                 log_mixture_slope_map, rescale_potential)
+                                 log_mixture_slope_map)
 
 LM = dict(p=0.5, q=0.5 * math.sqrt(2.0), a=1.0, b=2.0)
 # three atoms with sum w / sqrt(kappa) = 1
@@ -80,11 +80,6 @@ class TestBuiltinPotentials:
         fd = finite_diff(pot.value, x)
         np.testing.assert_allclose(pot.right_derivative(x), fd,
                                    atol=1e-8, rtol=1e-8)
-
-    def test_rescale(self):
-        pot = rescale_potential(builtin_potential("quadratic"), 2.0)
-        assert float(pot.value(1.0)) == pytest.approx(2.0)     # (2x)^2/2
-        assert float(pot.right_derivative(1.0)) == pytest.approx(4.0)
 
 
 def mixture_k_second(sm, atoms):

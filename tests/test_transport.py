@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blverify.gaussian_core import std_normal_cdf
-from blverify.potentials import Potential, builtin_potential
+from blverify.bass_embedding import _G_PRIME_REL_TOL
+from blverify.gaussian_core import (std_normal_cdf, std_normal_pdf,
+                                    std_normal_quantile)
+from blverify.potentials import Potential, builtin_potential, builtin_slope_map
 from blverify.transport import (_GL_W, DivergentNormalizerError,
-                                NonConvexPotentialError,
                                 NonFinitePotentialError, _panel_nodes,
-                                build_transport, check_density_quantile_gap,
-                                check_g_prime_bound, check_hazard_bounds)
+                                build_transport)
+from blverify.verifier import appendix_transport
 
 from conftest import MATRIX_KEYS
 
@@ -122,10 +123,11 @@ class TestTransportDerivative:
             np.testing.assert_allclose(tm.g_prime(xs), fd, atol=1e-6)
 
     def test_scaling_covariance(self):
-        # building with (V, A) vs (V(sqrt(A) x), 1): g_A = sqrt(A) g_1
-        for name in ("quadratic", "abs"):
+        # building with (V, A) vs (V(sqrt(A) x), 1): g_A = sqrt(A) g_1; at
+        # A = 4, V(2x) of quadratic(1) is quadratic(4) and of abs(1) abs(2)
+        for name, c_of_v2x in (("quadratic", 4.0), ("abs", 2.0)):
             t4 = build_transport(builtin_potential(name), 4.0)
-            t1 = t4.unit_variance_map()
+            t1 = build_transport(builtin_potential(name, {"c": c_of_v2x}), 1.0)
             xs = np.linspace(-6, 6, 121)
             assert np.max(np.abs(t4.g(xs) - 2.0 * t1.g(xs))) <= 1e-9
 
@@ -136,61 +138,43 @@ class TestTransportDerivative:
         assert val == pytest.approx(13.0, abs=1e-8)  # linear continuation
 
 
+A_VALUES = (0.25, 1.0, 4.0)
+
+
 class TestGPrimeBound:
-    def test_equality_case(self, zero_map):
-        rep = check_g_prime_bound(zero_map, X)
-        assert rep.passed
-        assert rep.max_g_prime == pytest.approx(1.0, abs=1e-12)
+    # Caffarelli's g' <= sqrt(A), up to the round-off that
+    # bass_embedding.t_bound_check allows
+    def test_equality_case(self):
+        for a in A_VALUES:
+            gp = build_transport(builtin_potential("zero"), a).g_prime(X)
+            np.testing.assert_allclose(gp, math.sqrt(a),
+                                       rtol=_G_PRIME_REL_TOL)
 
     def test_double_well_slope_bound(self):
-        from blverify.verifier import appendix_transport
-        from blverify.potentials import builtin_slope_map
-        tm = appendix_transport(builtin_slope_map("cubic"), 1.0)
-        rep = check_g_prime_bound(tm, X)
-        assert rep.passed
-        # max of g' = 1/k'(k^{-1}) is 1 at the origin
-        assert rep.max_g_prime == pytest.approx(1.0, abs=1e-9)
-        assert rep.arg_max == pytest.approx(0.0, abs=1e-9)
+        # g' = 1/k'(k^{-1}) <= 1/sqrt(alpha) = sqrt(A), with its maximum 1
+        # at the origin: equality at the map's alpha = 1, strict below it
+        for a in (1.0, 4.0):
+            tm = appendix_transport(builtin_slope_map("cubic"), 1.0 / a)
+            gp = tm.g_prime(X)
+            i = int(np.argmax(gp))
+            assert gp[i] == pytest.approx(1.0, abs=1e-9)
+            assert X[i] == pytest.approx(0.0, abs=1e-9)
+            assert gp[i] <= math.sqrt(a) * (1.0 + _G_PRIME_REL_TOL)
 
     def test_abs_bound(self):
-        tm = build_transport(builtin_potential("abs"), 1.0)
-        rep = check_g_prime_bound(tm, X)
-        assert rep.passed and rep.max_g_prime <= 1.0
-
-
-class TestHazardBounds:
-    def test_zero_equalities(self, zero_map):
-        rep = check_hazard_bounds(zero_map)
-        assert rep.passed
-        assert rep.max_ratio_deficit <= 1e-12
-
-    def test_linear_saturates_supporting_line(self, lin_map):
-        # V linear makes the supporting-line bound an identity
-        rep = check_hazard_bounds(lin_map)
-        assert rep.passed
-        assert rep.max_ratio_deficit <= 1e-11
-        assert rep.max_density_deficit <= 1e-11
-
-    def test_quadratic_strict(self, quad_map):
-        rep = check_hazard_bounds(quad_map, np.linspace(-5, 5, 201))
-        assert rep.passed
-        assert rep.max_ratio_deficit < 0.0  # strictly inside
-
-    def test_abs_kink_one_sided(self):
-        tm = build_transport(builtin_potential("abs"), 1.0)
-        assert check_hazard_bounds(tm).passed
-
-    def test_rejects_nonconvex(self):
-        tm = build_transport(builtin_potential("double_well"), 1.0)
-        with pytest.raises(NonConvexPotentialError):
-            check_hazard_bounds(tm)
+        for a in A_VALUES:
+            tm = build_transport(builtin_potential("abs"), a)
+            assert np.max(tm.g_prime(X)) < math.sqrt(a)
 
 
 class TestDensityQuantileGap:
+    # F'(F^{-1}(xi)) - Phi'(Phi^{-1}(xi)) at A = 1, the g' bound read on
+    # the quantile scale
     def test_zero_gap_vanishes(self, zero_map):
-        rep = check_density_quantile_gap(zero_map)
-        assert rep.passed
-        assert abs(rep.min_gap) <= 1e-12
+        xi = np.linspace(0.0005, 0.9995, 1999)
+        gap = (zero_map.density(zero_map.quantile(xi))
+               - std_normal_pdf(std_normal_quantile(xi)))
+        assert np.max(np.abs(gap)) <= 1e-12
 
     def test_quadratic_median_value(self, quad_map):
         # at xi = 1/2: sqrt(2)/sqrt(2 pi) - 1/sqrt(2 pi)
@@ -198,12 +182,9 @@ class TestDensityQuantileGap:
                - 1.0 / math.sqrt(2 * math.pi))
         assert gap == pytest.approx((math.sqrt(2) - 1) / math.sqrt(2 * math.pi),
                                     abs=1e-12)
-        assert check_density_quantile_gap(quad_map).passed
-
-    def test_rejects_nonconvex(self):
-        tm = build_transport(builtin_potential("double_well"), 1.0)
-        with pytest.raises(NonConvexPotentialError):
-            check_density_quantile_gap(tm)
+        xi = np.linspace(0.0005, 0.9995, 1999)
+        assert np.all(quad_map.density(quad_map.quantile(xi))
+                      >= std_normal_pdf(std_normal_quantile(xi)))
 
 
 class TestBuildErrors:
