@@ -13,12 +13,11 @@ from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,
                              t_bound_check, wald_check)
 from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            builtin_convex_test, convex_test_from_spec,
-                           eval_psi, integrate_against_second_derivative,
+                           integrate_against_second_derivative,
                            p1_limit_bounds, second_derivative_mass)
-from .gaussian_core import (heat_kernel, std_normal_cdf, std_normal_pdf,
-                            std_normal_quantile)
-from .local_time import (est1_lower, est2_upper, expected_local_time,
-                         expected_local_time_array, local_time_gap_mc)
+from .gaussian_core import std_normal_cdf, std_normal_pdf, std_normal_quantile
+from .local_time import (est1_lower, est2_upper, expected_local_time_array,
+                         local_time_gap_mc)
 from .potentials import (Potential, SlopeMap, builtin_potential,
                          builtin_slope_map, check_slope_bounds,
                          gaussian_mixture_slope_map, log_mixture_slope_map)

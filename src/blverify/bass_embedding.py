@@ -85,10 +85,11 @@ _GRID_TAU_ROWS = 2             # tau rows per Clark-grid chunk (~1 MB of nodes)
 _CSV_ROWS = 2048               # rows formatted per CSV write (~0.6 MB transient)
 _U = 2.0**-53                  # unit roundoff
 # Relative round-off allowed above sqrt(A) on the g' table and the Clark
-# grid: 10x the largest excess that test_bass_embedding.py's
+# grid: 6.6x the largest excess that test_bass_embedding.py's
 # TestChecks::test_t_bound_tolerances_cover_measured_round_off measures
-# (844 u = 9.4e-14, on the g' table of linear(20) at A = 1.44), a test
-# that fails from 1/4 of it.
+# (1366 u = 1.5e-13, on the g' table of linear(20) at A = 1.44, whose
+# transport window is centred on the mode -28.8; 844 u while the window
+# stopped at -6), a test that fails from 1/4 of it.
 _G_PRIME_REL_TOL = 1e-12
 
 

@@ -39,8 +39,9 @@ from .local_time import (check_variance_pair, est1_lower, est2_upper,
                          local_time_gap_mc)
 from .potentials import (SlopeBoundReport, _real_number, builtin_potential,
                          builtin_slope_map)
-from .transport import (DivergentNormalizerError, NonFinitePotentialError,
-                        TransportMap, build_transport)
+from .transport import (DEFAULT_QUADRATURE_TOL, DivergentNormalizerError,
+                        NonFinitePotentialError, TransportMap,
+                        build_transport)
 from .verifier import (SlopeBoundError, appendix_transport,
                        check_declared_slope_bounds, format_float,
                        format_floats, mc_crosscheck, verify_appendix,
@@ -70,7 +71,7 @@ class ExperimentConfig:
     n_paths: int = 100_000
     n_steps: int = 2048
     seed: int = 42
-    quadrature_tol: float = 1e-10
+    quadrature_tol: float = DEFAULT_QUADRATURE_TOL
     output_dir: str = "out"
 
     def validate(self) -> "ExperimentConfig":

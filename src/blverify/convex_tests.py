@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .local_time import check_variance_pair, est1_lower
-from .gaussian_core import heat_kernel
+from .gaussian_core import std_normal_pdf
 from .potentials import _from_catalog, _real_number
 from .transport import _GL_W, _panel_nodes
 
@@ -40,7 +40,6 @@ __all__ = [
     "ConvexTest",
     "builtin_convex_test",
     "convex_test_from_spec",
-    "eval_psi",
     "second_derivative_mass",
     "integrate_against_second_derivative",
     "bl2_correction",
@@ -223,35 +222,13 @@ def convex_test_from_spec(spec) -> ConvexTest:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and psi'' integrals
+# psi'' integrals
 # ---------------------------------------------------------------------------
-
-def eval_psi(psi: ConvexTest, x: float) -> float:
-    """Reconstruct psi(x) from its second-derivative measure."""
-    x = float(x)
-    out = psi.value_at_zero + psi.left_slope_at_zero * x
-    for loc, mass in psi.atoms:
-        out += mass * (max(x - loc, 0.0) if loc >= 0.0 else max(loc - x, 0.0))
-    if psi.density is not None and x != 0.0:
-        # int (x - y)^+ psi''(dy) over [0, x] for x > 0 and
-        # int (y - x)^+ psi''(dy) over [x, 0] for x < 0: |x - y| on both
-        h = lambda y: np.abs(x - y) * psi.density(y)
-        out += _gauss_legendre(h, min(x, 0.0), max(x, 0.0), 1e-12, 1e-12)
-    return out
-
 
 def second_derivative_mass(psi: ConvexTest) -> float:
     """Total mass psi''(R); +inf when the density does not decay."""
-    total = sum(mass for _, mass in psi.atoms)
-    if psi.density is not None:
-        w = 200.0       # half-width of the density integral
-        inner = _gauss_legendre(psi.density, -w, w, 1e-12, 1e-10)
-        strip = _gauss_legendre(psi.density, w, w * 1.05, 1e-12, 1e-10)
-        strip2 = _gauss_legendre(psi.density, -w * 1.05, -w, 1e-12, 1e-10)
-        if strip + strip2 > _TAIL_FRACTION * max(inner, 1e-300):
-            return math.inf
-        total += inner
-    return total
+    return integrate_against_second_derivative(psi, np.ones_like,
+                                               window=200.0)
 
 
 def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
@@ -367,7 +344,7 @@ def bl3_constant(psi: ConvexTest, variance: float, q: float) -> float:
     scale = math.sqrt(aq)
     window = 12.0 * scale + 10.0
     integral = integrate_against_second_derivative(
-        psi, lambda x: heat_kernel(1.0, x / scale), window=window)
+        psi, lambda x: std_normal_pdf(x / scale), window=window)
     return aq ** (1.0 / (2.0 * q)) * integral
 
 

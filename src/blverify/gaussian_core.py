@@ -1,10 +1,11 @@
 """Standard-normal primitives.
 
 Everything downstream (transport maps, local-time formulas, the embedding
-simulator) reduces to three functions: the standard normal CDF and
-quantile, and the Gaussian heat kernel.  They accept scalars or numpy
-arrays and are stateless, so they are safe to call from any number of
-threads.  They need numpy only.
+simulator) reduces to three functions: the standard normal CDF, density
+and quantile.  The Gaussian heat kernel p(t; x) of the local-time bounds is
+std_normal_pdf(x / sqrt t) / sqrt t, and the package evaluates it only at
+t = 1.  The functions accept scalars or numpy arrays and are stateless, so
+they are safe to call from any number of threads.  They need numpy only.
 
 Algorithms and accuracy
 -----------------------
@@ -310,24 +311,3 @@ def _lower_quantile(v: np.ndarray) -> np.ndarray:
                  / (np.exp(-0.5 * z * z) / _SQRT_2PI))
     return z
 
-
-def heat_kernel(t, x):
-    """Gaussian heat kernel p(t; x) = exp(-x^2 / 2t) / sqrt(2 pi t).
-
-    Parameters
-    ----------
-    t : float
-        Time, strictly positive.
-    x : float or array_like
-        Spatial position(s).
-
-    Raises
-    ------
-    ValueError
-        If t <= 0.
-    """
-    if not (t > 0.0):
-        raise ValueError(f"heat_kernel requires t > 0, got t={t}")
-    arr, scalar = _as_array(x)
-    out = np.exp(-arr * arr / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-    return float(out) if scalar else out

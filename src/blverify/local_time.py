@@ -11,6 +11,11 @@ occupation integral and the two equivalent reflection forms
 2 int_0^inf (y - |x|)^+ p(t; y) dy and 2 int_0^inf (sqrt(t) y - |x|)^+
 p(1; y) dy are kept in the tests as quadrature oracles.
 
+The same formula gives the Gaussian side of every verdict.  For Y ~ N(0, A)
+Tanaka's formula reads E psi(Y) = psi(0) + (1/2) int psi''(dy) E[L^y_A],
+because the call value E(Y - |y|)^+ is (1/2) E[L^y_A]; ``verifier.moment_lhs``
+integrates that half against psi''.
+
 On top of it sit the two closed-form bounds for the residual local time
 E[L^x_A - L^x_T] accumulated between a stopping time T <= A with centered
 embedded law of variance var_x and the horizon A:
@@ -32,10 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_core import heat_kernel, std_normal_cdf
+from .gaussian_core import std_normal_cdf, std_normal_pdf
 
 __all__ = [
-    "expected_local_time",
     "expected_local_time_array",
     "GapEstimate",
     "local_time_gap_mc",
@@ -43,15 +47,6 @@ __all__ = [
     "est1_lower",
     "est2_upper",
 ]
-
-
-def expected_local_time(x: float, t: float) -> float:
-    """E[L^x_t] for standard Brownian motion at level x (even in x) and
-    horizon t > 0, by the closed form of ``expected_local_time_array``,
-    clamped at 0 against rounding in the far tail."""
-    if not (t > 0.0):
-        raise ValueError(f"expected_local_time requires t > 0, got {t}")
-    return max(expected_local_time_array(float(x), float(t)), 0.0)
 
 
 def expected_local_time_array(x, t):
@@ -62,7 +57,8 @@ def expected_local_time_array(x, t):
     Exactly the occupation formula in closed form; entries with t <= 0
     evaluate to 0 (no residual horizon).  Used by the Monte Carlo gap
     estimator, where one evaluation per path is needed, and by the psi''
-    integral of the bl2 correction, one evaluation per quadrature node.
+    integrals of the Gaussian moment side and of the bl2 correction, one
+    evaluation per quadrature node.
     """
     x = np.asarray(x, float)
     t = np.asarray(t, float)
@@ -146,5 +142,5 @@ def est2_upper(x: float, variance: float, var_x: float, p: float) -> float:
     q = p / (p - 1.0)
     aq = variance * (1.0 + q)
     return (2.0 * aq ** (1.0 / (2.0 * q))
-            * heat_kernel(1.0, x / math.sqrt(aq))
+            * std_normal_pdf(x / math.sqrt(aq))
             * (variance - var_x) ** (1.0 / (2.0 * p)))

@@ -33,6 +33,7 @@ __all__ = [
     "NonFinitePotentialError",
     "NonConvexPotentialError",
     "build_transport",
+    "DEFAULT_QUADRATURE_TOL",
 ]
 
 
@@ -54,6 +55,8 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 
 _WINDOW_SIGMA = 12.0       # window half width in units of sqrt(A), plus pad
 _WINDOW_PAD = 2.0
+_MODE_GRID_PAD = 8.0          # the mode search grid reaches 12 sd + this
+_MODE_GRID_MOVES = 16         # most moves of that grid toward the mode
 _INITIAL_PANELS = 4096
 _MAX_EDGES = 9000
 _MAX_REFINE_ROUNDS = 30
@@ -64,6 +67,9 @@ _G_XMAX = 11.5                # |x| beyond which g is linearly extrapolated
 # the same bits, but showed no end-to-end gain in wall time.
 _NEWTON_ITERS = 6
 _TINY = 5e-324
+# Relative panel tolerance of the density tables, for library callers and
+# the CLI's ``quadrature_tol`` alike.
+DEFAULT_QUADRATURE_TOL = 1e-10
 
 
 def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +86,7 @@ class TransportMap:
     """
 
     def __init__(self, potential: Potential, variance: float,
-                 quadrature_tol: float = 1e-12):
+                 quadrature_tol: float = DEFAULT_QUADRATURE_TOL):
         if not (variance > 0.0 and np.isfinite(variance)):
             raise ValueError(f"Gaussian variance must be positive, got {variance}")
         if not (quadrature_tol > 0.0):
@@ -93,15 +99,7 @@ class TransportMap:
         sd = np.sqrt(self.A)
         self._log_norm = np.log(np.sqrt(2.0 * np.pi) * sd)
 
-        # Window centered at the coarse argmin of the tilted exponent
-        # V(x) + x^2/(2A); the Gaussian mass outside is < 1e-31.
-        coarse = np.linspace(-_WINDOW_SIGMA * sd - 8.0,
-                             _WINDOW_SIGMA * sd + 8.0, 4097)
-        expo = np.asarray(potential.value(coarse), float) + coarse**2 / (2 * self.A)
-        if not np.all(np.isfinite(expo)):
-            raise NonFinitePotentialError(
-                f"potential {potential.label!r} is not finite on the window")
-        center = float(coarse[np.argmin(expo)])
+        center = self._mode(_WINDOW_SIGMA * sd + _MODE_GRID_PAD)
         half = _WINDOW_SIGMA * sd + _WINDOW_PAD
         self.window = (center - half, center + half)
 
@@ -110,6 +108,31 @@ class TransportMap:
         self._prepare_extrapolation()
 
     # -- construction ------------------------------------------------------
+
+    def _mode(self, reach: float) -> float:
+        """The window centre: the argmin of the tilted exponent
+        V(x) + x^2/(2A) on a 4097-point grid of [-reach, reach], moved by
+        ``reach`` toward an argmin that lands on an end of the grid.  For
+        convex V the exponent is strictly convex, so an argmin inside the
+        grid is the mode; the Gaussian mass outside the window around it is
+        below 1e-31."""
+        center = 0.0
+        for _ in range(_MODE_GRID_MOVES + 1):
+            coarse = np.linspace(center - reach, center + reach, 4097)
+            expo = (np.asarray(self.potential.value(coarse), float)
+                    + coarse**2 / (2 * self.A))
+            if not np.all(np.isfinite(expo)):
+                raise NonFinitePotentialError(
+                    f"potential {self.potential.label!r} is not finite on "
+                    "the window")
+            i = int(np.argmin(expo))
+            center = float(coarse[i])
+            if 0 < i < coarse.size - 1:
+                return center
+        raise DivergentNormalizerError(
+            f"the tilted exponent of {self.potential.label!r} still falls at "
+            f"x = {center:g}, {_MODE_GRID_MOVES} grid moves out: its mode is "
+            "out of reach or exp(-V) d nu diverges")
 
     def _unnormalized_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
@@ -372,7 +395,8 @@ class TransportMap:
 
 
 def build_transport(potential: Potential, variance: float,
-                    quadrature_tol: float = 1e-12) -> TransportMap:
+                    quadrature_tol: float = DEFAULT_QUADRATURE_TOL
+                    ) -> TransportMap:
     """Construct the transport representation of mu = exp(-V) d N(0, A) / Z.
 
     Raises

@@ -13,8 +13,9 @@ deviation ratio bound E|X - EX| / var(X) >= 1 / sqrt(2 pi A).
 
 Expectations are evaluated by deterministic quadrature: both sides reduce,
 through the second-derivative measure of psi, to integrals of call/put
-values (analytic for the Gaussian side, partial-moment tables of the
-transport build for the tilted side).  These integrands are vectorized: the
+values (half the expected local time of ``local_time`` for the Gaussian
+side, by Tanaka's formula; partial-moment tables of the transport build
+for the tilted side).  These integrands are vectorized: the
 adaptive Gauss-Legendre integrator of ``convex_tests`` hands them the whole
 array of a refinement round's nodes, and ``moment_rhs`` evaluates the table
 call values on the nodes y >= 0 and the put values on the nodes y < 0.
@@ -39,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -47,10 +47,11 @@ from .bass_embedding import EmbeddingEnsemble
 from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            builtin_convex_test,
                            integrate_against_second_derivative, p1_limit_bounds)
-from .gaussian_core import std_normal_cdf, std_normal_pdf
+from .local_time import expected_local_time_array
 from .potentials import (_GRID, Potential, SlopeBoundReport, SlopeMap,
                          check_slope_bounds)
-from .transport import NonConvexPotentialError, TransportMap, build_transport
+from .transport import (DEFAULT_QUADRATURE_TOL, NonConvexPotentialError,
+                        TransportMap, build_transport)
 
 __all__ = [
     "Bl3Entry",
@@ -73,6 +74,12 @@ __all__ = [
     "format_floats",
 ]
 
+# Slack of the bl1 margin lhs - rhs.  Its Gaussian side takes almost none
+# of it: on test_verifier.py's TestMomentSides::
+# test_lhs_against_mpmath_closed_forms, moment_lhs is within 2.0e-15
+# relative (18 u at power(5), A = 1; 3.3e-13 absolute at power(5), A = 4)
+# of 40-digit closed forms.  With the Gaussian call value written out in
+# place of the local-time formula it was within 1.75e-15 (16 u).
 BL1_TOL = 1e-8
 BL2_TOL = BL1_TOL
 BL3_TOL = 1e-8
@@ -175,25 +182,16 @@ class VerificationReport:
 # moment sides
 # ---------------------------------------------------------------------------
 
-def _gaussian_call(variance: float) -> Callable:
-    sd = math.sqrt(variance)
-
-    def call(y):
-        k = np.abs(np.asarray(y, float)) / sd
-        return sd * (std_normal_pdf(k) - k * std_normal_cdf(-k))
-
-    return call
-
-
 def moment_lhs(psi: ConvexTest, variance: float) -> float:
-    """E[psi(Y - EY)] for Gaussian Y of the given variance, by quadrature of
-    analytic call values against psi''; +inf when the psi'' integral
-    diverges."""
+    """E[psi(Y - EY)] for Gaussian Y of the given variance, by Tanaka's
+    formula: psi(0) plus half the expected local time E[L^y_A] integrated
+    against psi''(dy); +inf when the psi'' integral diverges."""
     if not (variance > 0.0):
         raise ValueError("variance must be positive")
     window = 12.0 * math.sqrt(variance) + 10.0
     val = integrate_against_second_derivative(
-        psi, _gaussian_call(variance), window=window)
+        psi, lambda y: 0.5 * expected_local_time_array(y, variance),
+        window=window)
     if math.isinf(val):
         return math.inf
     return psi.value_at_zero + val
@@ -334,7 +332,8 @@ def gaussianized_potential(lebesgue_potential: Potential,
 
 
 def appendix_transport(slope_map: SlopeMap, alpha: float,
-                       quadrature_tol: float = 1e-12) -> TransportMap:
+                       quadrature_tol: float = DEFAULT_QUADRATURE_TOL
+                       ) -> TransportMap:
     """Transport build for mu = exp(-U) dx / Z' with U = k^2/2 - log k',
     expressed against the effective Gaussian N(0, 1/alpha).
 

@@ -18,8 +18,8 @@ from blverify.bass_embedding import (ClarkIntegrand, embedded_law_check,
                                      wald_check)
 from blverify.cli import main as cli_main
 from blverify.convex_tests import builtin_convex_test, second_derivative_mass
-from blverify.local_time import (est1_lower, est2_upper, expected_local_time,
-                                 local_time_gap_mc)
+from blverify.local_time import (est1_lower, est2_upper,
+                                 expected_local_time_array, local_time_gap_mc)
 from blverify.potentials import builtin_potential, builtin_slope_map, \
     check_slope_bounds
 from blverify.transport import build_transport
@@ -146,8 +146,8 @@ def test_criterion_5_local_time_triple_agreement():
     # the production closed form against the three quadrature forms
     worst = worst_pairwise_disagreement(np.linspace(-3.0, 3.0, 20),
                                         np.linspace(0.05, 4.0, 20))
-    origin_err = max(abs(expected_local_time(0.0, t) - math.sqrt(2 * t / math.pi))
-                     for t in (0.5, 1.0, 2.0))
+    origin_err = max(abs(expected_local_time_array(0.0, t)
+                         - math.sqrt(2 * t / math.pi)) for t in (0.5, 1.0, 2.0))
     _report(5, "closed-form local time and its three quadrature forms agree "
                "(20x20 grid) and "
                "E[L^0_t] = sqrt(2t/pi)",

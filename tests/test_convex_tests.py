@@ -10,14 +10,14 @@ from scipy.integrate import quad
 from blverify import convex_tests
 from blverify.convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                                    builtin_convex_test, convex_test_from_spec,
-                                   eval_psi,
                                    integrate_against_second_derivative,
                                    p1_limit_bounds, second_derivative_mass)
-from blverify.gaussian_core import heat_kernel, std_normal_cdf
+from blverify.gaussian_core import std_normal_cdf, std_normal_pdf
 from blverify.local_time import est1_lower, expected_local_time_array
-from blverify.verifier import _gaussian_call, moment_lhs, moment_rhs
+from blverify.verifier import moment_lhs, moment_rhs
 
 from conftest import MATRIX_KEYS
+from test_gaussian_core import heat_kernel
 
 ALL_BUILTINS = [
     builtin_convex_test("abs"),
@@ -37,6 +37,29 @@ DATA_PSIS = [
                            "density_poly_coeffs": [1.0, 0.0, 0.3]}),
 ]
 ORACLE_PSIS = ALL_BUILTINS + [builtin_convex_test("power", p=5)] + DATA_PSIS
+
+
+def eval_psi(psi, x):
+    """psi(x) rebuilt from its second-derivative measure, the density part
+    by scipy quadrature: the oracle of every test function's closed form."""
+    x = float(x)
+    out = psi.value_at_zero + psi.left_slope_at_zero * x
+    for loc, mass in psi.atoms:
+        out += mass * (max(x - loc, 0.0) if loc >= 0.0 else max(loc - x, 0.0))
+    if psi.density is not None and x != 0.0:
+        # int (x - y)^+ psi''(dy) over [0, x] for x > 0 and
+        # int (y - x)^+ psi''(dy) over [x, 0] for x < 0: |x - y| on both
+        val, _ = quad(lambda y: abs(x - y) * float(psi.density(y)),
+                      min(x, 0.0), max(x, 0.0), epsabs=1e-13, epsrel=1e-13,
+                      limit=200)
+        out += val
+    return out
+
+
+def gaussian_call(variance):
+    """The integrand of ``moment_lhs``: the call value E(Y - |y|)^+ of
+    Y ~ N(0, variance), half the expected local time at level y."""
+    return lambda y: 0.5 * expected_local_time_array(y, variance)
 
 
 def quad_reference(psi, f, window=60.0):
@@ -89,11 +112,11 @@ def explosive_psi():
 def _kernels():
     out = []
     for a in (1.0, 4.0):
-        out.append((f"gaussian_call(A={a:g})", _gaussian_call(a),
+        out.append((f"gaussian_call(A={a:g})", gaussian_call(a),
                     12.0 * math.sqrt(a) + 10.0))
         scale = math.sqrt(a * 3.0)
         out.append((f"heat_kernel(A={a:g},q=2)",
-                    lambda x, _s=scale: heat_kernel(1.0, x / _s),
+                    lambda x, _s=scale: std_normal_pdf(x / _s),
                     12.0 * scale + 10.0))
         horizon = (a - 0.6 * a) ** 2 / a
         out.append((f"bl2_kernel(A={a:g})",
@@ -132,7 +155,7 @@ class TestIntegratorOracle:
     def test_explosive_psi_diverges_on_both(self, matrix_transports):
         psi = explosive_psi()
         for a in (1.0, 4.0):
-            f, window = _gaussian_call(a), 12.0 * math.sqrt(a) + 10.0
+            f, window = gaussian_call(a), 12.0 * math.sqrt(a) + 10.0
             assert quad_reference(psi, f, window) == math.inf
             assert integrate_against_second_derivative(psi, f, window) == math.inf
         assert moment_lhs(psi, 1.0) == math.inf
@@ -153,8 +176,7 @@ class TestIntegratorOracle:
         # int (1 + 1{y > 0.3}) p(1; y) dy = 1 + Phi(-0.3)
         psi = ConvexTest("jump", 0.0, 0.0,
                          density=lambda y: 1.0 + (np.asarray(y) > 0.3))
-        got = integrate_against_second_derivative(
-            psi, lambda y: heat_kernel(1.0, y))
+        got = integrate_against_second_derivative(psi, std_normal_pdf)
         assert got == pytest.approx(1.0 + std_normal_cdf(-0.3), abs=1e-12)
 
     def test_rough_integrand_ends_within_panel_budget(self):
@@ -215,7 +237,7 @@ class TestEvalPsi:
 class TestSecondDerivativeIntegrals:
     def test_atom_evaluation_against_heat_kernel(self):
         psi = builtin_convex_test("abs")
-        val = integrate_against_second_derivative(psi, lambda y: heat_kernel(1.0, y))
+        val = integrate_against_second_derivative(psi, std_normal_pdf)
         assert val == pytest.approx(2.0 / math.sqrt(2.0 * math.pi), abs=1e-14)
 
     def test_infinite_mass_flagged(self):

