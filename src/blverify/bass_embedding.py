@@ -101,7 +101,6 @@ class EmbeddingEnsemble:
     bt: np.ndarray
     w1: np.ndarray
     n_steps: int
-    seed: int
     A: float
     mean_g: float
     clamp_count: int
@@ -429,7 +428,7 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
         tmap = clark.transport
         ensembles.append(EmbeddingEnsemble(
             T=t_acc, bt=np.asarray(tmap.g(w), float) - clark.mean_g,
-            w1=w.copy(), n_steps=int(n_steps), seed=int(seed),
+            w1=w.copy(), n_steps=int(n_steps),
             A=float(tmap.A), mean_g=float(clark.mean_g),
             clamp_count=int(np.count_nonzero(t_acc > tmap.A)),
             potential_label=tmap.potential.label))

@@ -62,7 +62,7 @@ _MALFORMED = (ValueError, TypeError, KeyError, OverflowError)
 class ExperimentConfig:
     """Validated experiment settings (see README for the JSON schema)."""
 
-    potentials: list
+    potentials: list = dataclasses.field(default_factory=list)
     A: float = 1.0
     psis: list = dataclasses.field(
         default_factory=lambda: ["abs", "square", {"power": 3},
@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise ConfigError(f"'seed' must lie in [0, 2^64), got {self.seed}")
         if not (0.0 < self.quadrature_tol < math.inf):
             raise ConfigError("'quadrature_tol' must be positive and finite")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("'output_dir' must be a string, got "
+                              f"{self.output_dir!r}")
         for spec in self.potentials:
             _parse_potential_entry(spec, self.A, self.quadrature_tol,
                                    build=False)
@@ -123,7 +126,6 @@ class ExperimentConfig:
                                               "'quadrature_tol'")
         except _MALFORMED as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
-        cfg.output_dir = str(cfg.output_dir)
         return cfg.validate()
 
     def to_dict(self) -> dict:
@@ -210,11 +212,6 @@ def _parse_potential_entry(spec, variance: float, tol: float,
             pot = builtin_potential(spec["family"], _params(spec))
         except _MALFORMED as exc:
             raise ConfigError(f"bad potential entry {spec!r}: {exc}") from exc
-        if not pot.convex:
-            # the theorem verdicts need convexity; non-convex measures go
-            # through their slope map
-            raise ConfigError(f"potential {pot.label!r} is not convex; give "
-                              "it as a 'slope_map' entry")
         if not build:
             return None
         return _Entry("theorem", build_transport(pot, variance, tol))
@@ -393,28 +390,30 @@ def _sandwich_rows(tmap: TransportMap, ensemble: EmbeddingEnsemble,
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config of --config or --matrix with the flag overrides, and
+    n_paths = 0 for 'verify', merged in before its one validation."""
     if args.config and args.matrix:
         raise ConfigError("--config and --matrix are mutually exclusive")
+    overrides = {attr: getattr(args, name) for name, attr in (
+        ("seed", "seed"), ("paths", "n_paths"), ("steps", "n_steps"),
+        ("out", "output_dir")) if getattr(args, name) is not None}
+    if args.command == "verify":
+        overrides["n_paths"] = 0
     if args.matrix:
         if args.matrix != "default":
             raise ConfigError(f"unknown matrix {args.matrix!r}")
-        cfg = default_matrix_config()
-    elif args.config:
+        return default_matrix_config(**overrides)
+    if args.config:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {args.config}: {exc}") from exc
-        cfg = ExperimentConfig.from_dict(raw)
-    else:
-        raise ConfigError("either --config PATH or --matrix default is required")
-    for name, attr in (("seed", "seed"), ("paths", "n_paths"),
-                       ("steps", "n_steps"), ("out", "output_dir")):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    return cfg.validate()
+        if isinstance(raw, dict):
+            raw.update(overrides)
+        return ExperimentConfig.from_dict(raw)
+    raise ConfigError("either --config PATH or --matrix default is required")
 
 
 def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
@@ -544,8 +543,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args)
-        if args.command == "verify":
-            cfg.n_paths = 0
         return run(cfg, mode=args.command,
                    x_grid=getattr(args, "x_grid", None))
     except (ConfigError, SlopeBoundError, DivergentNormalizerError,

@@ -1,9 +1,8 @@
 """One-dimensional potentials and slope maps.
 
 A :class:`Potential` tilts a Gaussian reference measure into
-mu(dx) = (1/Z) exp(-V(x)) nu(dx); the built-in catalog carries exact
-one-sided derivatives so that downstream checks can evaluate supporting-line
-inequalities at kinks without finite differencing.
+mu(dx) = (1/Z) exp(-V(x)) nu(dx).  Every family of the built-in catalog is
+convex; non-convex measures are given by their slope map.
 
 A :class:`SlopeMap` is a C^1 increasing function k with k'(x) >= sqrt(alpha)
 that pushes the (generally non-convex) measure exp(-U(x)) dx / sqrt(2 pi)
@@ -12,10 +11,10 @@ to the standard normal, where
     U(x) = k(x)^2 / 2 - log k'(x).
 
 Each catalog map carries U in closed form: the cubic map k = x + x^3 gives
-the ``double_well`` potential, a Gaussian-mixture map gives
--log sum_i w_i exp(-kappa_i x^2 / 2) (the ``log_mixture`` family for two
-atoms), and ``linear(s)`` gives s^2 x^2 / 2 - log s.  Densities are never
-evaluated through k; k and k' serve the slope-bound check.
+the double well x^2/2 + x^4 + x^6/2 - log(1 + 3 x^2), a Gaussian-mixture map
+gives -log sum_i w_i exp(-kappa_i x^2 / 2), and ``linear(s)`` gives
+s^2 x^2 / 2 - log s.  Densities are never evaluated through k; k and k'
+serve the slope-bound check.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Potential:
-    """A potential V with exact one-sided derivatives.
+    """A potential V, flagged convex or not.
 
     ``kinks`` lists the points where V' jumps; quadrature grids are seeded
     with them so no integration panel straddles a kink.
@@ -52,8 +51,6 @@ class Potential:
 
     label: str
     value: Callable
-    left_derivative: Callable
-    right_derivative: Callable
     convex: bool
     kinks: tuple[float, ...] = ()
 
@@ -91,8 +88,6 @@ class SlopeBoundReport:
     beta: float | None
     min_kprime: float
     max_kprime: float
-    arg_min: float
-    arg_max: float
     lower_violations: tuple[float, ...]
     upper_violations: tuple[float, ...]
     passed: bool
@@ -100,7 +95,7 @@ class SlopeBoundReport:
 
 _BOUND_SLACK = 1e-10
 
-# where slope bounds and the convexity of a rewritten potential are checked
+# where declared slope bounds are checked
 _GRID = np.linspace(-8.0, 8.0, 1601)
 
 
@@ -109,97 +104,29 @@ _GRID = np.linspace(-8.0, 8.0, 1601)
 # ---------------------------------------------------------------------------
 
 def _zero_potential() -> Potential:
-    z = lambda x: np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-    return Potential("zero", z, z, z, convex=True)
+    return Potential(
+        "zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)) + 0.0,
+        convex=True)
 
 
 def _linear_potential(c: float) -> Potential:
-    d = lambda x: np.full_like(np.asarray(x, dtype=float), c) + 0.0
     return Potential(f"linear({c:g})", lambda x: c * np.asarray(x, float),
-                     d, d, convex=True)
+                     convex=True)
 
 
 def _quadratic_potential(c: float) -> Potential:
     if c <= 0:
         raise ValueError("quadratic potential needs a positive scale")
-    d = lambda x: c * np.asarray(x, float)
     return Potential(f"quadratic({c:g})",
                      lambda x: 0.5 * c * np.asarray(x, float) ** 2,
-                     d, d, convex=True)
+                     convex=True)
 
 
 def _abs_potential(c: float) -> Potential:
     if c <= 0:
         raise ValueError("abs potential needs a positive scale")
-
-    def left(x):
-        x = np.asarray(x, float)
-        return c * np.where(x <= 0.0, -1.0, 1.0)
-
-    def right(x):
-        x = np.asarray(x, float)
-        return c * np.where(x < 0.0, -1.0, 1.0)
-
     return Potential(f"abs({c:g})", lambda x: c * np.abs(np.asarray(x, float)),
-                     left, right, convex=True, kinks=(0.0,))
-
-
-def _double_well_potential() -> Potential:
-    # U = x^2/2 + x^4 + x^6/2 - log(1 + 3 x^2); non-convex near the origin.
-    def val(x):
-        x = np.asarray(x, float)
-        x2 = x * x
-        return 0.5 * x2 + x2 * x2 + 0.5 * x2 * x2 * x2 - np.log1p(3.0 * x2)
-
-    def der(x):
-        x = np.asarray(x, float)
-        x2 = x * x
-        return x + 4.0 * x * x2 + 3.0 * x * x2 * x2 - 6.0 * x / (1.0 + 3.0 * x2)
-
-    return Potential("double_well", val, der, der, convex=False)
-
-
-def _gaussian_mixture_potential(atoms, label: str) -> Potential:
-    """U = -log sum_i w_i exp(-kappa_i x^2 / 2) for (w_i, kappa_i) pairs
-    sorted by increasing kappa; non-convex in general."""
-    (w0, kappa0), *others = atoms
-    rest = [(w, kp - kappa0) for w, kp in others]
-
-    def tails(x2):
-        # w_i exp(-(kappa_i - kappa_0) x^2 / 2): the smallest kappa is
-        # factored out for stability at large |x|
-        return [w * np.exp(-0.5 * d * x2) for w, d in rest]
-
-    def val(x):
-        x = np.asarray(x, float)
-        x2 = x * x
-        return 0.5 * kappa0 * x2 - np.log(w0 + sum(tails(x2)))
-
-    def der(x):
-        x = np.asarray(x, float)
-        t = tails(x * x)
-        return x * (kappa0 + sum(d * ti for (_, d), ti in zip(rest, t))
-                    / (w0 + sum(t)))
-
-    return Potential(label, val, der, der, convex=False)
-
-
-def _check_mixture_params(p: float, q: float, a: float, b: float) -> None:
-    if min(p, q, a, b) <= 0.0:
-        raise ValueError("log mixture parameters must be positive")
-    if not (a < b):
-        raise ValueError(f"log mixture requires a < b, got a={a}, b={b}")
-    resid = p / math.sqrt(a) + q / math.sqrt(b) - 1.0
-    if abs(resid) > 1e-12:
-        raise ValueError(
-            "log mixture weights must satisfy p/sqrt(a) + q/sqrt(b) = 1 "
-            f"(residual {resid:.3e})")
-
-
-def _log_mixture_family(p: float, q: float, a: float, b: float) -> Potential:
-    _check_mixture_params(p, q, a, b)
-    return _gaussian_mixture_potential(
-        [(p, a), (q, b)], f"log_mixture(p={p:g},q={q:g},a={a:g},b={b:g})")
+                     convex=True, kinks=(0.0,))
 
 
 # each factory's keyword arguments are the family's parameters
@@ -208,9 +135,6 @@ _POTENTIAL_FAMILIES = {
     "linear": lambda c=1.0: _linear_potential(float(c)),
     "quadratic": lambda c=1.0: _quadratic_potential(float(c)),
     "abs": lambda c=1.0: _abs_potential(float(c)),
-    "double_well": _double_well_potential,
-    "log_mixture": lambda p, q, a, b: _log_mixture_family(
-        float(p), float(q), float(a), float(b)),
 }
 
 
@@ -245,9 +169,9 @@ def _from_catalog(catalog: dict, what: str, name: str, params: dict | None):
 def builtin_potential(name: str, params: dict | None = None) -> Potential:
     """Construct a catalog potential by family name.
 
-    Families: ``zero``, ``linear(c)``, ``quadratic(c)`` (= c x^2 / 2),
-    ``abs(c)``, ``double_well``, ``log_mixture(p, q, a, b)``; any other
-    name or parameter raises ValueError.
+    Families, all convex: ``zero``, ``linear(c)``, ``quadratic(c)``
+    (= c x^2 / 2) and ``abs(c)``; any other name or parameter raises
+    ValueError.
     """
     return _from_catalog(_POTENTIAL_FAMILIES, "potential family", name, params)
 
@@ -263,7 +187,6 @@ def _identity_slope_map(scale: float = 1.0) -> SlopeMap:
         raise ValueError("slope scale must be positive")
     label = f"linear_k({scale:g})"
     s2, log_s = scale * scale, math.log(scale)
-    der = lambda x: s2 * np.asarray(x, float)
     return SlopeMap(
         label=label,
         k=lambda x: scale * np.asarray(x, float),
@@ -271,21 +194,46 @@ def _identity_slope_map(scale: float = 1.0) -> SlopeMap:
         potential=Potential(
             f"slope[{label}]",
             lambda x: 0.5 * s2 * np.asarray(x, float) ** 2 - log_s,
-            der, der, convex=True),
+            convex=True),
         alpha=s2,
         beta=s2,
     )
 
 
 def _cubic_slope_map() -> SlopeMap:
-    # k = x + x^3, k' = 1 + 3x^2 >= 1: generates the double-well potential.
+    # k = x + x^3, k' = 1 + 3x^2 >= 1: U = x^2/2 + x^4 + x^6/2
+    # - log(1 + 3 x^2), a double well, non-convex near the origin
+    def u(x):
+        x = np.asarray(x, float)
+        x2 = x * x
+        return 0.5 * x2 + x2 * x2 + 0.5 * x2 * x2 * x2 - np.log1p(3.0 * x2)
+
     return SlopeMap(
         label="cubic_k",
         k=lambda x: np.asarray(x, float) + np.asarray(x, float) ** 3,
         k_prime=lambda x: 1.0 + 3.0 * np.asarray(x, float) ** 2,
-        potential=replace(_double_well_potential(), label="slope[cubic_k]"),
+        potential=Potential("slope[cubic_k]", u, convex=False),
         alpha=1.0,
     )
+
+
+def _gaussian_mixture_potential(atoms, label: str) -> Potential:
+    """U = -log sum_i w_i exp(-kappa_i x^2 / 2) for (w_i, kappa_i) pairs
+    sorted by increasing kappa; non-convex in general."""
+    (w0, kappa0), *others = atoms
+    rest = [(w, kp - kappa0) for w, kp in others]
+
+    def tails(x2):
+        # w_i exp(-(kappa_i - kappa_0) x^2 / 2): the smallest kappa is
+        # factored out for stability at large |x|
+        return [w * np.exp(-0.5 * d * x2) for w, d in rest]
+
+    def val(x):
+        x = np.asarray(x, float)
+        x2 = x * x
+        return 0.5 * kappa0 * x2 - np.log(w0 + sum(tails(x2)))
+
+    return Potential(label, val, convex=False)
 
 
 def gaussian_mixture_slope_map(atoms, label: str | None = None) -> SlopeMap:
@@ -358,7 +306,15 @@ def log_mixture_slope_map(p: float, q: float, a: float, b: float) -> SlopeMap:
     Requires 0 < a < b and p/sqrt(a) + q/sqrt(b) = 1; then p <= k' <= sqrt(b)
     everywhere, so the declared bounds are alpha = p^2 and beta = b.
     """
-    _check_mixture_params(p, q, a, b)
+    if min(p, q, a, b) <= 0.0:
+        raise ValueError("log mixture parameters must be positive")
+    if not (a < b):
+        raise ValueError(f"log mixture requires a < b, got a={a}, b={b}")
+    resid = p / math.sqrt(a) + q / math.sqrt(b) - 1.0
+    if abs(resid) > 1e-12:
+        raise ValueError(
+            "log mixture weights must satisfy p/sqrt(a) + q/sqrt(b) = 1 "
+            f"(residual {resid:.3e})")
     return gaussian_mixture_slope_map(
         [(p, a), (q, b)],
         label=f"log_mixture_k(p={p:g},q={q:g},a={a:g},b={b:g})")
@@ -397,14 +353,11 @@ def check_slope_bounds(k: SlopeMap, grid) -> SlopeBoundReport:
         upper_bad = grid[kp > hi + _BOUND_SLACK]
     else:
         upper_bad = np.empty(0)
-    imin, imax = int(np.argmin(kp)), int(np.argmax(kp))
     return SlopeBoundReport(
         alpha=k.alpha,
         beta=k.beta,
-        min_kprime=float(kp[imin]),
-        max_kprime=float(kp[imax]),
-        arg_min=float(grid[imin]),
-        arg_max=float(grid[imax]),
+        min_kprime=float(np.min(kp)),
+        max_kprime=float(np.max(kp)),
         lower_violations=tuple(float(v) for v in lower_bad),
         upper_violations=tuple(float(v) for v in upper_bad),
         passed=(lower_bad.size == 0 and np.size(upper_bad) == 0),

@@ -309,7 +309,9 @@ def gaussianized_potential(lebesgue_potential: Potential,
         exp(-U(x)) dx  =  const * exp(-V(x)) N(0, variance)(dx),
         V(x) = U(x) - x^2 / (2 variance).
 
-    The convexity flag is decided by a derivative-monotonicity grid test.
+    V keeps U's kinks and is flagged non-convex: the appendix route, which
+    builds these measures, never needs convexity, and :func:`verify_theorem`
+    refuses them.
     """
     inv2a = 0.5 / variance
 
@@ -317,18 +319,8 @@ def gaussianized_potential(lebesgue_potential: Potential,
         x = np.asarray(x, float)
         return np.asarray(lebesgue_potential.value(x), float) - inv2a * x * x
 
-    def make_der(base):
-        def der(x):
-            x = np.asarray(x, float)
-            return np.asarray(base(x), float) - 2.0 * inv2a * x
-        return der
-
-    left = make_der(lebesgue_potential.left_derivative)
-    right = make_der(lebesgue_potential.right_derivative)
-    convex = bool(np.all(np.diff(np.asarray(right(_GRID), float)) >= -1e-10))
-    return Potential(label=f"{lebesgue_potential.label}~gauss",
-                     value=val, left_derivative=left, right_derivative=right,
-                     convex=convex, kinks=lebesgue_potential.kinks)
+    return Potential(label=f"{lebesgue_potential.label}~gauss", value=val,
+                     convex=False, kinks=lebesgue_potential.kinks)
 
 
 def appendix_transport(slope_map: SlopeMap, alpha: float,

@@ -25,6 +25,9 @@ from blverify.verifier import format_float, verify_theorem
 from test_convex_tests import SWEEP_SPECS
 from test_verifier import TestVerifyTheorem, nonincreasing_slope_map
 
+# a key mapped to MISSING is left out of the config
+MISSING = object()
+
 LOG_MIXTURE_ENTRY = {
     "slope_map": {"name": "log_mixture",
                   "params": {"p": 0.5, "q": 0.5 * math.sqrt(2), "a": 1.0,
@@ -147,10 +150,18 @@ class TestConfig:
         {"potentials": [{"slope_map": {"name": "cubic"}, "alpha": True}]},
         {"psis": [{"call": True}]},
         {"psis": [{"atoms": [[0.0, "1"]]}]},
+        # no potentials: a TypeError from the constructor, status 1
+        {key: MISSING for key in SMALL},
+        dict({key: MISSING for key in SMALL}, psis=["abs"]),
+        # str() made these directories None/, 5/ and ['a']/
+        {"output_dir": None},
+        {"output_dir": 5},
+        {"output_dir": ["a"]},
     ])
     def test_validation_rejects(self, bad):
+        raw = {k: v for k, v in dict(SMALL, **bad).items() if v is not MISSING}
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(dict(SMALL, **bad))
+            ExperimentConfig.from_dict(raw)
 
 
 class TestRunCommand:
@@ -265,6 +276,9 @@ class TestRunCommand:
         ("potentials", {"family": "abs", "params": {"c": True}}),
         ("psis", {"call": True}),
         ("p_list", True),
+        # a slope map's potential named as a family
+        ("potentials", {"family": "log_mixture",
+                        "params": LOG_MIXTURE_ENTRY["slope_map"]["params"]}),
     ])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,
@@ -279,6 +293,18 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {}, {"psis": ["abs"]}, dict(SMALL, output_dir=None),
+        dict(SMALL, output_dir=5), dict(SMALL, output_dir=["a", "b"])])
+    @pytest.mark.parametrize("command", ["run", "embed"])
+    def test_bad_config_exits_2_writing_nothing(self, command, config,
+                                                tmp_path, monkeypatch):
+        # no --out: the config's own output_dir is the one used
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(config))
+        assert main([command, "--config", "config.json"]) == 2
+        assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("bad", [{"seed": 3.7}, {"n_steps": "32"},
                                      {"A": True}])
@@ -311,6 +337,7 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
+        assert report["config"]["n_paths"] == 0
         entry = report["potentials"][0]
         assert "wald" not in entry
         assert all(rep["mc"] is None for rep in entry["reports"])
@@ -347,6 +374,24 @@ class TestSubcommands:
                      "ensemble_01_slope_cubic_k_gauss.csv"):
             assert (tmp_path / "embed" / name).read_bytes() == \
                 (tmp_path / "run" / name).read_bytes()
+
+    @pytest.mark.parametrize("source", ["config", "matrix"])
+    def test_flags_merged_before_one_validation(self, source, tmp_path,
+                                                monkeypatch):
+        calls = []
+        real = ExperimentConfig.validate
+
+        def counted(cfg):
+            calls.append((cfg.seed, cfg.n_paths, cfg.n_steps, cfg.output_dir))
+            return real(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counted)
+        monkeypatch.setattr("blverify.cli.run", lambda cfg, **kw: 0)
+        given = (["--config", str(write_config(tmp_path))] if source == "config"
+                 else ["--matrix", "default"])
+        assert main(["verify", *given, "--seed", "9", "--paths", "50",
+                     "--steps", "64", "--out", "o"]) == 0
+        assert calls == [(9, 0, 64, "o")]
 
     def test_embed_seed_override_reproducible(self, tmp_path):
         cfg = write_config(tmp_path)

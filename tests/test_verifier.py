@@ -161,7 +161,7 @@ class TestVerifyTheorem:
         assert rep2.gap_p1_bound is None and "gap_p1" not in rep2.passes
 
     def test_rejects_nonconvex(self):
-        tm = build_transport(builtin_potential("double_well"), 1.0)
+        tm = build_transport(builtin_slope_map("cubic").potential, 1.0)
         with pytest.raises(NonConvexPotentialError):
             verify_theorem(builtin_convex_test("abs"), tm)
 
@@ -274,18 +274,18 @@ class TestVerifyAppendix:
             assert tm.Z * math.sqrt(tm.A) == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussianized_potential_identity(self):
-        pot = gaussianized_potential(builtin_potential("double_well"), 1.0)
+        ref = builtin_slope_map("cubic").potential
+        pot = gaussianized_potential(ref, 1.0)
         xs = np.linspace(-2, 2, 21)
-        ref = builtin_potential("double_well")
         np.testing.assert_allclose(
             np.asarray(pot.value(xs)) + 0.5 * xs**2, ref.value(xs), atol=1e-12)
+        assert pot.label == "slope[cubic_k]~gauss" and not pot.convex
 
 
 def nonincreasing_slope_map():
     """k = x^3 declared with alpha = 1e-6: k' = 3 x^2 vanishes at 0, so the
     map is not strictly increasing there and its U = k^2/2 - log k' is
     infinite at 0."""
-    der = lambda x: 3.0 * np.asarray(x, float) ** 5 - 2.0 / np.asarray(x, float)
     return SlopeMap(
         "cube_k", k=lambda x: np.asarray(x, float) ** 3,
         k_prime=lambda x: 3.0 * np.asarray(x, float) ** 2,
@@ -293,7 +293,7 @@ def nonincreasing_slope_map():
             "slope[cube_k]",
             lambda x: (0.5 * np.asarray(x, float) ** 6
                        - np.log(3.0 * np.asarray(x, float) ** 2)),
-            der, der, convex=False),
+            convex=False),
         alpha=1e-6)
 
 
