@@ -17,6 +17,9 @@ stopping time is bounded by the Gaussian variance A, and Wald's identity
 gives E[T] = var(X).  `t_bound_check` checks each link of that chain at
 round-off on the tables a run builds.
 
+An ensemble carries the integrand it was simulated on, and every check
+reads the transport, A and E[g(W_1)] from it, taking the ensemble alone.
+
 The simulator draws W on a uniform grid, integrates a(s, W_s)^2 by the
 trapezoidal rule, and evaluates the embedded value through the distributional
 identity B(T) = g(W_1) - E[g(W_1)] directly (the time-changed path itself is
@@ -95,16 +98,20 @@ _G_PRIME_REL_TOL = 1e-12
 
 @dataclass
 class EmbeddingEnsemble:
-    """Monte Carlo samples of (T, B(T), W_1) from one simulation run."""
+    """Monte Carlo samples of (T, B(T), W_1) simulated on ``clark``; at
+    least two paths, so that every check has a standard error."""
 
     T: np.ndarray
     bt: np.ndarray
     w1: np.ndarray
     n_steps: int
-    A: float
-    mean_g: float
+    clark: ClarkIntegrand
     clamp_count: int
-    potential_label: str
+
+    def __post_init__(self):
+        if self.n_paths < 2:
+            raise ValueError("an ensemble needs at least 2 paths, got "
+                             f"{self.n_paths}")
 
     @property
     def n_paths(self) -> int:
@@ -310,7 +317,7 @@ def simulate_embedding(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     clark : ClarkIntegrand
         Integrand of the transport being embedded.
     n_paths : int
-        Number of Brownian paths (>= 1).
+        Number of Brownian paths (>= 2).
     n_steps : int
         Uniform time steps on [0, 1] (>= 16).  The stopping time of each
         path is the trapezoidal integral of a(s, W_s)^2; Wald's check allows
@@ -341,8 +348,8 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
     clarks = list(clarks)
     if not clarks:
         raise ValueError("simulate_embeddings needs at least one integrand")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
     if n_steps < 16:
         raise ValueError("n_steps must be >= 16")
     if not 0 <= seed < 2**64:
@@ -428,10 +435,8 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
         tmap = clark.transport
         ensembles.append(EmbeddingEnsemble(
             T=t_acc, bt=np.asarray(tmap.g(w), float) - clark.mean_g,
-            w1=w.copy(), n_steps=int(n_steps),
-            A=float(tmap.A), mean_g=float(clark.mean_g),
-            clamp_count=int(np.count_nonzero(t_acc > tmap.A)),
-            potential_label=tmap.potential.label))
+            w1=w.copy(), n_steps=int(n_steps), clark=clark,
+            clamp_count=int(np.count_nonzero(t_acc > tmap.A))))
     return ensembles
 
 
@@ -472,21 +477,19 @@ class KSReport:
     passed: bool
 
 
-def wald_check(ensemble: EmbeddingEnsemble, var_x: float) -> WaldReport:
+def wald_check(ensemble: EmbeddingEnsemble) -> WaldReport:
     """E[T] = var(X) up to Monte Carlo noise and discretization bias."""
-    if ensemble.n_paths == 0:
-        raise ValueError("wald_check needs a nonempty ensemble")
-    n = ensemble.n_paths
+    tmap = ensemble.clark.transport
+    var_x = float(tmap.var_mu)
     mean_t = float(np.mean(ensemble.T))
-    se = float(np.std(ensemble.T, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    budget = 3.0 * se + 2.0 * math.sqrt(ensemble.A) / ensemble.n_steps
+    se = float(np.std(ensemble.T, ddof=1) / math.sqrt(ensemble.n_paths))
+    budget = 3.0 * se + 2.0 * math.sqrt(tmap.A) / ensemble.n_steps
     return WaldReport(mean_T=mean_t, std_error=se, bias_budget=budget,
-                      reference_var=float(var_x),
+                      reference_var=var_x,
                       passed=bool(abs(mean_t - var_x) <= budget))
 
 
-def t_bound_check(ensemble: EmbeddingEnsemble,
-                  clark: ClarkIntegrand) -> TBoundReport:
+def t_bound_check(ensemble: EmbeddingEnsemble) -> TBoundReport:
     """T <= A, and Caffarelli's g' <= sqrt(A) behind it, at round-off.
 
     g' <= sqrt(A) on the integrand's dense g' table; its Gauss-Hermite
@@ -498,9 +501,8 @@ def t_bound_check(ensemble: EmbeddingEnsemble,
     the weights, the two linear interpolations and the square of each term
     by less than 20 u, which leaves the second-order terms room.
     """
-    if ensemble.n_paths == 0:
-        raise ValueError("t_bound_check needs a nonempty ensemble")
-    gp_bound = math.sqrt(ensemble.A) * (1.0 + _G_PRIME_REL_TOL)
+    clark = ensemble.clark
+    gp_bound = math.sqrt(clark.transport.A) * (1.0 + _G_PRIME_REL_TOL)
     t_bound = gp_bound**2 * (1.0 + (ensemble.n_steps + 32) * _U)
     max_gp = float(np.max(clark._fine_gp))
     max_a = float(np.max(clark._grid))
@@ -521,14 +523,13 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
 
 
-def embedded_law_check(ensemble: EmbeddingEnsemble,
-                       tmap: TransportMap) -> KSReport:
-    """The embedded samples bt + E[g(W_1)] are distributed as mu.
+def embedded_law_check(ensemble: EmbeddingEnsemble) -> KSReport:
+    """The embedded samples bt + E[g(W_1)] are distributed as mu, the law
+    of the ensemble integrand's transport.
 
     Pass criterion: KS distance <= 1.63 / sqrt(n), the 1% critical value.
     """
-    if ensemble.n_paths == 0:
-        raise ValueError("embedded_law_check needs a nonempty ensemble")
-    d = ks_distance(ensemble.bt + ensemble.mean_g, tmap.cdf)
+    clark = ensemble.clark
+    d = ks_distance(ensemble.bt + clark.mean_g, clark.transport.cdf)
     thr = 1.63 / math.sqrt(ensemble.n_paths)
     return KSReport(ks_distance=d, threshold=thr, passed=bool(d <= thr))

@@ -2,11 +2,10 @@
 
 Subcommands
 -----------
-run       full pipeline: report.json, summary.csv, ensemble CSVs, plotdata/
-embed     ensembles only
-verify    quadrature-only verdicts (no Monte Carlo; n_paths forced to 0)
-sandwich  residual local-time curves: lower bound / MC estimate / upper bounds
-appendix  slope-map measures only
+run     full pipeline: report.json, summary.csv, ensemble CSVs, plotdata/
+        (with the residual local-time curves at the levels of --x-grid)
+embed   ensembles only
+verify  quadrature-only verdicts (no Monte Carlo; n_paths forced to 0)
 
 Exit status: 0 when every pass flag is true, 1 when an inequality or check
 fails, 2 on configuration or usage errors (in which case nothing is written).
@@ -27,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-# simulate_embedding is not called here, and ClarkIntegrand only names a
-# type, but both stay importable from this module: blbench's tracer wraps
-# them under these names
+# neither simulate_embedding nor ClarkIntegrand is used here, but both stay
+# importable from this module: blbench's tracer wraps them under these names
 from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,  # noqa: F401
                              clark_integrands, embedded_law_check,
                              simulate_embedding, simulate_embeddings,
@@ -86,8 +84,10 @@ class ExperimentConfig:
                    for p in self.p_list):
             raise ConfigError("'p_list' entries must exceed 1 and have a "
                               f"finite conjugate above 1, got {self.p_list}")
-        if self.n_paths < 0:
-            raise ConfigError("'n_paths' must be >= 0")
+        # one path has no standard error for the Monte Carlo checks
+        if self.n_paths < 0 or self.n_paths == 1:
+            raise ConfigError("'n_paths' must be 0 or at least 2, got "
+                              f"{self.n_paths}")
         if self.n_steps < 16:
             raise ConfigError("'n_steps' must be >= 16")
         # the random streams are keyed by the seed as a 64-bit word
@@ -95,8 +95,9 @@ class ExperimentConfig:
             raise ConfigError(f"'seed' must lie in [0, 2^64), got {self.seed}")
         if not (0.0 < self.quadrature_tol < math.inf):
             raise ConfigError("'quadrature_tol' must be positive and finite")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError("'output_dir' must be a string, got "
+        # Path("") is the current directory
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("'output_dir' must be a nonempty string, got "
                               f"{self.output_dir!r}")
         for spec in self.potentials:
             _parse_potential_entry(spec, self.A, self.quadrature_tol,
@@ -293,10 +294,10 @@ def _check_slugs(entries) -> None:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _process_entry(entry: _Entry, clark: ClarkIntegrand | None,
-                   ensemble: EmbeddingEnsemble | None, psis, p_list: tuple):
-    """Ensemble checks of ``ensemble``, simulated on ``clark``, plus one
-    verification report per parsed psi of ``psis`` (and per psi at
+def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None, psis,
+                   p_list: tuple):
+    """Ensemble checks of ``ensemble``, simulated on the entry's transport,
+    plus one verification report per parsed psi of ``psis`` (and per psi at
     ``improved_alpha``); embed passes none."""
     tmap = entry.tmap
     record = {
@@ -307,9 +308,9 @@ def _process_entry(entry: _Entry, clark: ClarkIntegrand | None,
         "var_x": format_float(tmap.var_mu),
     }
     if ensemble is not None:
-        checks = {"wald": wald_check(ensemble, tmap.var_mu),
-                  "t_bound": t_bound_check(ensemble, clark),
-                  "embedded_law": embedded_law_check(ensemble, tmap)}
+        checks = {"wald": wald_check(ensemble),
+                  "t_bound": t_bound_check(ensemble),
+                  "embedded_law": embedded_law_check(ensemble)}
         for key, check in checks.items():
             record[key] = format_floats(dataclasses.asdict(check))
 
@@ -320,7 +321,7 @@ def _process_entry(entry: _Entry, clark: ClarkIntegrand | None,
         else:
             rep = verify_appendix(psi, tmap, entry.slope, p_list=p_list)
         if ensemble is not None:
-            rep.mc = mc_crosscheck(psi, ensemble, tmap, reference=rep.rhs)
+            rep.mc = mc_crosscheck(psi, ensemble, reference=rep.rhs)
             rep.passes["mc"] = rep.mc.within_3se
         reports.append(rep)
         if entry.improved_tmap is not None:
@@ -369,8 +370,8 @@ def _transport_rows(tmap: TransportMap) -> list:
             for i in range(xs.size)]
 
 
-def _sandwich_rows(tmap: TransportMap, ensemble: EmbeddingEnsemble,
-                   x_grid, p_list):
+def _sandwich_rows(ensemble: EmbeddingEnsemble, x_grid, p_list):
+    tmap = ensemble.clark.transport
     rows = []
     ok = True
     for x in x_grid:
@@ -417,33 +418,29 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
-    """Execute one experiment; returns the process exit status.
-
-    ``x_grid`` holds the levels of the residual local-time curves that the
-    'run' and 'sandwich' modes write (default 0, 0.5, 1 and 2).
-    """
+    """Execute one experiment in mode 'run', 'verify' or 'embed'; returns
+    the process exit status.  ``x_grid`` holds the levels of the residual
+    local-time curves that 'run' writes when it simulates (default 0, 0.5,
+    1 and 2); an x-grid that would write no curve is a ConfigError."""
+    if mode not in ("run", "verify", "embed"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    with_mc = mode != "verify" and cfg.n_paths > 0
+    if mode == "embed" and not with_mc:
+        raise ConfigError("'embed' needs n_paths >= 2")
     if x_grid is None:
         x_grid = (0.0, 0.5, 1.0, 2.0)
-    with_mc = mode in ("run", "embed", "sandwich") and cfg.n_paths > 0
-    if mode in ("embed", "sandwich") and cfg.n_paths < 1:
-        raise ConfigError(f"'{mode}' needs n_paths >= 1")
-    if mode == "appendix":
-        specs = [s for s in cfg.potentials if "slope_map" in s]
-        if not specs:
-            raise ConfigError("'appendix' needs at least one slope_map entry")
-    else:
-        specs = cfg.potentials
+    elif mode != "run" or not with_mc:
+        raise ConfigError("an x-grid needs 'run' with n_paths >= 2")
 
     # phase 1: every transport, slope bound and integrand with its Clark
     # grid; a configuration error raised here leaves nothing written
     entries = [_parse_potential_entry(spec, cfg.A, cfg.quadrature_tol)
-               for spec in specs]
+               for spec in cfg.potentials]
     psis = [convex_test_from_spec(s) for s in cfg.psis]
     _check_transports(entries, [*x_grid, *(loc for psi in psis
                                            for loc, _ in psi.atoms)])
     _check_slugs(entries)
-    clarks = (clark_integrands([e.tmap for e in entries]) if with_mc
-              else [None] * len(entries))
+    clarks = clark_integrands([e.tmap for e in entries]) if with_mc else []
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -452,20 +449,17 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
         plotdir.mkdir(exist_ok=True)
 
     # phase 2: one simulation for every potential, on shared Brownian paths
-    ensembles = [None] * len(entries)
-    if with_mc:
-        ensembles = simulate_embeddings(clarks, cfg.n_paths, cfg.n_steps,
-                                        cfg.seed)
+    ensembles = (simulate_embeddings(clarks, cfg.n_paths, cfg.n_steps, cfg.seed)
+                 if with_mc else [None] * len(entries))
 
     # phase 3: checks, verdicts and outputs, entry by entry
     records = []
     summary = []
     all_ok = True
-    single = len(specs) == 1
-    for idx, (entry, clark, ensemble) in enumerate(zip(entries, clarks,
-                                                       ensembles)):
+    single = len(entries) == 1
+    for idx, (entry, ensemble) in enumerate(zip(entries, ensembles)):
         record, reports = _process_entry(
-            entry, clark, ensemble, psis if mode != "embed" else (),
+            entry, ensemble, psis if mode != "embed" else (),
             tuple(cfg.p_list))
         slug = _slug(record["label"])
         if ensemble is not None:
@@ -482,8 +476,8 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
             _write_csv(plotdir / f"transport_{slug}.csv",
                        ("x", "g", "g_prime", "sqrt_A"),
                        _transport_rows(entry.tmap))
-        if mode in ("run", "sandwich") and ensemble is not None:
-            rows, ok = _sandwich_rows(entry.tmap, ensemble, x_grid, cfg.p_list)
+        if mode == "run" and ensemble is not None:
+            rows, ok = _sandwich_rows(ensemble, x_grid, cfg.p_list)
             _write_csv(plotdir / f"sandwich_{slug}.csv",
                        ["x", "est1_lower", "gap_mc", "gap_se"]
                        + [f"est2_p{p:g}" for p in cfg.p_list], rows)
@@ -528,14 +522,12 @@ def main(argv=None) -> int:
     for name, help_txt in (
             ("run", "full pipeline: verify + simulate + write everything"),
             ("embed", "write embedding ensembles only"),
-            ("verify", "quadrature-only verification (no Monte Carlo)"),
-            ("sandwich", "residual local-time bound curves"),
-            ("appendix", "slope-map measures only")):
+            ("verify", "quadrature-only verification (no Monte Carlo)")):
         sp = sub.add_parser(name, help=help_txt)
         _add_common(sp)
-        if name == "sandwich":
+        if name == "run":
             sp.add_argument("--x-grid", type=float, nargs="+",
-                            help="levels for the residual curves")
+                            help="levels for the residual local-time curves")
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

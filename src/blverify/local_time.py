@@ -86,19 +86,16 @@ def local_time_gap_mc(ensemble, x: float) -> GapEstimate:
     """Estimate the residual expected local time from an embedding ensemble.
 
     By the strong Markov property the residual equals the ensemble average
-    of E[L^{x - B(T)}_{A - T}], with A the ensemble's Gaussian variance; the
-    inner expectation is the occupation formula.  T exceeds A by round-off
-    at most (``bass_embedding.t_bound_check`` bounds it), so clamping the
-    residual horizon A - T at 0 only absorbs that rounding; the ensemble's
-    ``clamp_count`` counts the clamped paths.
+    of E[L^{x - B(T)}_{A - T}], with A the Gaussian variance of the
+    ensemble's transport; the inner expectation is the occupation formula.
+    T exceeds A by round-off at most (``bass_embedding.t_bound_check``
+    bounds it), so clamping the residual horizon A - T at 0 only absorbs
+    that rounding; the ensemble's ``clamp_count`` counts the clamped paths.
     """
-    if ensemble.n_paths == 0:
-        raise ValueError("local_time_gap_mc needs a nonempty ensemble")
-    t_rem = float(ensemble.A) - ensemble.T
+    t_rem = float(ensemble.clark.transport.A) - ensemble.T
     vals = expected_local_time_array(float(x) - ensemble.bt,
                                      np.maximum(t_rem, 0.0))
-    n = ensemble.n_paths
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    se = float(np.std(vals, ddof=1) / math.sqrt(ensemble.n_paths))
     return GapEstimate(estimate=float(np.mean(vals)), std_error=se)
 
 

@@ -398,31 +398,23 @@ def verify_appendix(psi: ConvexTest, tmap: TransportMap,
 # ---------------------------------------------------------------------------
 
 def mc_crosscheck(psi: ConvexTest, ensemble: EmbeddingEnsemble,
-                  tmap: TransportMap, reference: float) -> McCrossCheck:
+                  reference: float) -> McCrossCheck:
     """Sample mean of psi over the embedded values, against the quadrature
-    moment ``reference`` = ``moment_rhs(psi, tmap)``, a verdict's ``rhs``;
-    the ensemble must come from the same transport build.  psi is
-    evaluated on the samples by its ``closed_form``.
+    moment ``reference`` = ``moment_rhs(psi, tmap)`` of the ensemble's
+    transport, a verdict's ``rhs``.  psi is evaluated on the samples by its
+    ``closed_form``.
 
     Raises
     ------
     ValueError
-        On mismatched provenance (different potential label or variance),
-        or when psi has no closed form.
+        When psi has no closed form.
     """
-    if (ensemble.potential_label != tmap.potential.label
-            or ensemble.A != tmap.A):
-        raise ValueError(
-            "ensemble provenance mismatch: ensemble is for "
-            f"({ensemble.potential_label!r}, A={ensemble.A}) but the "
-            f"transport is ({tmap.potential.label!r}, A={tmap.A})")
     if psi.closed_form is None:
         raise ValueError(f"psi {psi.label!r} has no closed form to evaluate "
                          "on the samples")
     vals = np.asarray(psi.closed_form(ensemble.bt), float)
-    n = ensemble.n_paths
     est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    se = float(np.std(vals, ddof=1) / math.sqrt(ensemble.n_paths))
     ref = float(reference)
     ok = bool(abs(est - ref) <= 3.0 * se) if not math.isinf(ref) else True
     return McCrossCheck(estimate=est, std_error=se, reference=ref,

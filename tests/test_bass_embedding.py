@@ -147,7 +147,9 @@ class TestSimulation:
 
     def test_embedded_value_identity(self, abs_clark):
         ens = simulate_embedding(abs_clark, 300, 64, seed=9)
-        recon = np.asarray(abs_clark.transport.g(ens.w1), float) - ens.mean_g
+        assert ens.clark is abs_clark
+        recon = np.asarray(abs_clark.transport.g(ens.w1), float) - \
+            abs_clark.mean_g
         assert np.max(np.abs(ens.bt - recon)) <= 1e-12
 
     def test_deterministic_for_fixed_seed(self, abs_clark):
@@ -176,8 +178,9 @@ class TestSimulation:
         assert abs(np.mean(coarse.T) - np.mean(fine.T)) <= budget
 
     def test_input_validation(self, zero_clark):
-        with pytest.raises(ValueError):
-            simulate_embedding(zero_clark, 0, 64, seed=1)
+        for n_paths in (0, 1):
+            with pytest.raises(ValueError, match="n_paths must be >= 2"):
+                simulate_embedding(zero_clark, n_paths, 64, seed=1)
         with pytest.raises(ValueError):
             simulate_embedding(zero_clark, 10, 8, seed=1)
 
@@ -235,13 +238,14 @@ class TestChecks:
     def test_wald_identity_constant_cases(self, zero_clark, quad_clark):
         for clark, var in ((zero_clark, 1.0), (quad_clark, 0.5)):
             ens = simulate_embedding(clark, 400, 64, seed=2)
-            rep = wald_check(ens, var)
+            rep = wald_check(ens)
             assert rep.passed
+            assert rep.reference_var == pytest.approx(var, abs=1e-12)
             assert rep.mean_T == pytest.approx(var, abs=1e-12)
 
     def test_wald_on_tilted_case(self, abs_clark):
         ens = simulate_embedding(abs_clark, 40_000, 512, seed=17)
-        rep = wald_check(ens, abs_clark.transport.var_mu)
+        rep = wald_check(ens)
         assert rep.passed
 
     def test_t_bound_equality_case(self, bound_clarks):
@@ -251,8 +255,7 @@ class TestChecks:
         for key in [("zero", a) for a in A_VALUES] + [("cubic", 1.0)]:
             clark = bound_clarks[key]
             a = clark.transport.A
-            rep = t_bound_check(simulate_embedding(clark, 400, 64, seed=2),
-                                clark)
+            rep = t_bound_check(simulate_embedding(clark, 400, 64, seed=2))
             assert rep.passed
             assert rep.max_g_prime == pytest.approx(math.sqrt(a), rel=1e-13)
             assert rep.max_a == pytest.approx(math.sqrt(a), rel=1e-13)
@@ -268,7 +271,7 @@ class TestChecks:
             clark = bound_clarks[key]
             a = clark.transport.A
             rep = t_bound_check(simulate_embedding(clark, 20_000, 256,
-                                                   seed=19), clark)
+                                                   seed=19))
             assert rep.passed
             assert rep.max_a <= rep.max_g_prime < math.sqrt(a) * (1 - 1e-3)
             assert rep.max_T < a * (1 - 1e-3)
@@ -308,13 +311,13 @@ class TestChecks:
         scale = 1.0 + 2.0 * bass_embedding._G_PRIME_REL_TOL
         scaled = copy.copy(zero)
         scaled._fine_gp = zero._fine_gp * scale
-        rep = t_bound_check(ens, scaled)
+        rep = t_bound_check(dataclasses.replace(ens, clark=scaled))
         assert not rep.passed
         assert rep.max_g_prime > rep.g_prime_bound
         assert rep.max_a <= rep.g_prime_bound and rep.max_T <= rep.T_bound
         scaled = copy.copy(zero)
         scaled._grid = zero._grid * scale
-        rep = t_bound_check(ens, scaled)
+        rep = t_bound_check(dataclasses.replace(ens, clark=scaled))
         assert not rep.passed
         assert rep.max_a > rep.g_prime_bound
         assert rep.max_g_prime <= rep.g_prime_bound
@@ -322,7 +325,7 @@ class TestChecks:
         # g' = 1 = 2 sqrt(A), and T exceeds A
         cubic = bound_clarks["cubic", 0.25]
         ens = simulate_embedding(cubic, 400, 64, seed=2)
-        rep = t_bound_check(ens, cubic)
+        rep = t_bound_check(ens)
         assert not rep.passed
         assert rep.max_g_prime == pytest.approx(1.0, rel=1e-13)
         assert rep.max_T > rep.T_bound
@@ -330,37 +333,38 @@ class TestChecks:
     def test_t_bound_fails_on_one_T_above_the_bound(self, bound_clarks):
         clark = bound_clarks["abs", 1.0]
         ens = simulate_embedding(clark, 4000, 128, seed=19)
-        rep = t_bound_check(ens, clark)
+        rep = t_bound_check(ens)
         assert rep.passed
         T = ens.T.copy()
         T[0] = np.nextafter(rep.T_bound, np.inf)
         raised = dataclasses.replace(ens, T=T)
-        assert wald_check(raised, clark.transport.var_mu).passed
-        rep = t_bound_check(raised, clark)
+        assert wald_check(raised).passed
+        rep = t_bound_check(raised)
         assert not rep.passed and rep.max_T > rep.T_bound
         assert rep.max_g_prime <= rep.g_prime_bound
 
     def test_embedded_law_exact_sampler(self, zero_clark):
         ens = simulate_embedding(zero_clark, 100_000, 64, seed=23)
-        rep = embedded_law_check(ens, zero_clark.transport)
+        rep = embedded_law_check(ens)
         assert rep.passed
 
     def test_embedded_law_shift_case(self):
         tm = build_transport(builtin_potential("linear"), 1.0)
         ens = simulate_embedding(ClarkIntegrand(tm), 100_000, 64, seed=29)
         # mu = N(-1, 1): check against the shifted Gaussian CDF directly
-        d = ks_distance(ens.bt + ens.mean_g,
+        d = ks_distance(ens.bt + ens.clark.mean_g,
                         lambda x: std_normal_cdf(np.asarray(x) + 1.0))
         assert d <= 1.63 / math.sqrt(ens.n_paths)
-        assert embedded_law_check(ens, tm).passed
+        assert embedded_law_check(ens).passed
 
     def test_empty_ensemble_rejected(self, zero_clark):
-        import dataclasses
+        # an empty ensemble cannot reach the checks; nor can one path,
+        # which has no standard error: every Monte Carlo check would pass
+        # or fail whatever the sample
         ens = simulate_embedding(zero_clark, 2, 64, seed=1)
-        empty = dataclasses.replace(ens, T=np.empty(0), bt=np.empty(0),
-                                    w1=np.empty(0))
-        for fn in (lambda e: wald_check(e, 1.0),
-                   lambda e: t_bound_check(e, zero_clark),
-                   lambda e: embedded_law_check(e, zero_clark.transport)):
-            with pytest.raises(ValueError):
-                fn(empty)
+        assert ens.n_paths == 2
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 paths"):
+                dataclasses.replace(ens, T=ens.T[:n], bt=ens.bt[:n],
+                                    w1=ens.w1[:n])
+

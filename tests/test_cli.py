@@ -17,7 +17,7 @@ from blverify.convex_tests import convex_test_from_spec
 from blverify.cli import (_MARGIN_COLUMNS, _SUMMARY_COLUMNS, ConfigError,
                           ExperimentConfig, _parse_potential_entry,
                           _process_entry, _summary_rows,
-                          default_matrix_config, main)
+                          default_matrix_config, main, run)
 from blverify.potentials import builtin_potential
 from blverify.transport import build_transport
 from blverify.verifier import format_float, verify_theorem
@@ -157,6 +157,11 @@ class TestConfig:
         {"output_dir": None},
         {"output_dir": 5},
         {"output_dir": ["a"]},
+        # Path("") is the current directory, which got every output
+        {"output_dir": ""},
+        # one path: a standard error of 0 or inf, so checks that cannot fail
+        {"n_paths": 1},
+        {"n_paths": -1},
     ])
     def test_validation_rejects(self, bad):
         raw = {k: v for k, v in dict(SMALL, **bad).items() if v is not MISSING}
@@ -190,8 +195,7 @@ class TestRunCommand:
         lines = (out / "summary.csv").read_text().splitlines()
         assert len(lines) - 1 == 2 * 3 * 2   # potentials x psis x p_list
 
-    @pytest.mark.parametrize("command",
-                             ["run", "verify", "embed", "sandwich", "appendix"])
+    @pytest.mark.parametrize("command", ["run", "verify", "embed"])
     def test_byte_identical_reruns(self, command, tmp_path):
         cfg = write_config(tmp_path, overrides={
             "potentials": [{"family": "quadratic", "params": {"c": 1.0}},
@@ -226,6 +230,30 @@ class TestRunCommand:
 
     def test_usage_error_without_command(self):
         assert main([]) == 2
+
+    def test_help_lists_the_three_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "{run,embed,verify}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sandwich", "appendix"])
+    def test_removed_commands_exit_2_writing_nothing(self, command, tmp_path):
+        # 'run --x-grid' and 'verify' took over their outputs
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(write_config(tmp_path)),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["sandwich", "appendix"])
+    def test_library_run_rejects_unknown_modes(self, mode, tmp_path):
+        cfg = ExperimentConfig.from_dict(dict(SMALL,
+                                              output_dir=str(tmp_path / "o")))
+        with pytest.raises(ConfigError, match="unknown mode"):
+            run(cfg, mode=mode)
+        assert not (tmp_path / "o").exists()
 
     def test_config_and_matrix_conflict(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -296,7 +324,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("config", [
         {}, {"psis": ["abs"]}, dict(SMALL, output_dir=None),
-        dict(SMALL, output_dir=5), dict(SMALL, output_dir=["a", "b"])])
+        dict(SMALL, output_dir=5), dict(SMALL, output_dir=["a", "b"]),
+        dict(SMALL, output_dir=""), dict(SMALL, n_paths=1)])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_config_exits_2_writing_nothing(self, command, config,
                                                 tmp_path, monkeypatch):
@@ -304,6 +333,18 @@ class TestRunCommand:
         monkeypatch.chdir(tmp_path)
         Path("config.json").write_text(json.dumps(config))
         assert main([command, "--config", "config.json"]) == 2
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", ""], ["verify", "--out", ""], ["embed", "--out", ""],
+        ["run", "--paths", "1"], ["embed", "--paths", "1"],
+        # no simulation, so no curve at the levels asked for
+        ["run", "--x-grid", "1", "--paths", "0"]])
+    def test_bad_flag_exits_2_writing_nothing(self, argv, tmp_path,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(SMALL))
+        assert main([*argv, "--config", "config.json"]) == 2
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("bad", [{"seed": 3.7}, {"n_steps": "32"},
@@ -406,7 +447,7 @@ class TestSubcommands:
     def test_sandwich_curves(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"potentials": [{"family": "abs"}]})
         out = tmp_path / "out"
-        assert main(["sandwich", "--config", str(cfg), "--out", str(out),
+        assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--x-grid", "0", "0.5", "1", "2"]) == 0
         data = (out / "plotdata" / "sandwich_abs_1.csv").read_text().splitlines()
         assert data[0] == "x,est1_lower,gap_mc,gap_se,est2_p2"
@@ -419,28 +460,9 @@ class TestSubcommands:
                                                           tmp_path):
         cfg = write_config(tmp_path, overrides={"potentials": [{"family": "abs"}]})
         out = tmp_path / "out"
-        assert main(["sandwich", "--config", str(cfg), "--out", str(out),
+        assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--x-grid", "0", level]) == 2
         assert not out.exists()
-
-    def test_appendix_filters_slope_entries(self, tmp_path):
-        cfg = write_config(tmp_path, overrides={
-            "potentials": [
-                {"family": "zero"},
-                {"slope_map": {"name": "cubic"}},
-                {"slope_map": {"name": "log_mixture",
-                               "params": {"p": 0.5, "q": 0.5 * math.sqrt(2),
-                                          "a": 1.0, "b": 2.0}},
-                 "beta": 2.0, "improved_alpha": 1.0},
-            ],
-            "n_paths": 0,
-        })
-        out = tmp_path / "out"
-        assert main(["appendix", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert len(report["potentials"]) == 2   # zero entry filtered out
-        labels = [r["psi"] for r in report["potentials"][1]["reports"]]
-        assert any(l.endswith("~improved_alpha") for l in labels)
 
     def test_improved_alpha_transport_built_once_per_entry(self, tmp_path,
                                                            monkeypatch):
@@ -505,11 +527,6 @@ class TestSubcommands:
         entry = _parse_potential_entry(spec, 1.0, 1e-6)
         assert entry.tmap.quadrature_tol == 1e-6
         assert entry.improved_tmap.quadrature_tol == 1e-6
-
-    def test_appendix_requires_slope_entry(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["appendix", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
 
     def test_multi_potential_ensembles_get_labeled_files(self, tmp_path):
         cfg = write_config(tmp_path, overrides={
@@ -645,12 +662,12 @@ def oracle_reports():
         cfg.quadrature_tol)
     mixture = _parse_potential_entry(LOG_MIXTURE_ENTRY, cfg.A,
                                      cfg.quadrature_tol)
-    clark = ClarkIntegrand(theorem.tmap)
-    ensemble = simulate_embedding(clark, 400, 32, seed=3)
+    ensemble = simulate_embedding(ClarkIntegrand(theorem.tmap), 400, 32,
+                                  seed=3)
     psis = [convex_test_from_spec(s) for s in cfg.psis]
     p_list = tuple(cfg.p_list)
-    reports = (_process_entry(theorem, clark, ensemble, psis, p_list)[1]
-               + _process_entry(mixture, None, None, psis, p_list)[1])
+    reports = (_process_entry(theorem, ensemble, psis, p_list)[1]
+               + _process_entry(mixture, None, psis, p_list)[1])
     explosive = TestVerifyTheorem._explosive_psi()
     zero = build_transport(builtin_potential("zero"), 1.0)
     reports += [verify_theorem(explosive, theorem.tmap),

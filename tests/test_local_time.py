@@ -146,11 +146,13 @@ class TestGapMonteCarlo:
             assert abs(gap.estimate - expected) <= 3.0 * gap.std_error
 
     def test_empty_rejected(self, quad_ensemble):
-        tmap, ens = quad_ensemble
+        # the ensemble refuses to be emptied, so local_time_gap_mc never
+        # averages over zero paths
+        _, ens = quad_ensemble
         import dataclasses
-        empty = dataclasses.replace(ens, T=np.empty(0), bt=np.empty(0),
-                                    w1=np.empty(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            empty = dataclasses.replace(ens, T=np.empty(0), bt=np.empty(0),
+                                        w1=np.empty(0))
             local_time_gap_mc(empty, 0.0)
 
 
@@ -211,5 +213,5 @@ class TestAuxiliaryInequality:
                                                  np.full(ens.n_paths, t))
                 lhs = float(np.mean(vals))
                 se = float(np.std(vals, ddof=1) / math.sqrt(ens.n_paths))
-                rhs = expected_local_time_array(x, ens.A + t)
+                rhs = expected_local_time_array(x, ens.clark.transport.A + t)
                 assert lhs <= rhs + 3.0 * se

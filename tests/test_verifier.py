@@ -508,14 +508,14 @@ class TestMcCrossCheck:
     def test_square_recovers_variance(self, quad_setup):
         tm, ens = quad_setup
         square = builtin_convex_test("square")
-        chk = mc_crosscheck(square, ens, tm, moment_rhs(square, tm))
+        chk = mc_crosscheck(square, ens, moment_rhs(square, tm))
         assert chk.within_3se
         assert abs(chk.estimate - 0.5) <= 3.0 * chk.std_error
 
     def test_abs_half_normal_mean(self, quad_setup):
         tm, ens = quad_setup
         psi = builtin_convex_test("abs")
-        chk = mc_crosscheck(psi, ens, tm, moment_rhs(psi, tm))
+        chk = mc_crosscheck(psi, ens, moment_rhs(psi, tm))
         assert abs(chk.estimate - math.sqrt(2 * 0.5 / math.pi)) <= 3 * chk.std_error
         assert chk.within_3se
 
@@ -523,7 +523,7 @@ class TestMcCrossCheck:
         tm, ens = quad_setup
         linear = ConvexTest("linear", 0.0, 1.0,
                             closed_form=lambda x: np.asarray(x, float))
-        chk = mc_crosscheck(linear, ens, tm, moment_rhs(linear, tm))
+        chk = mc_crosscheck(linear, ens, moment_rhs(linear, tm))
         assert abs(chk.estimate) <= 3.0 * chk.std_error
 
     def test_psi_without_closed_form_rejected(self, quad_setup):
@@ -531,13 +531,7 @@ class TestMcCrossCheck:
         square = builtin_convex_test("square")
         bare = dataclasses.replace(square, closed_form=None)
         with pytest.raises(ValueError, match="closed form"):
-            mc_crosscheck(bare, ens, tm, moment_rhs(square, tm))
-
-    def test_provenance_mismatch_rejected(self, quad_setup):
-        _, ens = quad_setup
-        other = build_transport(builtin_potential("abs"), 1.0)
-        with pytest.raises(ValueError, match="provenance"):
-            mc_crosscheck(builtin_convex_test("abs"), ens, other, 0.0)
+            mc_crosscheck(bare, ens, moment_rhs(square, tm))
 
 
 def test_format_float():
