@@ -25,8 +25,7 @@ from .transport import (DivergentNormalizerError, NonConvexPotentialError,
                         NonFinitePotentialError, TransportMap,
                         build_transport)
 from .verifier import (SlopeBoundError, VerificationReport,
-                       appendix_transport, gaussianized_potential,
-                       mc_crosscheck, moment_lhs, moment_rhs,
-                       verify_appendix, verify_theorem)
+                       appendix_transport, gaussianized_potential, moment_lhs,
+                       moment_rhs, verify_appendix, verify_theorem)
 
 __version__ = "0.1.0"

@@ -8,7 +8,10 @@ embed   ensembles only
 verify  quadrature-only verdicts (no Monte Carlo; n_paths forced to 0)
 
 Exit status: 0 when every pass flag is true, 1 when an inequality or check
-fails, 2 on configuration or usage errors (in which case nothing is written).
+fails, 2 on configuration, usage or output errors (in which case nothing is
+written: a run writes into a temporary directory inside the output
+directory, or inside its nearest existing ancestor, and moves its files
+into place only once all of them are written).
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,10 +46,11 @@ from .potentials import (SlopeBoundReport, _real_number, builtin_potential,
 from .transport import (DEFAULT_QUADRATURE_TOL, DivergentNormalizerError,
                         NonFinitePotentialError, TransportMap,
                         build_transport)
+# the moment check keeps the name that blbench's tracer wraps
 from .verifier import (SlopeBoundError, appendix_transport,
                        check_declared_slope_bounds, format_float,
-                       format_floats, mc_crosscheck, verify_appendix,
-                       verify_theorem)
+                       format_floats, moment_check as mc_crosscheck,
+                       verify_appendix, verify_theorem)
 
 __all__ = ["ExperimentConfig", "default_matrix_config", "main", "run"]
 
@@ -320,15 +327,17 @@ def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None, psis,
             rep = verify_theorem(psi, tmap, p_list=p_list)
         else:
             rep = verify_appendix(psi, tmap, entry.slope, p_list=p_list)
-        if ensemble is not None:
-            rep.mc = mc_crosscheck(psi, ensemble, reference=rep.rhs)
-            rep.passes["mc"] = rep.mc.within_3se
         reports.append(rep)
         if entry.improved_tmap is not None:
             imp = verify_appendix(psi, entry.improved_tmap, entry.slope,
                                   p_list=())
             imp.psi_label += "~improved_alpha"
             reports.append(imp)
+    if ensemble is not None and psis:
+        own = reports[::2] if entry.improved_tmap is not None else reports
+        checks = mc_crosscheck(ensemble, psis, [rep.rhs for rep in own])
+        for rep, (moment, agrees) in zip(own, checks):
+            rep.embedded_moment, rep.passes["moment"] = moment, agrees
     return record, reports
 
 
@@ -443,14 +452,27 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
     clarks = clark_integrands([e.tmap for e in entries]) if with_mc else []
 
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    stage = _new_stage(out)
+    try:
+        all_ok = _write_outputs(stage, cfg, mode, entries, psis, clarks,
+                                x_grid)
+        _publish(stage, out)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return 0 if all_ok else 1
+
+
+def _write_outputs(out: Path, cfg: ExperimentConfig, mode: str, entries,
+                   psis, clarks, x_grid) -> bool:
+    """Phases 2 and 3 of `run`, writing into ``out``; whether every pass
+    flag is true."""
     plotdir = out / "plotdata"
     if mode != "embed":
-        plotdir.mkdir(exist_ok=True)
+        plotdir.mkdir()
 
     # phase 2: one simulation for every potential, on shared Brownian paths
     ensembles = (simulate_embeddings(clarks, cfg.n_paths, cfg.n_steps, cfg.seed)
-                 if with_mc else [None] * len(entries))
+                 if clarks else [None] * len(entries))
 
     # phase 3: checks, verdicts and outputs, entry by entry
     records = []
@@ -497,7 +519,41 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
         with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return 0 if all_ok else 1
+    return bool(all_ok)
+
+
+def _new_stage(out: Path) -> Path:
+    """A new empty directory for the outputs of a run into ``out``: inside
+    ``out``, or inside its nearest existing ancestor when it is missing, so
+    that moving the outputs into place renames within one file system and
+    needs no other write permission, and a failed run creates no
+    directory."""
+    base = out
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    return Path(tempfile.mkdtemp(prefix=".blverify-", suffix=".partial",
+                                 dir=base))
+
+
+def _publish(stage: Path, out: Path) -> None:
+    """Move every file under ``stage`` to the same place under ``out``.
+
+    Every target is checked before the first move, so that a directory
+    where a file goes, or a file where a directory goes, fails the run with
+    nothing moved."""
+    files = sorted(path.relative_to(stage) for path in stage.rglob("*")
+                   if path.is_file())
+    for rel in files:
+        in_way = [out / d for d in rel.parents
+                  if (out / d).exists() and not (out / d).is_dir()]
+        if (out / rel).is_dir():
+            in_way.append(out / rel)
+        if in_way:
+            raise FileExistsError(f"cannot write {out / rel}: {in_way[0]} "
+                                  "is in the way")
+    for rel in files:
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        os.replace(stage / rel, out / rel)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class ConvexTest:
     callable of polynomial growth.  It must accept a 1-d array of points and
     return their values elementwise, because the quadrature evaluates it on
     all nodes of a refinement round at once.  ``closed_form`` evaluates psi
-    directly on arrays; the Monte Carlo cross-check needs it (every catalog
+    directly on arrays; ``verifier.moment_check`` needs it (every catalog
     and psi'' data test function has one), while the quadrature verdicts
     use only psi(0), psi'_-(0) and psi''.
     """

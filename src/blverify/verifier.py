@@ -19,9 +19,8 @@ for the tilted side).  These integrands are vectorized: the
 adaptive Gauss-Legendre integrator of ``convex_tests`` hands them the whole
 array of a refinement round's nodes, and ``moment_rhs`` evaluates the table
 call values on the nodes y >= 0 and the put values on the nodes y < 0.
-Monte Carlo through the embedding is only a cross-check, never the primary
-estimator (it evaluates psi by its closed form), and the variance entering
-the corrections is always the quadrature value.
+``moment_check`` rules on the moments of a simulating run's embedded values;
+the variance entering the corrections is always the quadrature value.
 
 The appendix route covers non-convex potentials generated by a slope map k
 with k' >= sqrt(alpha): the same machinery applies verbatim with effective
@@ -47,16 +46,17 @@ from .bass_embedding import EmbeddingEnsemble
 from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            builtin_convex_test,
                            integrate_against_second_derivative, p1_limit_bounds)
+from .gaussian_core import std_normal_pdf, std_normal_quantile
 from .local_time import expected_local_time_array
 from .potentials import (_GRID, Potential, SlopeBoundReport, SlopeMap,
                          check_slope_bounds)
-from .transport import (DEFAULT_QUADRATURE_TOL, NonConvexPotentialError,
-                        TransportMap, build_transport)
+from .transport import (_G_XMAX, _GL_W, DEFAULT_QUADRATURE_TOL,
+                        NonConvexPotentialError, TransportMap, _panel_nodes,
+                        build_transport)
 
 __all__ = [
     "Bl3Entry",
     "VerificationReport",
-    "McCrossCheck",
     "SlopeBoundError",
     "BL1_TOL",
     "BL2_TOL",
@@ -69,7 +69,7 @@ __all__ = [
     "check_declared_slope_bounds",
     "gaussianized_potential",
     "appendix_transport",
-    "mc_crosscheck",
+    "moment_check",
     "format_float",
     "format_floats",
 ]
@@ -85,6 +85,10 @@ BL2_TOL = BL1_TOL
 BL3_TOL = 1e-8
 MAD_TOL = 1e-9
 GAP_P1_TOL = 1e-8
+# 9x and 7.9x the largest relative and absolute errors (2.2e-14, 7.6e-30) of
+# test_verifier.py::TestMomentCheck::test_moment_tolerances_cover_measured_round_off
+MOMENT_REL_TOL = 2e-13
+MOMENT_ABS_TOL = 6e-29
 
 
 class SlopeBoundError(ValueError):
@@ -122,14 +126,6 @@ class Bl3Entry:
     passed: bool
 
 
-@dataclass(frozen=True)
-class McCrossCheck:
-    estimate: float
-    std_error: float
-    reference: float
-    within_3se: bool
-
-
 @dataclass
 class VerificationReport:
     """All numbers behind one (potential, psi) verdict.
@@ -162,7 +158,7 @@ class VerificationReport:
     normalizer_residual: float | None = None
     slope_min: float | None = None
     slope_max: float | None = None
-    mc: McCrossCheck | None = None
+    embedded_moment: float | None = None
     passes: dict = dataclasses.field(default_factory=dict)
 
     @property
@@ -394,28 +390,30 @@ def verify_appendix(psi: ConvexTest, tmap: TransportMap,
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo cross-check
+# the moments of the embedded values
 # ---------------------------------------------------------------------------
 
-def mc_crosscheck(psi: ConvexTest, ensemble: EmbeddingEnsemble,
-                  reference: float) -> McCrossCheck:
-    """Sample mean of psi over the embedded values, against the quadrature
-    moment ``reference`` = ``moment_rhs(psi, tmap)`` of the ensemble's
-    transport, a verdict's ``rhs``.  psi is evaluated on the samples by its
-    ``closed_form``.
-
-    Raises
-    ------
-    ValueError
-        When psi has no closed form.
-    """
-    if psi.closed_form is None:
-        raise ValueError(f"psi {psi.label!r} has no closed form to evaluate "
-                         "on the samples")
-    vals = np.asarray(psi.closed_form(ensemble.bt), float)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(ensemble.n_paths))
-    ref = float(reference)
-    ok = bool(abs(est - ref) <= 3.0 * se) if not math.isinf(ref) else True
-    return McCrossCheck(estimate=est, std_error=se, reference=ref,
-                        within_3se=ok)
+def moment_check(ensemble: EmbeddingEnsemble, psis,
+                 references) -> list[tuple[float, bool]]:
+    """E psi(g(W) - E g) = E psi(B(T)) for each psi, by one Gauss-Legendre
+    rule in w with panel edges at the w-images of 0 and of the psi'' atoms,
+    and whether it is within MOMENT_REL_TOL (1 + |E X| / sd(X)) E|psi| +
+    MOMENT_ABS_TOL of that psi's rhs in ``references`` (or that is inf)."""
+    if any(psi.closed_form is None for psi in psis):
+        raise ValueError("moment_check needs every psi's closed form")
+    clark, tmap = ensemble.clark, ensemble.clark.transport
+    x = clark.mean_g + np.array([0.0, *(k for p in psis for k, _ in p.atoms)])
+    cdf, sf = tmap.cdf(x), tmap.survival(x)     # w-images, upper tail by sf
+    w = (np.where(cdf <= sf, 1.0, -1.0)
+         * std_normal_quantile(np.maximum(np.minimum(cdf, sf), 1e-300)))
+    edges = np.union1d(np.linspace(-_G_XMAX, _G_XMAX, 116),
+                       w[np.abs(w) < _G_XMAX])
+    nodes, half = _panel_nodes(edges[:-1], edges[1:])
+    weights = (half[:, None] * _GL_W * std_normal_pdf(nodes)).ravel()
+    y = np.asarray(tmap.g(nodes.ravel()), float) - clark.mean_g
+    rel_tol = MOMENT_REL_TOL * (1.0 + abs(tmap.mean_mu) / np.sqrt(tmap.var_mu))
+    vals = [np.asarray(psi.closed_form(y), float) for psi in psis]
+    moments = [float(v @ weights) for v in vals]
+    bounds = [rel_tol * (np.abs(v) @ weights) + MOMENT_ABS_TOL for v in vals]
+    return [(m, math.isinf(ref) or bool(abs(m - ref) <= bound))
+            for m, bound, ref in zip(moments, bounds, references)]

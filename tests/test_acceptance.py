@@ -28,6 +28,7 @@ from blverify.verifier import (appendix_transport,
                                moment_rhs, verify_appendix, verify_theorem)
 
 from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS
+from test_bass_embedding import ks_distance, ks_threshold
 from test_local_time import worst_pairwise_disagreement
 
 PSIS = [builtin_convex_test("abs"), builtin_convex_test("square"),
@@ -102,18 +103,24 @@ def test_criterion_2_exact_transport_oracles():
 
 def test_criterion_3_embedding_law(timed_matrix_ensembles):
     t0 = time.perf_counter()
-    threshold = 1.63 / math.sqrt(100_000)
+    threshold = ks_threshold(100_000)
     worst = ("", 0.0)
+    failed = []
     for key in MATRIX_KEYS:
-        rep = embedded_law_check(timed_matrix_ensembles[key])
-        if rep.ks_distance > worst[1]:
-            worst = (key, rep.ks_distance)
-        assert rep.threshold == pytest.approx(threshold, rel=1e-12)
+        ens = timed_matrix_ensembles[key]
+        # the KS distance is the oracle's; the run's own gate is the
+        # deterministic law check
+        d = ks_distance(ens.bt + ens.clark.mean_g, ens.clark.transport.cdf)
+        if d > worst[1]:
+            worst = (key, d)
+        if not embedded_law_check(ens).passed:
+            failed.append(key)
     total = time.perf_counter() - t0 + sum(_BUILD_SECONDS.values())
-    _report(3, "embedded law KS <= 1.63/sqrt(1e5) for all 6 matrix "
-               "potentials (seed 42, 2048 steps)",
-            worst[1] <= threshold and total < 60.0,
-            f"worst KS {worst[1]:.5f} at {worst[0]}, total {total:.1f}s")
+    _report(3, "embedded law KS <= 1.63/sqrt(1e5) and the law check for "
+               "all 6 matrix potentials (seed 42, 2048 steps)",
+            worst[1] <= threshold and not failed and total < 60.0,
+            f"worst KS {worst[1]:.5f} at {worst[0]}, law check failed on "
+            f"{failed}, total {total:.1f}s")
 
 
 def test_criterion_4_stopping_time_and_wald(timed_matrix_ensembles):

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blverify import bass_embedding
-from blverify.bass_embedding import (ClarkIntegrand, clark_integrands,
-                                     embedded_law_check, ks_distance,
+from blverify import bass_embedding, transport
+from blverify.bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,
+                                     clark_integrands, embedded_law_check,
                                      simulate_embedding, simulate_embeddings,
                                      t_bound_check, wald_check)
 from blverify.gaussian_core import std_normal_cdf
@@ -36,6 +36,32 @@ def direct_a(clark, s, y):
         pts = arr[None, :] + tau * clark._gh_z[:, None]
         out = clark._gh_w @ np.interp(pts, clark._fine_x, clark._fine_gp)
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+
+
+def ks_distance(samples, cdf) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of samples against a CDF: the
+    RNG and pipeline oracle that the law check replaced."""
+    s = np.sort(np.asarray(samples, float))
+    n = s.size
+    f = np.asarray(cdf(s), float)
+    grid = np.arange(1, n + 1) / n
+    return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
+
+
+def ks_threshold(n: int) -> float:
+    """The asymptotic 1% critical value of the KS distance."""
+    return 1.63 / math.sqrt(n)
+
+
+def ensemble_at(tmap, w1) -> EmbeddingEnsemble:
+    """What a simulation of ``tmap`` gives for B(T) at the endpoints w1,
+    without the Clark grid (T is left at zero): the law check's inputs."""
+    clark = ClarkIntegrand.__new__(ClarkIntegrand)
+    clark._tabulate(tmap)
+    w1 = np.asarray(w1, float)
+    bt = np.asarray(tmap.g(w1), float) - clark.mean_g
+    return EmbeddingEnsemble(T=np.zeros_like(w1), bt=bt, w1=w1, n_steps=16,
+                             clark=clark, clamp_count=0)
 
 
 @pytest.fixture(scope="module")
@@ -345,8 +371,10 @@ class TestChecks:
 
     def test_embedded_law_exact_sampler(self, zero_clark):
         ens = simulate_embedding(zero_clark, 100_000, 64, seed=23)
-        rep = embedded_law_check(ens)
-        assert rep.passed
+        assert embedded_law_check(ens).passed
+        assert ks_distance(ens.w1, std_normal_cdf) <= ks_threshold(100_000)
+        assert ks_distance(ens.bt + ens.clark.mean_g,
+                           ens.clark.transport.cdf) <= ks_threshold(100_000)
 
     def test_embedded_law_shift_case(self):
         tm = build_transport(builtin_potential("linear"), 1.0)
@@ -354,8 +382,10 @@ class TestChecks:
         # mu = N(-1, 1): check against the shifted Gaussian CDF directly
         d = ks_distance(ens.bt + ens.clark.mean_g,
                         lambda x: std_normal_cdf(np.asarray(x) + 1.0))
-        assert d <= 1.63 / math.sqrt(ens.n_paths)
-        assert embedded_law_check(ens).passed
+        assert d <= ks_threshold(ens.n_paths)
+        rep = embedded_law_check(ens)
+        assert rep.passed
+        assert rep.tolerance == pytest.approx(2 * bass_embedding._LAW_TOL)
 
     def test_empty_ensemble_rejected(self, zero_clark):
         # an empty ensemble cannot reach the checks; nor can one path,
@@ -368,3 +398,85 @@ class TestChecks:
                 dataclasses.replace(ens, T=ens.T[:n], bt=ens.bt[:n],
                                     w1=ens.w1[:n])
 
+
+# the linear(c) transports, (c, A), with the largest law errors over a
+# 28 x 24 sweep of c in [-7, 20] and A in logspace[0.01, 50]: the largest
+# scaled error (5.7e-16, the mean) and the largest pushforward error before
+# scaling (1.6e-15, 4.3e-17 after it)
+WORST_LAW_LINEAR = ((10.0, 0.40574000290090356), (19.0, 3.7427991722363276))
+
+
+def law_transports():
+    """The default matrix at A = 1 and 4 (the slope maps at alpha = 1/A),
+    its convex entries at A = 1/4, and WORST_LAW_LINEAR."""
+    out = {}
+    for a in (0.25, 1.0, 4.0):
+        for name in ("zero", "linear", "quadratic", "abs"):
+            out[name, a] = build_transport(builtin_potential(name), a)
+    for a in (1.0, 4.0):
+        out["cubic", a] = appendix_transport(builtin_slope_map("cubic"), 1 / a)
+        out["log_mixture", a] = appendix_transport(
+            builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS), 1 / a)
+    for c, a in WORST_LAW_LINEAR:
+        out[f"linear({c:g})", a] = build_transport(
+            builtin_potential("linear", {"c": c}), a)
+    return out
+
+
+def _law_scale(tmap) -> float:
+    return 1.0 + abs(tmap.mean_mu) / math.sqrt(tmap.var_mu)
+
+
+class TestEmbeddedLaw:
+    # 20000 normal endpoints and a 2001-point grid of [-6, 6]
+    W1 = np.concatenate([np.random.default_rng(5).standard_normal(20000),
+                         np.linspace(-6.0, 6.0, 2001)])
+
+    def test_law_tolerance_covers_measured_round_off(self):
+        # measured: pushforward 1.7e-16 (abs(1), A = 1), mean 5.7e-16
+        # (linear(10), A = 0.406), both divided by 1 + |E X| / sd(X)
+        errors = {}
+        for key, tmap in law_transports().items():
+            rep = embedded_law_check(ensemble_at(tmap, self.W1))
+            assert rep.tolerance == bass_embedding._LAW_TOL * _law_scale(tmap)
+            errors[key] = max(rep.pushforward_error,
+                              rep.mean_error) / _law_scale(tmap)
+        assert max(errors.values()) <= bass_embedding._LAW_TOL / 4, errors
+
+    def test_upper_side_reads_the_survival_function(self):
+        # at w = +-8.3 both sides hold Phi(-8.3) = 5.2e-17 to 1e-31; the
+        # complement of the left-accumulated CDF is off by 1.6e-15, a
+        # third of the tolerance
+        tm = build_transport(builtin_potential("abs"), 1.0)
+        ens = ensemble_at(tm, [-8.3, 8.3])
+        assert embedded_law_check(ens).pushforward_error <= 1e-31
+        x = ens.bt[1] + ens.clark.mean_g
+        assert abs(1.0 - tm.cdf(x) - std_normal_cdf(-8.3)) > 1e-15
+
+    def test_one_newton_iteration_fails_where_ks_passes(self, monkeypatch):
+        # g from one Newton step is off by 1e-11 to 1e-9 in F_mu: far
+        # inside the KS threshold of 12288 paths, 1.5e-2
+        monkeypatch.setattr(transport, "_NEWTON_ITERS", 1)
+        transports = [build_transport(builtin_potential("abs"), 1.0),
+                      appendix_transport(builtin_slope_map("cubic"), 1.0)]
+        ensembles = simulate_embeddings(clark_integrands(transports), 12288,
+                                        16, seed=42)
+        for ens in ensembles:
+            tmap = ens.clark.transport
+            rep = embedded_law_check(ens)
+            assert not rep.passed
+            assert rep.pushforward_error > 1e3 * rep.tolerance
+            assert ks_distance(ens.bt + ens.clark.mean_g,
+                               tmap.cdf) <= ks_threshold(12288)
+
+    def test_shifted_mean_fails_where_ks_passes(self, abs_clark):
+        ens = simulate_embedding(abs_clark, 12288, 16, seed=42)
+        assert embedded_law_check(ens).passed
+        shifted = copy.copy(abs_clark)
+        shifted.mean_g = abs_clark.mean_g + 1e-9
+        ens = dataclasses.replace(ens, clark=shifted)
+        rep = embedded_law_check(ens)
+        assert not rep.passed
+        assert rep.mean_error > 1e-9 and rep.pushforward_error > 1e-10
+        assert ks_distance(ens.bt + shifted.mean_g,
+                           abs_clark.transport.cdf) <= ks_threshold(12288)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -371,6 +372,135 @@ class TestRunCommand:
         assert main(["verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_one_newton_iteration_fails_a_two_path_run(self, tmp_path,
+                                                        monkeypatch):
+        # g off by 1e-11 to 1e-9 in F_mu; the KS gate that the law check
+        # replaced, 1.63 / sqrt(2) = 1.15, passed any two paths
+        import blverify.transport as transport_mod
+        monkeypatch.setattr(transport_mod, "_NEWTON_ITERS", 1)
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "abs"}], "psis": ["abs"],
+            "n_paths": 2, "n_steps": 64})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        law = report["potentials"][0]["embedded_law"]
+        assert not law["passed"]
+        assert float(law["pushforward_error"]) > 1e3 * float(law["tolerance"])
+
+
+def _tree(root: Path) -> dict:
+    """{relative path: file bytes, or None for a directory} under root."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+class TestAtomicOutput:
+    """A run that fails while writing leaves its output directory as it was
+    and leaves no staging directory behind."""
+
+    CONFIG = {"potentials": [{"family": "abs"}], "psis": ["abs"],
+              "n_paths": 0, "output_dir": "out"}
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(self.CONFIG))
+        return tmp_path
+
+    def test_report_path_taken_by_a_directory(self, workdir):
+        # a run that writes as it goes leaves summary.csv, margins.csv
+        # and the transport table behind before it fails on report.json
+        (workdir / "out" / "report.json").mkdir(parents=True)
+        (workdir / "out" / "report.json" / "x").write_text("kept")
+        before = _tree(workdir)
+        assert main(["verify", "--config", "config.json"]) == 2
+        assert _tree(workdir) == before
+
+    def test_plotdata_taken_by_a_file(self, workdir):
+        (workdir / "out").mkdir()
+        (workdir / "out" / "plotdata").write_text("kept")
+        before = _tree(workdir)
+        assert main(["verify", "--config", "config.json"]) == 2
+        assert _tree(workdir) == before
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_last_write(self, existing, workdir, monkeypatch):
+        import blverify.cli as cli_mod
+        if existing:
+            assert main(["run", "--config", "config.json",
+                         "--paths", "300", "--steps", "16"]) == 0
+            (workdir / "out" / "other.txt").write_text("kept")
+        before = _tree(workdir)
+
+        def failing_dump(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli_mod.json, "dump", failing_dump)
+        assert main(["verify", "--config", "config.json", "--out",
+                     "out" if existing else "out/deeper/still"]) == 2
+        assert _tree(workdir) == before
+
+    def test_output_dir_on_its_own_file_system(self, workdir, monkeypatch):
+        # as for a mount point or a symlink to another file system: a
+        # rename into out from anywhere outside it fails with EXDEV
+        (workdir / "out").mkdir()
+        real = os.replace
+
+        def replace(src, dst):
+            if (workdir / "out").resolve() not in Path(src).resolve().parents:
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(["verify", "--config", "config.json"]) == 0
+        assert sorted(_tree(workdir / "out")) == [
+            "plotdata", "plotdata/margins.csv",
+            "plotdata/transport_abs_1.csv", "report.json", "summary.csv"]
+
+    @pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                        reason="root may write into a read-only directory")
+    def test_output_dir_under_a_read_only_parent(self, workdir):
+        (workdir / "ro" / "out").mkdir(parents=True)
+        (workdir / "ro").chmod(0o555)
+        try:
+            assert main(["verify", "--config", "config.json",
+                         "--out", "ro/out"]) == 0
+        finally:
+            (workdir / "ro").chmod(0o755)
+        assert (workdir / "ro" / "out" / "report.json").is_file()
+
+    def test_stage_search_stops_at_the_top(self, workdir, monkeypatch):
+        # Path(".").parent is "."; when no ancestor exists (a deleted
+        # working directory), the search for one still has to end
+        import blverify.cli as cli_mod
+        looked, real = [], Path.exists
+
+        def exists(path):
+            looked.append(str(path))
+            assert len(looked) < 10, looked
+            return False
+
+        monkeypatch.setattr(Path, "exists", exists)
+        stage = cli_mod._new_stage(Path("a/b"))
+        monkeypatch.setattr(Path, "exists", real)
+        assert looked == ["a/b", "a", "."]
+        assert stage.parent == Path(".") and stage.is_dir()
+        stage.rmdir()
+
+    def test_success_replaces_files_and_keeps_others(self, workdir):
+        (workdir / "out" / "plotdata").mkdir(parents=True)
+        (workdir / "out" / "report.json").write_text("old")
+        (workdir / "out" / "other.txt").write_text("kept")
+        assert main(["verify", "--config", "config.json"]) == 0
+        tree = _tree(workdir)
+        assert json.loads(tree["out/report.json"])["all_passed"]
+        assert tree["out/other.txt"] == b"kept"
+        assert sorted(tree) == ["config.json", "out", "out/other.txt",
+                                "out/plotdata", "out/plotdata/margins.csv",
+                                "out/plotdata/transport_abs_1.csv",
+                                "out/report.json", "out/summary.csv"]
+
 
 class TestSubcommands:
     def test_verify_has_no_monte_carlo(self, tmp_path):
@@ -381,7 +511,8 @@ class TestSubcommands:
         assert report["config"]["n_paths"] == 0
         entry = report["potentials"][0]
         assert "wald" not in entry
-        assert all(rep["mc"] is None for rep in entry["reports"])
+        assert all(rep["embedded_moment"] is None
+                   for rep in entry["reports"])
         assert not (out / "ensemble.csv").exists()
 
     def test_embed_writes_ensemble_only(self, tmp_path):
@@ -600,12 +731,7 @@ def _oracle_to_json_dict(rep) -> dict:
         "normalizer_residual": format_float(rep.normalizer_residual),
         "slope_min": format_float(rep.slope_min),
         "slope_max": format_float(rep.slope_max),
-        "mc": None if rep.mc is None else {
-            "estimate": format_float(rep.mc.estimate),
-            "std_error": format_float(rep.mc.std_error),
-            "reference": format_float(rep.mc.reference),
-            "within_3se": rep.mc.within_3se,
-        },
+        "embedded_moment": format_float(rep.embedded_moment),
         "passes": dict(sorted(rep.passes.items())),
     }
 
@@ -677,8 +803,8 @@ def oracle_reports():
 
 class TestSerializerOracles:
     def test_reports_cover_the_cases(self, oracle_reports):
-        assert any(rep.mc is not None for rep in oracle_reports)
-        assert any(rep.mc is None for rep in oracle_reports)
+        assert any(rep.embedded_moment is not None for rep in oracle_reports)
+        assert any(rep.embedded_moment is None for rep in oracle_reports)
         assert any(rep.psi_label.endswith("~improved_alpha") and not rep.bl3
                    for rep in oracle_reports)
         assert any(rep.lhs_infinite and rep.rhs_infinite

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -7,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from blverify import verifier
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
 from blverify.convex_tests import (ConvexTest, builtin_convex_test,
                                    convex_test_from_spec)
@@ -20,9 +22,10 @@ from blverify.verifier import (BL1_TOL, SlopeBoundError, _verdict,
                                appendix_transport,
                                check_declared_slope_bounds, format_float,
                                format_floats, gaussianized_potential,
-                               mc_crosscheck, moment_lhs, moment_rhs,
+                               moment_check, moment_lhs, moment_rhs,
                                verify_appendix, verify_theorem)
 
+from test_bass_embedding import ensemble_at, law_transports
 from test_convex_tests import SWEEP_PSIS
 from test_potentials import ATOMS3
 
@@ -503,35 +506,144 @@ def quad_setup():
     return tm, ens
 
 
+def mc_crosscheck(psi, ensemble, reference):
+    """Sample mean of psi over the embedded values with its standard error,
+    and whether it lies within 3 SE of ``reference``: the RNG and pipeline
+    oracle that the moment check replaced."""
+    vals = np.asarray(psi.closed_form(ensemble.bt), float)
+    est = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / math.sqrt(ensemble.n_paths))
+    return est, se, bool(abs(est - reference) <= 3.0 * se)
+
+
 class TestMcCrossCheck:
 
     def test_square_recovers_variance(self, quad_setup):
         tm, ens = quad_setup
         square = builtin_convex_test("square")
-        chk = mc_crosscheck(square, ens, moment_rhs(square, tm))
-        assert chk.within_3se
-        assert abs(chk.estimate - 0.5) <= 3.0 * chk.std_error
+        est, se, within = mc_crosscheck(square, ens, moment_rhs(square, tm))
+        assert within
+        assert abs(est - 0.5) <= 3.0 * se
+        (moment, agrees), = moment_check(ens, [square],
+                                         [moment_rhs(square, tm)])
+        assert agrees and moment == pytest.approx(0.5, rel=1e-14)
 
     def test_abs_half_normal_mean(self, quad_setup):
         tm, ens = quad_setup
         psi = builtin_convex_test("abs")
-        chk = mc_crosscheck(psi, ens, moment_rhs(psi, tm))
-        assert abs(chk.estimate - math.sqrt(2 * 0.5 / math.pi)) <= 3 * chk.std_error
-        assert chk.within_3se
+        est, se, within = mc_crosscheck(psi, ens, moment_rhs(psi, tm))
+        assert abs(est - math.sqrt(2 * 0.5 / math.pi)) <= 3 * se
+        assert within
 
     def test_linear_psi_centers_to_zero(self, quad_setup):
         tm, ens = quad_setup
         linear = ConvexTest("linear", 0.0, 1.0,
                             closed_form=lambda x: np.asarray(x, float))
-        chk = mc_crosscheck(linear, ens, moment_rhs(linear, tm))
-        assert abs(chk.estimate) <= 3.0 * chk.std_error
+        est, se, _ = mc_crosscheck(linear, ens, moment_rhs(linear, tm))
+        assert abs(est) <= 3.0 * se
+        # the moment cancels to round-off: the check reads the difference
+        # against E|psi| = 0.56, not against the moment
+        (moment, agrees), = moment_check(ens, [linear], [0.0])
+        assert agrees and abs(moment) <= 1e-16
 
     def test_psi_without_closed_form_rejected(self, quad_setup):
         tm, ens = quad_setup
         square = builtin_convex_test("square")
         bare = dataclasses.replace(square, closed_form=None)
         with pytest.raises(ValueError, match="closed form"):
-            mc_crosscheck(bare, ens, moment_rhs(square, tm))
+            moment_check(ens, [square, bare], [moment_rhs(square, tm)] * 2)
+
+
+# psis of the moment tolerance measurement: the catalog plus strikes and
+# corridors far out in both tails
+FAR_PSIS = [builtin_convex_test("abs"), builtin_convex_test("square"),
+            builtin_convex_test("power", p=3),
+            builtin_convex_test("power", p=5),
+            builtin_convex_test("corridor", width=1.0),
+            builtin_convex_test("corridor", width=4.0),
+            *(builtin_convex_test("call", strike=k) for k in
+              (-12.0, -8.0, -5.0, -3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0,
+               8.0, 10.0, 12.0, 15.0, 20.0))]
+# linear(c), A of a 28 x 24 sweep (c in [-7, 20], A in logspace[0.01, 50])
+# with the largest relative difference before the 1 + |E X| / sd(X) scaling:
+# 1.7e-13, on call(15) (2.7e-15 after it)
+WORST_MOMENT_LINEAR = (16.0, 3.7427991722363276)
+
+
+class TestMomentCheck:
+
+    def test_moment_tolerances_cover_measured_round_off(self):
+        # measured, against E|psi| (1 + |E X| / sd(X)) where E|psi| > 1e-15:
+        # 2.2e-14 (call(5) on zero at A = 1); absolute where E|psi| <= 1e-15:
+        # 7.6e-30 (call(5) on linear(10) at A = 0.406)
+        transports = law_transports()
+        c, a = WORST_MOMENT_LINEAR
+        transports[f"linear({c:g})", a] = build_transport(
+            builtin_potential("linear", {"c": c}), a)
+        worst_rel = worst_abs = 0.0
+        for key, tmap in transports.items():
+            ens = ensemble_at(tmap, [0.0, 1.0])
+            scale = 1.0 + abs(tmap.mean_mu) / math.sqrt(tmap.var_mu)
+            refs = [moment_rhs(psi, tmap) for psi in FAR_PSIS]
+            for psi, ref, (moment, agrees) in zip(
+                    FAR_PSIS, refs, moment_check(ens, FAR_PSIS, refs)):
+                # every psi here is nonnegative: E|psi| is the moment
+                diff = abs(moment - ref)
+                assert agrees, (key, psi.label, moment, ref)
+                tol = (verifier.MOMENT_REL_TOL * scale * moment
+                       + verifier.MOMENT_ABS_TOL)
+                assert diff <= tol / 4, (key, psi.label)
+                if moment > 1e-15:
+                    worst_rel = max(worst_rel, diff / moment / scale)
+                else:
+                    worst_abs = max(worst_abs, diff)
+        assert worst_rel <= verifier.MOMENT_REL_TOL / 4
+        assert worst_abs <= verifier.MOMENT_ABS_TOL / 4
+
+    def test_kinks_fall_on_panel_edges(self):
+        # E (W - K)^+ = phi(K) - K Phi(-K) for W ~ N(0, 1), within 1.6e-14
+        # relative; with the kinks w = K inside the 0.2-wide panels instead
+        # of on their edges, up to 6.6e-4 off
+        ens = ensemble_at(build_transport(builtin_potential("zero"), 1.0),
+                          [0.0, 1.0])
+        strikes = np.linspace(-3.0, 3.0, 13) + 0.037
+        calls = [builtin_convex_test("call", strike=k) for k in strikes]
+        moments = [m for m, _ in moment_check(ens, calls,
+                                              [math.inf] * len(calls))]
+        exact = std_normal_pdf(strikes) - strikes * std_normal_cdf(-strikes)
+        np.testing.assert_allclose(moments, exact, rtol=1e-13, atol=0)
+
+    def test_infinite_reference_agrees(self, quad_setup):
+        tm, ens = quad_setup
+        square = builtin_convex_test("square")
+        (moment, agrees), = moment_check(ens, [square], [math.inf])
+        assert agrees and moment == pytest.approx(0.5, rel=1e-14)
+
+    def test_wrong_measure_fails(self):
+        # a quadratic(1) ensemble against the moments of zero: E|X| is
+        # sqrt(2/pi) (1 - 1/sqrt 2) apart, E X^2 by 1/2; linear(1) would
+        # not do, its centered moments are zero's
+        zero = build_transport(builtin_potential("zero"), 1.0)
+        quad = build_transport(builtin_potential("quadratic"), 1.0)
+        ens = ensemble_at(quad, [0.0, 1.0])
+        refs = [moment_rhs(psi, zero) for psi in PSIS]
+        assert not any(agrees for _, agrees in moment_check(ens, PSIS, refs))
+        assert all(agrees for _, agrees in moment_check(
+            ens, PSIS, [moment_rhs(psi, quad) for psi in PSIS]))
+
+    def test_shifted_mean_fails_call_1(self, quad_setup):
+        # E g shifted by 1e-9 moves E (X - 1)^+ by P(X > 1) 1e-9, far
+        # inside the 3 SE band of 50000 paths
+        tm, ens = quad_setup
+        call = builtin_convex_test("call", strike=1.0)
+        ref = moment_rhs(call, tm)
+        assert moment_check(ens, [call], [ref])[0][1]
+        shifted = copy.copy(ens.clark)
+        shifted.mean_g += 1e-9
+        moved = dataclasses.replace(ens, clark=shifted,
+                                    bt=ens.bt - 1e-9)
+        assert not moment_check(moved, [call], [ref])[0][1]
+        assert mc_crosscheck(call, moved, ref)[2]
 
 
 def test_format_float():
