@@ -34,27 +34,29 @@ the integrands' common y grid once per step, and integrates each integrand
 along the same paths.  Each of its ensembles is bit-identical to a
 `simulate_embedding` call for that integrand alone.
 
-Memory is bounded per chunk, not per problem or per integrand.  The Clark
-grids are filled when their integrands are constructed, a few tau rows per
-task on a pool of one worker thread per CPU the process may run on; after
-that an integrand is read-only.  The quadrature nodes are the same for
-every transport, so `clark_integrands` fills several grids in one pass that
-locates each node in the dense g' table once for all of them and then
-interpolates each table by numpy.interp's formula, bit for bit.
+The Clark grid is the exact Gaussian smoothing of the piecewise-linear
+interpolant of a dense g' table.  On the table's uniform lattice, which
+contains the grid's y nodes, that smoothing is a discrete convolution whose
+kernel has a closed-form DFT, so an FFT fills a batch of tau rows at a
+time.  The kernel depends on tau alone, so `clark_integrands` fills several
+grids in one pass that computes each batch's multipliers once for all of
+them.  The grids are filled when their integrands are constructed; after
+that an integrand is read-only.
 
-The simulation streams the steps in row chunks of a few MB: while the
-calling thread interpolates the integrand rows of the current chunk and
-steps every path side by side in one vector, at most as many worker threads
-draw the next chunk's increments block by block into reused buffers
-(Philox fills release the GIL).  A chunk holds fewer steps the more
-integrands share it, so its row tables stay the same size.
+Memory is bounded per chunk, not per problem or per integrand: the grid
+fill holds one batch of tau rows, and the simulation streams the steps in
+row chunks of a few MB.  While the calling thread interpolates the
+integrand rows of the current chunk and steps every path side by side in
+one vector, at most as many worker threads draw the next chunk's increments
+block by block into reused buffers (Philox fills release the GIL).  A chunk
+holds fewer steps the more integrands share it, so its row tables stay the
+same size.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -78,21 +80,24 @@ __all__ = [
 ]
 
 _BLOCK_PATHS = 4096            # fixed: part of the random-stream layout
-_HERMITE_NODES = 64            # Gauss-Hermite nodes of the smoothing
+_HERMITE_NODES = 64            # Gauss-Hermite nodes of E[g(W_1)]
 _TAU_CELLS = 256               # Clark grid cells in tau = sqrt(1 - s)
 _Y_CELLS = 1024                # Clark grid cells in y, on [-_Y_MAX, _Y_MAX]
 _Y_MAX = 8.0
-_FINE_CELLS = 8192             # cells of the dense g' table on [-11.5, 11.5]
+_FINE_PER_UNIT = 384           # g' lattice x_j = j / 384, 6 cells per y cell
+_FINE_HALF = 4416              # |j| <= 4416: the lattice spans [-11.5, 11.5]
+_FFT_SIZE = 16384              # circular convolution length of the smoothing
+_FFT_TAU_ROWS = 16             # tau rows per FFT batch (2 MB per array)
+_EXP_UNDERFLOW = 746.0         # exp(-x) rounds to 0 in float64 for x >= this
 _CHUNK_VALUES = 1 << 18        # float64 values per step-chunk table (2 MB)
-_GRID_TAU_ROWS = 2             # tau rows per Clark-grid chunk (~1 MB of nodes)
 _CSV_ROWS = 2048               # rows formatted per CSV write (~0.6 MB transient)
 _U = 2.0**-53                  # unit roundoff
 # Relative round-off allowed above sqrt(A) on the g' table and the Clark
 # grid: 6.6x the largest excess that test_bass_embedding.py's
 # TestChecks::test_t_bound_tolerances_cover_measured_round_off measures
 # (1366 u = 1.5e-13, on the g' table of linear(20) at A = 1.44, whose
-# transport window is centred on the mode -28.8; 844 u while the window
-# stopped at -6), a test that fails from 1/4 of it.
+# transport window is centred on the mode -28.8; 854 u on its grid), a test
+# that fails from 1/4 of it.
 _G_PRIME_REL_TOL = 1e-12
 # Per unit of 1 + |E X| / sd(X), 8.8x the largest law error (5.7e-16) of
 # test_bass_embedding.py::TestEmbeddedLaw::test_law_tolerance_covers_measured_round_off
@@ -136,12 +141,14 @@ class EmbeddingEnsemble:
 class ClarkIntegrand:
     """The smoothed-derivative integrand a(s, y) = E[g'(y + sqrt(1-s) Z)].
 
-    The smoothing is a 64-node Gauss-Hermite sum, tabulated on a tensor grid
-    (257 tau = sqrt(1-s) nodes, uniform in tau where the integrand is
-    smooth, by 1025 uniform y nodes on [-8, 8]) that path simulation
-    samples bilinearly.  g' enters through a dense table on [-11.5, 11.5],
-    interpolated linearly; its constant continuation beyond the ends
-    matches the transport's linear extrapolation of g.
+    g' enters through a dense table on the lattice x_j = j / 384,
+    |j| <= 4416, which spans [-11.5, 11.5] and contains every y node; it is
+    read as its piecewise-linear interpolant, continued as a constant
+    beyond the ends to match the transport's linear extrapolation of g.
+    The integrand is that interpolant's exact Gaussian smoothing,
+    tabulated on a tensor grid (257 tau = sqrt(1-s) nodes, uniform in tau
+    where the integrand is smooth, by 1025 uniform y nodes on [-8, 8])
+    that path simulation samples bilinearly.
 
     The constructor tabulates g' and E[g(W_1)] and fills the whole grid; it
     is the one-transport case of `clark_integrands`, which fills the grids
@@ -149,13 +156,13 @@ class ClarkIntegrand:
     afterwards, so any number of simulations may share it.
     """
 
-    # abscissae shared by every integrand: the Gauss-Hermite nodes, the
-    # dense g' table (the displacements reach |y| ~ 23, where g' is already
-    # the constant extrapolation slope) and the (tau, y) grid
+    # abscissae shared by every integrand: the 64-node Gauss-Hermite rule of
+    # mean_g, the g' lattice (the smoothing reaches |y| ~ 23, where g' is
+    # already the constant extrapolation slope) and the (tau, y) grid
     _gh_z, _gh_w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     _gh_z = np.sqrt(2.0) * _gh_z
     _gh_w = _gh_w / np.sqrt(np.pi)
-    _fine_x = np.linspace(-11.5, 11.5, _FINE_CELLS + 1)
+    _fine_x = np.arange(-_FINE_HALF, _FINE_HALF + 1) / _FINE_PER_UNIT
     _tau = np.linspace(0.0, 1.0, _TAU_CELLS + 1)
     _y = np.linspace(-_Y_MAX, _Y_MAX, _Y_CELLS + 1)
 
@@ -164,7 +171,6 @@ class ClarkIntegrand:
         _fill_grids([self])
 
     def _tabulate(self, transport: TransportMap) -> None:
-        # everything that calls the transport, on the calling thread
         self.transport = transport
         self._fine_gp = np.asarray(transport.g_prime(self._fine_x), float)
         self.mean_g = float(np.dot(self._gh_w,
@@ -190,10 +196,9 @@ class ClarkIntegrand:
 def clark_integrands(transports) -> list[ClarkIntegrand]:
     """One integrand per transport, their grids filled in one pass.
 
-    Every grid smooths its own g' table over the same quadrature nodes
-    y + tau z_k, so each node is located in the dense table once for all
-    the transports.  Each integrand is bit-identical to
-    `ClarkIntegrand(transport)`.
+    The smoothing kernel depends on tau alone, so each batch of tau rows
+    computes its Fourier multipliers once for all the transports.  Each
+    integrand is bit-identical to `ClarkIntegrand(transport)`.
     """
     transports = list(transports)
     clarks = [ClarkIntegrand.__new__(ClarkIntegrand) for _ in transports]
@@ -203,106 +208,66 @@ def clark_integrands(transports) -> list[ClarkIntegrand]:
     return clarks
 
 
-# the dense table's nodes are exactly x0 + j h, so a node's cell follows
-# from one division
-_FINE_X0 = ClarkIntegrand._fine_x[0]
-_FINE_H = (ClarkIntegrand._fine_x[-1] - _FINE_X0) / _FINE_CELLS
-assert np.array_equal(ClarkIntegrand._fine_x,
-                      _FINE_X0 + np.arange(_FINE_CELLS + 1) * _FINE_H)
-# abscissae by cell of the padded table: cell 0 holds every x < x0, and
-# its -max keeps x - xp finite there
-_FINE_XP = np.concatenate(([-np.finfo(float).max], ClarkIntegrand._fine_x))
+# y_i = -8 + i / 64 is the lattice node j = 6 i - 3072, exactly
+_Y_ON_FINE = slice(_FINE_HALF - 3072, _FINE_HALF + 3073, 6)
+assert np.array_equal(ClarkIntegrand._fine_x[_Y_ON_FINE], ClarkIntegrand._y)
 
 
-def _interp_tables(fine_gp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and slopes of the g' table by cell, with zero-slope cells
-    for x < x0 (index 0) and for x >= the last node (the last index)."""
-    values = np.concatenate((fine_gp[:1], fine_gp))
-    slopes = np.concatenate(
-        ([0.0], np.diff(fine_gp) / np.diff(ClarkIntegrand._fine_x), [0.0]))
-    return values, slopes
+def _smoothing_multipliers(tau: np.ndarray) -> np.ndarray:
+    """The DFT over _FFT_SIZE lattice cells of the kernel that maps a g'
+    table to its Gaussian smoothing at the lattice nodes, one row per tau.
 
-
-def _fine_cells(x: np.ndarray, cell: np.ndarray, offset: np.ndarray,
-                below: np.ndarray) -> None:
-    """Locate finite x in the padded g' table: x lies in
-    [_FINE_XP[cell], _FINE_XP[cell + 1]) and offset = x - _FINE_XP[cell].
-
-    The rounded quotient can land on the next node but never below the true
-    cell (rounding is monotone and every node is exact), so one step back
-    where the offset came out negative finds it.  ``below`` is scratch.
+    The table's interpolant is sum_j L_j hat((x - x_j) / h), so smoothing it
+    by N(0, tau^2) convolves L with the samples of hat * N(0, tau^2) at the
+    lattice offsets.  That kernel's Fourier transform is
+    h sinc^2(k h / 2) e^{-tau^2 k^2 / 2}, and the DFT of its samples sums
+    it over the aliases k + 2 pi n / h.  In cycles per cell, u = k h / 2 pi
+    in [0, 1/2], the terms n = 0 and n = -1 remain: the largest of the
+    others, n = 1, stays below 4e-24 for tau >= 1/256, and adding n = 1,
+    +-2 and -3 leaves every grid of the default matrix bit for bit.
     """
-    np.subtract(x, _FINE_X0 - _FINE_H, out=offset)
-    offset /= _FINE_H
-    np.clip(offset, 0.0, _FINE_CELLS + 1, out=offset)
-    np.copyto(cell, offset, casting="unsafe")    # floor: offset >= 0
-    _FINE_XP.take(cell, out=offset, mode="clip")
-    np.subtract(x, offset, out=offset)
-    np.less(offset, 0.0, out=below)
-    back = np.flatnonzero(below)
-    cell[back] -= 1
-    offset[back] = x[back] - _FINE_XP[cell[back]]
-
-
-def _interp_cells(table, cell: np.ndarray, offset: np.ndarray,
-                  out: np.ndarray, scratch: np.ndarray) -> None:
-    """g' at the points located by `_fine_cells`, by numpy.interp's formula
-    slope[j] (x - xp[j]) + fp[j], so bit for bit equal to numpy.interp over
-    the table (whose values are finite)."""
-    values, slopes = table
-    slopes.take(cell, out=out, mode="clip")     # every cell is in range
-    out *= offset
-    values.take(cell, out=scratch, mode="clip")
-    out += scratch
+    u = np.fft.rfftfreq(_FFT_SIZE)
+    k_per_u = 2.0 * np.pi * _FINE_PER_UNIT
+    # beyond |k| = reach, e^{-k^2 tau^2 / 2} is 0 at every tau of the batch,
+    # so leaving those terms out changes no bit
+    reach = math.sqrt(2.0 * _EXP_UNDERFLOW) / np.min(tau)
+    out = np.zeros((len(tau), len(u)))
+    for alias in (u, u - 1.0):
+        near = np.abs(k_per_u * alias) < reach
+        k_tau = k_per_u * alias[near] * tau[:, None]
+        out[:, near] += np.sinc(alias[near])**2 * np.exp(-0.5 * k_tau * k_tau)
+    return out
 
 
 def _fill_grids(clarks) -> None:
-    """Fill the grids of `clarks` in chunks of _GRID_TAU_ROWS tau rows on a
-    pool of `_worker_count` threads."""
-    tables = [_interp_tables(clark._fine_gp) for clark in clarks]
-    with ThreadPoolExecutor(_worker_count()) as pool:
-        for _ in pool.map(lambda t0: _fill_chunk(clarks, tables, t0),
-                          range(0, len(ClarkIntegrand._tau), _GRID_TAU_ROWS)):
-            pass    # re-raises a failed chunk's exception
+    """Fill the grids of `clarks` with the exact Gaussian smoothing of their
+    g' tables: the tau = 0 row is the table at the y nodes, and the other
+    rows convolve L - L_0 with the smoothing kernel by FFT, _FFT_TAU_ROWS
+    rows at a time, and add L_0 back (which keeps a constant table exact).
 
-
-def _fill_chunk(clarks, tables, t0: int) -> None:
-    # Gauss-Hermite smoothing of g' for tau rows t0 .. t0 + _GRID_TAU_ROWS
-    tau = ClarkIntegrand._tau[t0:t0 + _GRID_TAU_ROWS]
-    z, y = ClarkIntegrand._gh_z, ClarkIntegrand._y
-    shape = (len(tau), len(z), len(y))
-    nodes, offset, cell, below, gathered = _chunk_buffers(math.prod(shape))
-    np.add(y[None, None, :], tau[:, None, None] * z[None, :, None],
-           out=nodes.reshape(shape))
-    _fine_cells(nodes, cell, offset, below)
-    values = nodes.reshape(shape)   # the nodes are no longer needed
-    for clark, table in zip(clarks, tables):
-        _interp_cells(table, cell, offset, out=nodes, scratch=gathered)
-        rows = clark._grid[t0:t0 + len(tau)]
-        np.einsum("k,tky->ty", ClarkIntegrand._gh_w, values, out=rows)
-        if t0 == 0:
-            rows[0] = values[0, 0]      # tau = 0: the nodes are y, a = g'(y)
-
-
-_scratch = threading.local()
-
-
-def _chunk_buffers(n: int):
-    """This thread's reused buffers for the n quadrature nodes of a grid
-    chunk: nodes (later the g' values), offsets, cells, a mask and gathered
-    table values.
-
-    A chunk then allocates about 0.1 MB.  Fresh MB-sized arrays per chunk
-    made glibc release and re-fault a worker thread's heap pages around
-    every chunk: about 400k page faults and 1 s of system time per
-    six-potential, 12288-path run.
+    Padded to _FFT_SIZE cells, L - L_0 continues as the constant L_N - L_0
+    over the first half of the padding and as 0 over the second, which the
+    circular convolution reads as lying left of x_0.  Every y node lies
+    5120 cells, at least 13.3 tau, from the jump between the halves, where
+    the kernel's tail weighs below 1e-39.
     """
-    bufs = getattr(_scratch, "grid", None)
-    if bufs is None or bufs[0].size < n:
-        bufs = _scratch.grid = (np.empty(n), np.empty(n),
-                                np.empty(n, dtype=np.intp),
-                                np.empty(n, dtype=bool), np.empty(n))
-    return tuple(buf[:n] for buf in bufs)
+    n_fine = len(ClarkIntegrand._fine_x)
+    split = n_fine + (_FFT_SIZE - n_fine) // 2
+    spectra = []
+    for clark in clarks:
+        table = clark._fine_gp
+        padded = np.zeros(_FFT_SIZE)
+        np.subtract(table, table[0], out=padded[:n_fine])
+        padded[n_fine:split] = table[-1] - table[0]
+        spectra.append(np.fft.rfft(padded))
+        clark._grid[0] = table[_Y_ON_FINE]
+    tau = ClarkIntegrand._tau
+    for t0 in range(1, len(tau), _FFT_TAU_ROWS):
+        multipliers = _smoothing_multipliers(tau[t0:t0 + _FFT_TAU_ROWS])
+        for clark, spectrum in zip(clarks, spectra):
+            rows = np.fft.irfft(spectrum * multipliers, _FFT_SIZE)
+            np.add(rows[:, _Y_ON_FINE], clark._fine_gp[0],
+                   out=clark._grid[t0:t0 + len(multipliers)])
 
 
 def _worker_count() -> int:
@@ -496,8 +461,8 @@ def wald_check(ensemble: EmbeddingEnsemble) -> WaldReport:
 def t_bound_check(ensemble: EmbeddingEnsemble) -> TBoundReport:
     """T <= A, and Caffarelli's g' <= sqrt(A) behind it, at round-off.
 
-    g' <= sqrt(A) on the integrand's dense g' table; its Gauss-Hermite
-    averages a <= sqrt(A) on the Clark grid; and T <= A, since each T is a
+    g' <= sqrt(A) on the integrand's dense g' table; its Gaussian averages
+    a <= sqrt(A) on the Clark grid; and T <= A, since each T is a
     trapezoid sum of a^2 whose weights sum to 1.  The T bound adds to the
     squared a bound (n_steps + 32) u: the recursive sum of n_steps + 1
     terms rounds by at most n_steps u / (1 - n_steps u) relative (Higham,

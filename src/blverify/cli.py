@@ -91,6 +91,10 @@ class ExperimentConfig:
                    for p in self.p_list):
             raise ConfigError("'p_list' entries must exceed 1 and have a "
                               f"finite conjugate above 1, got {self.p_list}")
+        # each p names a sandwich column est2_p{p:g}
+        if len({f"{p:g}" for p in self.p_list}) < len(self.p_list):
+            raise ConfigError("'p_list' entries must differ in their first "
+                              f"6 significant digits, got {self.p_list}")
         # one path has no standard error for the Monte Carlo checks
         if self.n_paths < 0 or self.n_paths == 1:
             raise ConfigError("'n_paths' must be 0 or at least 2, got "

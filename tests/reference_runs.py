@@ -3,7 +3,7 @@
 ``tests/reference/`` holds, for each run of ``RUNS``, the outputs that a
 change must either keep byte for byte or explain: ``report.json`` without
 its ``output_dir`` echo, ``summary.csv``, ``margins.csv`` and the sha256 of
-each ensemble CSV.  ``test_reference_outputs.py`` reruns the three and lists
+each ensemble CSV and of its ``T``, ``bt`` and ``w1`` columns.  ``test_reference_outputs.py`` reruns the three and lists
 every moved field with its old value, its new value and the relative
 change.  The bytes depend on the numpy version, which ``versions.json``
 records.
@@ -76,10 +76,23 @@ def produce(name: str, workdir: Path) -> dict:
             files[Path(table).name] = (out / table).read_text(encoding="utf-8")
     ensembles = sorted(out.glob("ensemble*.csv"))
     if ensembles:
-        files["ensembles.sha256"] = "".join(
-            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
-            for path in ensembles)
+        files["ensembles.sha256"] = "".join(map(ensemble_digests, ensembles))
     return files
+
+
+def ensemble_digests(path: Path) -> str:
+    """``digest  name`` of the whole ensemble CSV, then ``digest  name:col``
+    of each value column's cells, one per line, so that a moved column is
+    named."""
+    data = path.read_bytes()
+    header, *rows = data.decode("utf-8").splitlines()
+    lines = [f"{hashlib.sha256(data).hexdigest()}  {path.name}\n"]
+    for column, cells in zip(header.split(","),
+                             zip(*(row.split(",") for row in rows))):
+        if column != "path":
+            digest = hashlib.sha256("\n".join(cells).encode()).hexdigest()
+            lines.append(f"{digest}  {path.name}:{column}\n")
+    return "".join(lines)
 
 
 def versions() -> dict:

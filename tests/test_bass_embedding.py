@@ -17,25 +17,8 @@ from blverify.potentials import builtin_potential, builtin_slope_map
 from blverify.transport import build_transport
 from blverify.verifier import appendix_transport
 
-from conftest import LOG_MIXTURE_PARAMS
-
-_DIRECT_EVAL_BAND = 1e-6       # 1 - s below which a(s, y) = g'(y) directly
-
-
-def direct_a(clark, s, y):
-    """Direct Gauss-Hermite evaluation of a(s, y) for 0 <= s <= 1, the
-    oracle for the integrand's tabulated grid."""
-    s = float(s)
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"time argument must lie in [0, 1], got {s}")
-    arr = np.atleast_1d(np.asarray(y, float))
-    if 1.0 - s < _DIRECT_EVAL_BAND:
-        out = np.asarray(clark.transport.g_prime(arr), float)
-    else:
-        tau = math.sqrt(1.0 - s)
-        pts = arr[None, :] + tau * clark._gh_z[:, None]
-        out = clark._gh_w @ np.interp(pts, clark._fine_x, clark._fine_gp)
-    return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+from conftest import LOG_MIXTURE_PARAMS, make_matrix_transport
+from test_embedding_oracle import exact_a
 
 
 def ks_distance(samples, cdf) -> float:
@@ -109,47 +92,94 @@ def bound_clarks():
     return dict(zip(transports, clark_integrands(transports.values())))
 
 
+# E[T_n] - var X of the grid at 256 steps (test_expected_T_matches_var_x),
+# measured; the exact smoothing took abs(1) from +2.10e-5 and the cubic map
+# from -1.32e-5, and the linear y interpolation now dominates
+EXPECTED_T_BIAS = {"abs": 2.961e-6, "double_well_k": -7.498e-6,
+                   "log_mixture_k": 2.446e-6}
+
+
+def expected_T(clark: ClarkIntegrand, n_steps: int) -> float:
+    """E[T_n] = sum_i w_i E[a_i(W_{s_i})^2]: the rows of each step, read as
+    the step loop reads them, integrated against N(0, s_i) by a 20001-point
+    trapezoid over +-10 standard deviations."""
+    rows = clark.rows_for_steps(n_steps, 0, n_steps + 1)
+    y = clark._y
+    inv_dy = (len(y) - 1) / (y[-1] - y[0])
+    weights = np.full(n_steps + 1, 1.0 / n_steps)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    z = np.linspace(-10.0, 10.0, 20001)
+    density = np.full(z.size, z[1] - z[0]) * np.exp(-0.5 * z * z) / math.sqrt(
+        2.0 * math.pi)
+    density[[0, -1]] *= 0.5
+    total = 0.0
+    for i, row in enumerate(rows):
+        pos = np.clip((math.sqrt(i / n_steps) * z - y[0]) * inv_dy, 0.0,
+                      len(y) - 1.001)
+        j = pos.astype(np.int64)
+        a = row[j] + (pos - j) * (row[j + 1] - row[j])
+        total += weights[i] * np.dot(density, a * a)
+    return total
+
+
 class TestClarkIntegrand:
     def test_constant_for_identity_transport(self, zero_clark):
-        for s in (0.0, 0.3, 0.9, 1.0):
-            for y in (-2.0, 0.0, 1.7):
-                assert direct_a(zero_clark, s, y) == pytest.approx(
-                    1.0, abs=1e-12)
+        rows = zero_clark.rows_for_steps(10, 0, 11)
+        assert np.max(np.abs(rows - 1.0)) <= 1e-14
+        assert exact_a(zero_clark, 0.3, [-2.0, 0.0, 1.7]) == pytest.approx(
+            1.0, abs=1e-14)
 
     def test_constant_for_gaussian_tilt(self, quad_clark):
-        assert direct_a(quad_clark, 0.4, -1.1) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-10)
+        rows = quad_clark.rows_for_steps(10, 0, 11)
+        assert np.max(np.abs(rows - 1 / math.sqrt(2))) <= 1e-14
+        assert exact_a(quad_clark, 0.4, -1.1) == pytest.approx(
+            1 / math.sqrt(2), abs=1e-14)
 
     def test_terminal_slice_is_g_prime(self, abs_clark):
+        # s = 1 reads the grid's tau = 0 row, which is g' at the y nodes
         tm = abs_clark.transport
-        for y in (-1.0, 0.3, 2.2):
-            assert direct_a(abs_clark, 1.0, y) == pytest.approx(
-                float(tm.g_prime(y)), abs=1e-12)
+        last = abs_clark.rows_for_steps(64, 64, 65)[0]
+        assert np.array_equal(last, np.asarray(tm.g_prime(abs_clark._y),
+                                               float))
+        assert np.max(np.abs(exact_a(abs_clark, 1.0, abs_clark._y[::16])
+                             - last[::16])) <= 1e-15
 
     def test_bounded_by_sqrt_variance(self, abs_clark):
-        ss = np.linspace(0.0, 1.0, 21)
-        ys = np.linspace(-8.0, 8.0, 161)
-        for s in ss:
-            assert np.max(direct_a(abs_clark, s, ys)) <= 1.0 + 1e-9
+        assert np.max(abs_clark._grid) <= 1.0
+        for s in np.linspace(0.0, 1.0, 5):
+            assert np.max(exact_a(abs_clark, s, np.linspace(-8, 8, 17))) <= 1.0
 
     def test_range_within_g_prime_range(self, abs_clark):
         tm = abs_clark.transport
         gp = np.asarray(tm.g_prime(np.linspace(-11.5, 11.5, 4001)), float)
         lo, hi = gp.min(), gp.max()
-        for s in (0.1, 0.5, 0.95):
-            vals = direct_a(abs_clark, s, np.linspace(-8, 8, 321))
-            assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
+        assert np.all(abs_clark._grid >= lo) and np.all(abs_clark._grid <= hi)
 
     def test_grid_interpolation_matches_direct(self, abs_clark):
+        # rows between the grid's tau nodes are linear in tau; against the
+        # exact smoothing they err by at most 1.17e-6 (s = 61/64, y =
+        # -0.3125), on the 33 y nodes of [-1, 1] that this test reads as on
+        # all 1025, and by 5e-7 at s = 0, which the clip puts between the
+        # last two rows; allowed 1.5 times that
         rows = abs_clark.rows_for_steps(64, 0, 65)
-        y_nodes = abs_clark._y
+        near_kink = slice(448, 577, 4)
         for i, s in enumerate(np.arange(65) / 64):
-            direct = np.asarray(direct_a(abs_clark, s, y_nodes), float)
-            assert np.max(np.abs(rows[i] - direct)) <= 2e-4
+            exact = exact_a(abs_clark, s, abs_clark._y[near_kink])
+            assert np.max(np.abs(rows[i, near_kink] - exact)) <= 1.8e-6, s
         # a step range is a slice of the full table, bit for bit
         for start, stop in ((0, 7), (7, 65), (64, 65), (30, 30)):
             assert np.array_equal(abs_clark.rows_for_steps(64, start, stop),
                                   rows[start:stop])
+
+    @pytest.mark.parametrize("key", sorted(EXPECTED_T_BIAS))
+    def test_expected_T_matches_var_x(self, key):
+        # E[T_n] at 256 steps is within 1.5 times its measured distance
+        # from var X; the Gauss-Hermite grid was 7x (abs(1)) and 1.8x (the
+        # cubic map) farther
+        tmap = make_matrix_transport(key)
+        bias = expected_T(ClarkIntegrand(tmap), 256) - tmap.var_mu
+        assert abs(bias) <= 1.5 * abs(EXPECTED_T_BIAS[key]), bias
 
     def test_mean_of_g_matches_transport_mean(self):
         for name in ("zero", "linear", "quadratic", "abs"):
@@ -159,7 +189,7 @@ class TestClarkIntegrand:
 
     def test_rejects_time_outside_unit_interval(self, zero_clark):
         with pytest.raises(ValueError):
-            direct_a(zero_clark, 1.5, 0.0)
+            exact_a(zero_clark, 1.5, 0.0)
 
 
 class TestSimulation:

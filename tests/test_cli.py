@@ -163,6 +163,9 @@ class TestConfig:
         # one path: a standard error of 0 or inf, so checks that cannot fail
         {"n_paths": 1},
         {"n_paths": -1},
+        # p values whose sandwich columns share the name est2_p1.5
+        {"p_list": [1.5, 1.5000001]},
+        {"p_list": [2.0, 2.0]},
     ])
     def test_validation_rejects(self, bad):
         raw = {k: v for k, v in dict(SMALL, **bad).items() if v is not MISSING}
@@ -308,6 +311,9 @@ class TestRunCommand:
         # a slope map's potential named as a family
         ("potentials", {"family": "log_mixture",
                         "params": LOG_MIXTURE_ENTRY["slope_map"]["params"]}),
+        # a p whose sandwich column est2_p2 is the first p's: the run wrote
+        # two est2_p2 columns, both holding this p's bound
+        ("p_list", 2.0000001),
     ])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_entry_exits_2_writing_nothing(self, command, bad_entry,

@@ -1,12 +1,15 @@
-"""The streamed simulator and chunked Clark grid against one-shot references.
+"""The streamed simulator against one-shot references, and the Clark grid
+against the real-space closed form of its smoothing.
 
-The references below are the straightforward implementations: the Clark grid
-as one einsum over every (tau, node, y) point, and the simulation as one
-block of paths at a time with the block's whole increment array drawn up
-front, one potential at a time.  Production code builds the grid in chunks
-and streams the simulation in bounded chunks, both on worker threads, and
-steps every potential along one set of paths; it must reproduce the
-references bit for bit whatever the worker count.
+The simulation reference is the straightforward implementation: one block
+of paths at a time with the block's whole increment array drawn up front,
+one potential at a time.  Production code streams the simulation in bounded
+chunks on worker threads and steps every potential along one set of paths;
+it must reproduce the reference bit for bit whatever the worker count.
+
+The grid is filled by FFT on the g' lattice; `exact_a` evaluates the same
+smoothing in real space, term by term, with neither an FFT nor a Gaussian
+quadrature rule.
 """
 
 import math
@@ -16,27 +19,44 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from blverify import bass_embedding
 from blverify.bass_embedding import (ClarkIntegrand, clark_integrands,
                                      simulate_embedding, simulate_embeddings)
+from blverify.potentials import (Potential, builtin_potential,
+                                 builtin_slope_map)
+from blverify.transport import build_transport
+from blverify.verifier import appendix_transport
 
 from conftest import MATRIX_KEYS
 
 
-def interp_gprime(clark: ClarkIntegrand, x: np.ndarray) -> np.ndarray:
-    """g' from the integrand's dense table, continued as a constant."""
-    return np.interp(x, clark._fine_x, clark._fine_gp)
+def exact_a(clark: ClarkIntegrand, s: float, y):
+    """a(s, y) for 0 <= s <= 1: the Gaussian smoothing of the integrand's
+    g' table, summed in real space, the oracle for its grid.
 
-
-def reference_grid(clark: ClarkIntegrand) -> np.ndarray:
-    disp = clark._tau[:, None, None] * clark._gh_z[None, :, None]
-    pts = clark._y[None, None, :] + disp
-    gp = interp_gprime(clark, pts.reshape(len(clark._tau), -1))
-    gp = gp.reshape(len(clark._tau), len(clark._gh_z), len(clark._y))
-    grid = np.einsum("k,tky->ty", clark._gh_w, gp)
-    grid[0] = interp_gprime(clark, clark._y)
-    return grid
+    The table's interpolant is L_0 + sum_j kink_j (x - x_j)_+, where kink_j
+    is the change of slope at x_j, and E (y + tau Z - x_j)_+ =
+    tau psi1((y - x_j) / tau) with psi1(t) = phi(t) + t Phi(t).  Each
+    point's terms are summed exactly by math.fsum.
+    """
+    s = float(s)
+    if not (0.0 <= s <= 1.0):
+        raise ValueError(f"time argument must lie in [0, 1], got {s}")
+    x, table = clark._fine_x, clark._fine_gp
+    kinks = np.diff(np.concatenate(([0.0], np.diff(table) / np.diff(x),
+                                    [0.0])))
+    tau = math.sqrt(1.0 - s)
+    d = np.atleast_1d(np.asarray(y, float))[:, None] - x
+    if tau == 0.0:
+        terms = kinks * np.maximum(d, 0.0)
+    else:
+        t = d / tau
+        terms = tau * kinks * (np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+                               + t * ndtr(t))
+    out = np.array([math.fsum([table[0], *row.tolist()]) for row in terms])
+    return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
 
 
 def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
@@ -76,17 +96,6 @@ def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     return np.concatenate(t_parts), bt, w1
 
 
-def reference_rows(grid: np.ndarray, clark: ClarkIntegrand, n_steps: int,
-                   start: int, stop: int) -> np.ndarray:
-    """Rows at s_i = i / n_steps, interpolated linearly in tau from grid."""
-    tau = np.sqrt(1.0 - np.arange(start, stop) / n_steps)
-    pos = np.clip(tau / (clark._tau[1] - clark._tau[0]), 0.0,
-                  len(clark._tau) - 1.001)
-    j = pos.astype(np.int64)
-    frac = (pos - j)[:, None]
-    return grid[j] * (1.0 - frac) + grid[j + 1] * frac
-
-
 WORKER_COUNTS = (1, 2, 4)
 
 
@@ -109,34 +118,88 @@ def matrix_clarks(matrix_transports):
     return {key: ClarkIntegrand(matrix_transports[key]) for key in MATRIX_KEYS}
 
 
-@pytest.mark.parametrize("key", MATRIX_KEYS)
-def test_grid_matches_one_shot_einsum(key, matrix_clarks, monkeypatch):
-    expected = reference_grid(matrix_clarks[key])
-    for n in WORKER_COUNTS:
-        set_workers(monkeypatch, n)
-        clark = ClarkIntegrand(matrix_clarks[key].transport)
-        assert np.array_equal(clark._grid, expected), n
-        assert np.array_equal(clark.rows_for_steps(64, 0, 65),
-                              reference_rows(expected, clark, 64, 0, 65)), n
+# the transports of test_grid_matches_real_space_smoothing beyond the
+# matrix: abs(1) and the cubic map at A = 1/4 and 4, and a measure whose g'
+# tends to different constants at the two ends (0.998 at -11.5 and 0.128 at
+# 11.5), where every other one tends to the same
+GRID_KEYS = MATRIX_KEYS + ("abs-A0.25", "abs-A4", "cubic-A0.25", "cubic-A4",
+                           "half_quartic")
+# Per unit of sqrt(A), 4.8x the largest difference of the grids from
+# exact_a over the points of test_grid_matches_real_space_smoothing (8.3e-16,
+# the cubic map at A = 1/4; 5.6e-16 on abs(1), 0 on the Gaussian entries)
+GRID_ORACLE_TOL = 4e-15
+# rows tau = k / 256 of the oracle points: the first nonzero tau and four
+# across the rest, all powers of 2, so that s = 1 - tau^2 gives tau back
+# exactly
+GRID_ORACLE_ROWS = (1, 16, 64, 128, 256)
+
+
+@pytest.fixture(scope="module")
+def grid_clarks(matrix_clarks):
+    half_quartic = Potential(
+        "half_quartic", lambda x: np.maximum(np.asarray(x, float), 0.0)**4,
+        convex=True)
+    extra = {"half_quartic": build_transport(half_quartic, 1.0)}
+    for a in (0.25, 4.0):
+        extra[f"abs-A{a:g}"] = build_transport(builtin_potential("abs"), a)
+        extra[f"cubic-A{a:g}"] = appendix_transport(
+            builtin_slope_map("cubic"), 1.0 / a)
+    return dict(matrix_clarks,
+                **dict(zip(extra, clark_integrands(extra.values()))))
+
+
+@pytest.mark.parametrize("key", GRID_KEYS)
+def test_grid_matches_real_space_smoothing(key, grid_clarks):
+    """At five tau rows, 21 spread y nodes and the three y nodes at and
+    around the w-image of each kink of V (where g' has a kink), the grid is
+    the real-space smoothing of its g' table at round-off."""
+    clark = grid_clarks[key]
+    tmap = clark.transport
+    y, dy = clark._y, clark._y[1] - clark._y[0]
+    y_index = set(np.linspace(0, len(y) - 1, 21).astype(int))
+    for kink in tmap.potential.kinks:
+        i = round((float(ndtri(tmap.cdf(kink))) - y[0]) / dy)
+        y_index |= {i - 1, i, i + 1}
+    y_index = sorted(y_index)
+    scale = math.sqrt(tmap.A)
+    for row in GRID_ORACLE_ROWS:
+        tau = clark._tau[row]
+        exact = exact_a(clark, 1.0 - tau * tau, y[y_index])
+        err = np.max(np.abs(clark._grid[row, y_index] - exact)) / scale
+        assert err <= GRID_ORACLE_TOL, (row, err)
+    # tau = 0 is the table itself at the y nodes
+    assert np.array_equal(clark._grid[0], np.asarray(tmap.g_prime(y), float))
+
+
+def test_multipliers_leave_out_only_terms_that_underflow():
+    """Each batch's multipliers equal the whole alias sum, bit for bit."""
+    u = np.fft.rfftfreq(bass_embedding._FFT_SIZE)
+    tau = ClarkIntegrand._tau
+    for t0 in range(1, len(tau), bass_embedding._FFT_TAU_ROWS):
+        batch = tau[t0:t0 + bass_embedding._FFT_TAU_ROWS, None]
+        whole = 0.0
+        for alias in (u, u - 1.0):
+            k_tau = 2.0 * np.pi * 384 * alias * batch
+            whole = whole + np.sinc(alias)**2 * np.exp(-0.5 * k_tau * k_tau)
+        assert np.array_equal(
+            bass_embedding._smoothing_multipliers(batch[:, 0]), whole), t0
 
 
 def test_simulation_builds_fresh_grids_bit_for_bit(matrix_transports,
                                                    matrix_clarks, monkeypatch):
-    """Grids filled together by clark_integrands equal the one-shot grid,
-    and the ensembles stepped on them equal those on one ClarkIntegrand per
-    transport, at every worker count."""
+    """Grids filled together by clark_integrands equal those of one
+    ClarkIntegrand per transport, and so do the ensembles stepped on them,
+    at every worker count of the simulation."""
     n_paths, n_steps = 4113, 130
     expected = simulate_embeddings(
         [matrix_clarks[key] for key in MATRIX_KEYS], n_paths, n_steps, 17)
-    grids = [reference_grid(matrix_clarks[key]) for key in MATRIX_KEYS]
+    clarks = clark_integrands([matrix_transports[key] for key in MATRIX_KEYS])
+    for key, clark in zip(MATRIX_KEYS, clarks):
+        assert np.array_equal(clark._grid, matrix_clarks[key]._grid), key
     for n in WORKER_COUNTS:
         set_workers(monkeypatch, n)
-        clarks = clark_integrands([matrix_transports[key]
-                                   for key in MATRIX_KEYS])
         ensembles = simulate_embeddings(clarks, n_paths, n_steps, 17)
-        for key, clark, ens, ref, grid in zip(MATRIX_KEYS, clarks, ensembles,
-                                              expected, grids):
-            assert np.array_equal(clark._grid, grid), (n, key)
+        for key, ens, ref in zip(MATRIX_KEYS, ensembles, expected):
             assert np.array_equal(ens.T, ref.T), (n, key)
             assert np.array_equal(ens.bt, ref.bt), (n, key)
 
@@ -148,6 +211,7 @@ def test_concurrent_simulations_build_each_chunk_once(matrix_transports,
     by the constructor, and the simulations only read it."""
     set_workers(monkeypatch, 4)
     clark = ClarkIntegrand(matrix_transports["double_well_k"])
+    grid = clark._grid.copy()
     results = [None, None]
 
     def simulate(k):
@@ -166,7 +230,7 @@ def test_concurrent_simulations_build_each_chunk_once(matrix_transports,
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads), \
         "simulations did not finish in 120 s"
-    assert np.array_equal(clark._grid, reference_grid(clark))
+    assert np.array_equal(clark._grid, grid)
     T, bt, w1 = reference_simulation(clark, 4113, 300, seed=21)
     for ens in results:
         assert np.array_equal(ens.T, T)
@@ -288,9 +352,10 @@ def _peak_bytes(fn):
 def test_memory_is_bounded_per_chunk(matrix_transports, matrix_clarks):
     """Grid build and long simulations stay far below one-shot sizes.
 
-    One-shot, the grid build holds two 257 x 64 x 1025 arrays (~270 MB) and
-    the simulation a 8192 x 4096 increment array plus 8193 integrand rows
-    (~330 MB), and 8193 more rows (~67 MB) for each further potential.
+    One-shot, the grid build holds the multipliers, spectra and inverse
+    FFTs of all 256 rows (~85 MB), and the simulation a 8192 x 4096
+    increment array plus 8193 integrand rows (~330 MB), and 8193 more rows
+    (~67 MB) for each further potential.
     """
     bound = 48 * 2**20
     tmap = matrix_transports["abs"]
@@ -311,81 +376,6 @@ def test_memory_of_construction_and_simulation_is_bounded(matrix_transports):
     assert _peak_bytes(lambda: simulate_embeddings(
         [ClarkIntegrand(tmap) for tmap in tmaps], 4096, 2048,
         seed=3)) < 48 * 2**20
-
-
-def test_grid_chunk_reuses_its_buffers(matrix_transports):
-    """After a thread's first chunk its buffers are reused, so a chunk of
-    six grids allocates well under one array of its nodes: numpy's
-    broadcast buffer for the node sum (about 118 kB), step-back indices and
-    other small arrays.  Fresh node-sized arrays made glibc re-fault the
-    worker threads' heap pages around every chunk."""
-    clarks = [ClarkIntegrand(matrix_transports[key]) for key in MATRIX_KEYS]
-    tables = [bass_embedding._interp_tables(c._fine_gp) for c in clarks]
-    bass_embedding._fill_chunk(clarks, tables, 2)   # sizes the buffers
-    chunk_bytes = 8 * (bass_embedding._GRID_TAU_ROWS * len(clarks[0]._gh_z)
-                       * len(clarks[0]._y))
-    tracemalloc.start()
-    try:
-        bass_embedding._fill_chunk(clarks, tables, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < chunk_bytes / 4
-
-
-def fine_lookup(fine_gp: np.ndarray, x: np.ndarray):
-    """The grid fill's lookup of a g' table at arbitrary points: the values,
-    and the cells and offsets it located the points at."""
-    n = x.size
-    cell, below = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
-    offset, out, scratch = np.empty(n), np.empty(n), np.empty(n)
-    with np.errstate(over="ignore"):    # +-max / h, clipped to the ends
-        bass_embedding._fine_cells(x, cell, offset, below)
-    bass_embedding._interp_cells(bass_embedding._interp_tables(fine_gp),
-                                 cell, offset, out, scratch)
-    return out, cell, offset
-
-
-def adversarial_points() -> np.ndarray:
-    """Every table node and its neighbours one ulp away, signed zeros and
-    denormals, and finite points beyond both ends out to the largest float."""
-    xp = ClarkIntegrand._fine_x
-    h = xp[1] - xp[0]
-    big = np.finfo(float).max
-    beyond = [xp[0] - h, xp[-1] + h, xp[0] - 0.5 * h, xp[-1] + 0.5 * h]
-    return np.concatenate([
-        xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
-        [5e-324, -5e-324, 0.0, -0.0, -1e300, 1e300, -big, big], beyond,
-        np.nextafter(beyond, -np.inf), np.nextafter(beyond, np.inf)])
-
-
-@pytest.mark.parametrize("table", ["log_mixture_k", "abs", "rough"])
-def test_fine_lookup_matches_np_interp_bit_for_bit(table, matrix_clarks):
-    """The shared bracket plus np.interp's formula equals np.interp itself.
-
-    The rough table changes slope by O(1 / h) from cell to cell, so landing
-    in the neighbouring cell changes the last bits: a missing step back
-    shows there even where the smooth g' tables hide it."""
-    if table == "rough":
-        gp = np.random.default_rng(5).uniform(0.5, 1.5,
-                                              len(ClarkIntegrand._fine_x))
-    else:
-        gp = matrix_clarks[table]._fine_gp
-    xp = ClarkIntegrand._fine_x
-    x = adversarial_points()
-    got, cell, offset = fine_lookup(gp, x)
-    assert np.array_equal(got.view(np.int64),
-                          np.interp(x, xp, gp).view(np.int64))
-
-    # the bracket itself: xp[j] <= x < xp[j + 1], the first and last cells
-    # taking everything beyond the ends
-    j = cell - 1
-    assert np.array_equal(j == -1, x < xp[0])
-    assert np.array_equal(j == len(xp) - 1, x >= xp[-1])
-    inside = (j >= 0) & (j < len(xp) - 1)
-    assert np.all(xp[j[inside]] <= x[inside])
-    assert np.all(x[inside] < xp[j[inside] + 1])
-    assert np.array_equal(offset[inside], x[inside] - xp[j[inside]])
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

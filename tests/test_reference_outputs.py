@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from reference_runs import REFERENCE, RUNS, moved_fields, produce, versions
+from reference_runs import (REFERENCE, RUNS, ensemble_digests, moved_fields,
+                            produce, versions)
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +53,14 @@ def test_moved_fields_lists_old_new_and_relative_change():
     assert moved_fields("embed", "ensembles.sha256", "ab  e.csv\n",
                         "cd  e.csv\n") == ["embed/ensembles.sha256 e.csv: "
                                            "ab -> cd"]
+
+
+def testensemble_digests_name_the_moved_column(tmp_path):
+    path = tmp_path / "ensemble_00_x.csv"
+    path.write_text("path,T,bt,w1\n0,0.5,1,2\n1,0.25,3,4\n")
+    old = ensemble_digests(path)
+    path.write_text("path,T,bt,w1\n0,0.5,1,2\n1,0.26,3,4\n")
+    moved = moved_fields("run", "ensembles.sha256", old,
+                         ensemble_digests(path))
+    assert [line.split(": ")[0].rsplit(" ", 1)[1] for line in moved] == [
+        "ensemble_00_x.csv", "ensemble_00_x.csv:T"]
