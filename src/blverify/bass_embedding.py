@@ -182,13 +182,14 @@ class ClarkIntegrand:
         """Integrand rows at s_i = i / n_steps for start <= i < stop, with
         0 <= start < stop <= n_steps + 1.
 
-        The rows are interpolated linearly in tau.
+        The rows are interpolated linearly in tau; a step on a tau node,
+        s = 0 among them, reads that node's row exactly.
         """
         s = np.arange(start, stop) / n_steps
         tau = np.sqrt(1.0 - s)
-        dtau = self._tau[1] - self._tau[0]
-        pos = np.clip(tau / dtau, 0.0, len(self._tau) - 1.001)
-        j = pos.astype(np.int64)
+        pos = tau / (self._tau[1] - self._tau[0])
+        # tau = 1 is the last node: j is the cell below it, and frac = 1
+        j = np.minimum(pos.astype(np.int64), len(self._tau) - 2)
         frac = (pos - j)[:, None]
         return self._grid[j] * (1.0 - frac) + self._grid[j + 1] * frac
 
@@ -376,17 +377,20 @@ def simulate_embeddings(clarks, n_paths: int, n_steps: int,
             tables = []
             for clark in clarks:
                 rows = clark.rows_for_steps(n_steps, start, stop)
-                # diffs[r, j] = row[j+1] - row[j]
-                tables.append((rows, np.diff(rows, axis=1)))
+                # diffs[r, j] = row[j+1] - row[j], and 0 in the last column,
+                # so that W beyond the last y node reads that node's value
+                diffs = np.zeros_like(rows)
+                np.subtract(rows[:, 1:], rows[:, :-1], out=diffs[:, :-1])
+                tables.append((rows, diffs))
             for r in range(stop - start):
                 i = start + r
                 np.subtract(w, y0, out=pos)
                 pos *= inv_dy
-                np.clip(pos, 0.0, n_y - 1.001, out=pos)
+                np.clip(pos, 0.0, n_y - 1, out=pos)
                 np.copyto(j, pos, casting="unsafe")   # truncates like astype
                 np.subtract(pos, j, out=frac)
                 for (rows, diffs), t_acc in zip(tables, t_accs):
-                    # 0 <= j <= n_y - 2 after the clip, so mode="clip" only
+                    # 0 <= j <= n_y - 1 after the clip, so mode="clip" only
                     # skips the bounds check
                     rows[r].take(j, out=lo, mode="clip")
                     diffs[r].take(j, out=hi, mode="clip")

@@ -7,8 +7,8 @@ Given a potential V and a Gaussian reference law nu = N(0, A), the measure
 is represented through composite Gauss-Legendre panel integrals of its
 unnormalized density on an adaptively refined edge grid.  Cumulative masses
 are accumulated from *both* ends, so the CDF keeps full relative accuracy in
-the left tail and the survival function in the right tail; quantiles, the
-increasing rearrangement map g = F_mu^{-1} o Phi and its derivative
+the left tail and the survival function in the right tail; the increasing
+rearrangement map g = F_mu^{-1} o Phi and its derivative
 
     g'(x) = Phi'(x) / F_mu'(g(x))
 
@@ -97,9 +97,15 @@ class TransportMap:
         self.extrapolation_count = 0
 
         sd = np.sqrt(self.A)
-        self._log_norm = np.log(np.sqrt(2.0 * np.pi) * sd)
-
-        center = self._mode(_WINDOW_SIGMA * sd + _MODE_GRID_PAD)
+        center, expo_min = self._mode(_WINDOW_SIGMA * sd + _MODE_GRID_PAD)
+        # The tables integrate exp(shift - V(x) - x^2/(2A)) / sqrt(2 pi A),
+        # shift being the exponent's minimum rounded to a whole number: the
+        # peak stays within e^(1/2) of 1/sqrt(2 pi A) however far the tilt
+        # moves the mode, and a minimum within 1/2 of 0 (zero, quadratic,
+        # abs, the slope maps) leaves the tables bit for bit as without the
+        # shift.  _z is their total mass, Z e^shift.
+        self._shift = float(round(expo_min))
+        self._log_norm = np.log(np.sqrt(2.0 * np.pi) * sd) - self._shift
         half = _WINDOW_SIGMA * sd + _WINDOW_PAD
         self.window = (center - half, center + half)
 
@@ -109,13 +115,13 @@ class TransportMap:
 
     # -- construction ------------------------------------------------------
 
-    def _mode(self, reach: float) -> float:
-        """The window centre: the argmin of the tilted exponent
-        V(x) + x^2/(2A) on a 4097-point grid of [-reach, reach], moved by
-        ``reach`` toward an argmin that lands on an end of the grid.  For
-        convex V the exponent is strictly convex, so an argmin inside the
-        grid is the mode; the Gaussian mass outside the window around it is
-        below 1e-31."""
+    def _mode(self, reach: float) -> tuple[float, float]:
+        """The window centre and the exponent there: the argmin of the
+        tilted exponent V(x) + x^2/(2A) on a 4097-point grid of
+        [-reach, reach], moved by ``reach`` toward an argmin that lands on
+        an end of the grid.  For convex V the exponent is strictly convex,
+        so an argmin inside the grid is the mode; the Gaussian mass outside
+        the window around it is below 1e-31."""
         center = 0.0
         for _ in range(_MODE_GRID_MOVES + 1):
             coarse = np.linspace(center - reach, center + reach, 4097)
@@ -128,7 +134,7 @@ class TransportMap:
             i = int(np.argmin(expo))
             center = float(coarse[i])
             if 0 < i < coarse.size - 1:
-                return center
+                return center, float(expo[i])
         raise DivergentNormalizerError(
             f"the tilted exponent of {self.potential.label!r} still falls at "
             f"x = {center:g}, {_MODE_GRID_MOVES} grid moves out: its mode is "
@@ -198,7 +204,7 @@ class TransportMap:
         self.edges = edges
         self._mass = mass
         self._mass_x = mass_x
-        self.Z = z
+        self._z = z
         self._cum_lo = np.concatenate([[0.0], np.cumsum(mass)])
         self._cum_hi = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
         self._cum_x_lo = np.concatenate([[0.0], np.cumsum(mass_x)])
@@ -206,8 +212,8 @@ class TransportMap:
         self._sum_x2 = float(np.sum(mass_x2))
 
     def _finalize_moments(self) -> None:
-        self.mean_mu = float(np.sum(self._mass_x) / self.Z)
-        self.var_mu = float(self._sum_x2 / self.Z - self.mean_mu**2)
+        self.mean_mu = float(np.sum(self._mass_x) / self._z)
+        self.var_mu = float(self._sum_x2 / self._z - self.mean_mu**2)
 
     def _prepare_extrapolation(self) -> None:
         self._g_edge_x = np.array([-_G_XMAX, _G_XMAX])
@@ -216,12 +222,13 @@ class TransportMap:
 
     # -- elementary evaluations ---------------------------------------------
 
-    def density(self, x):
-        """Density of mu: exp(-V(x)) nu'(x) / Z (zero outside the window)."""
-        arr = np.atleast_1d(np.asarray(x, float))
-        out = self._unnormalized_density(arr) / self.Z
-        out[(arr < self.window[0]) | (arr > self.window[1])] = 0.0
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+    @property
+    def Z(self) -> float:
+        """The normalizer, the integral of exp(-V) d nu; inf where that
+        overflows (a tilt that moves the mode far out), while the tables,
+        which hold it times e^shift, stay finite."""
+        with np.errstate(over="ignore"):
+            return float(self._z * np.exp(-self._shift))
 
     def _partial_mass(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         nodes, half = _panel_nodes(lo, hi)
@@ -241,7 +248,7 @@ class TransportMap:
     def _cdf_at(self, arr: np.ndarray, j: np.ndarray,
                 mass: np.ndarray) -> np.ndarray:
         # mass: unnormalized mass on [edges[j], clip(arr)]
-        out = np.clip((self._cum_lo[j] + mass) / self.Z, 0.0, 1.0)
+        out = np.clip((self._cum_lo[j] + mass) / self._z, 0.0, 1.0)
         out[arr <= self.window[0]] = 0.0
         out[arr >= self.window[1]] = 1.0
         return out
@@ -249,7 +256,7 @@ class TransportMap:
     def _survival_at(self, arr: np.ndarray, j: np.ndarray,
                      mass: np.ndarray) -> np.ndarray:
         # mass: unnormalized mass on [clip(arr), edges[j + 1]]
-        out = np.clip((self._cum_hi[j + 1] + mass) / self.Z, 0.0, 1.0)
+        out = np.clip((self._cum_hi[j + 1] + mass) / self._z, 0.0, 1.0)
         out[arr <= self.window[0]] = 1.0
         out[arr >= self.window[1]] = 0.0
         return out
@@ -270,7 +277,7 @@ class TransportMap:
             np.clip(arr, self.window[0], self.window[1]), self.edges[j + 1]))
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
-    # -- quantiles -----------------------------------------------------------
+    # -- inversion of the cumulative tables -----------------------------------
 
     def _invert_lower(self, target: np.ndarray) -> np.ndarray:
         """Solve cum_lo(x) = target (unnormalized mass scale)."""
@@ -300,34 +307,20 @@ class TransportMap:
                         lo, hi)
         return x
 
-    def quantile(self, u):
-        """F_mu^{-1}(u) for u in (0, 1); inverse of :meth:`cdf` to build tol."""
-        arr = np.atleast_1d(np.asarray(u, float))
-        if not np.all((arr > 0.0) & (arr < 1.0)):
-            raise ValueError("quantile requires u strictly inside (0, 1)")
-        out = np.empty_like(arr)
-        lo_side = arr <= 0.5
-        if np.any(lo_side):
-            out[lo_side] = self._invert_lower(arr[lo_side] * self.Z)
-        if np.any(~lo_side):
-            # 1 - u is exact for u >= 1/2, so the right tail loses nothing.
-            out[~lo_side] = self._invert_upper((1.0 - arr[~lo_side]) * self.Z)
-        return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
-
     # -- the transport map ----------------------------------------------------
 
     def _g_core(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         neg = x <= 0.0
         if np.any(neg):
-            out[neg] = self._invert_lower(std_normal_cdf(x[neg]) * self.Z)
+            out[neg] = self._invert_lower(std_normal_cdf(x[neg]) * self._z)
         if np.any(~neg):
-            out[~neg] = self._invert_upper(std_normal_cdf(-x[~neg]) * self.Z)
+            out[~neg] = self._invert_upper(std_normal_cdf(-x[~neg]) * self._z)
         return out
 
     def _g_prime_core(self, x: np.ndarray) -> np.ndarray:
         gx = self._g_core(x)
-        dens = self._unnormalized_density(gx) / self.Z
+        dens = self._unnormalized_density(gx) / self._z
         return std_normal_pdf(x) / np.maximum(dens, _TINY)
 
     def g(self, x):
@@ -373,7 +366,7 @@ class TransportMap:
         j = self._bracket(arr)
         cx = np.clip(arr, self.window[0], self.window[1])
         mass, moment = self._partial_moments(cx, self.edges[j + 1])
-        pm = (self._cum_x_hi[j + 1] + moment) / self.Z
+        pm = (self._cum_x_hi[j + 1] + moment) / self._z
         out = pm - arr * self._survival_at(arr, j, mass)
         out[arr <= self.window[0]] = self.mean_mu - arr[arr <= self.window[0]]
         out[arr >= self.window[1]] = 0.0
@@ -386,7 +379,7 @@ class TransportMap:
         j = self._bracket(arr)
         cx = np.clip(arr, self.window[0], self.window[1])
         mass, moment = self._partial_moments(self.edges[j], cx)
-        pm = (self._cum_x_lo[j] + moment) / self.Z
+        pm = (self._cum_x_lo[j] + moment) / self._z
         out = arr * self._cdf_at(arr, j, mass) - pm
         out[arr <= self.window[0]] = 0.0
         out[arr >= self.window[1]] = arr[arr >= self.window[1]] - self.mean_mu

@@ -116,9 +116,9 @@ def expected_T(clark: ClarkIntegrand, n_steps: int) -> float:
     total = 0.0
     for i, row in enumerate(rows):
         pos = np.clip((math.sqrt(i / n_steps) * z - y[0]) * inv_dy, 0.0,
-                      len(y) - 1.001)
+                      len(y) - 1)
         j = pos.astype(np.int64)
-        a = row[j] + (pos - j) * (row[j + 1] - row[j])
+        a = row[j] + (pos - j) * np.append(np.diff(row), 0.0)[j]
         total += weights[i] * np.dot(density, a * a)
     return total
 
@@ -160,13 +160,18 @@ class TestClarkIntegrand:
         # rows between the grid's tau nodes are linear in tau; against the
         # exact smoothing they err by at most 1.17e-6 (s = 61/64, y =
         # -0.3125), on the 33 y nodes of [-1, 1] that this test reads as on
-        # all 1025, and by 5e-7 at s = 0, which the clip puts between the
-        # last two rows; allowed 1.5 times that
+        # all 1025; allowed 1.5 times that.  A step on a tau node (64 - 64 s
+        # a square, s = 0 among them) reads that node's row, which errs by
+        # 1.1e-16 here and 1.3e-15 on all 1025 y nodes; allowed 1.5 times
+        # the latter
         rows = abs_clark.rows_for_steps(64, 0, 65)
+        assert np.array_equal(abs_clark.rows_for_steps(64, 0, 1)[0],
+                              abs_clark._grid[-1])
         near_kink = slice(448, 577, 4)
         for i, s in enumerate(np.arange(65) / 64):
             exact = exact_a(abs_clark, s, abs_clark._y[near_kink])
-            assert np.max(np.abs(rows[i, near_kink] - exact)) <= 1.8e-6, s
+            bound = 2e-15 if math.isqrt(64 - i)**2 == 64 - i else 1.8e-6
+            assert np.max(np.abs(rows[i, near_kink] - exact)) <= bound, s
         # a step range is a slice of the full table, bit for bit
         for start, stop in ((0, 7), (7, 65), (64, 65), (30, 30)):
             assert np.array_equal(abs_clark.rows_for_steps(64, start, stop),
@@ -193,6 +198,19 @@ class TestClarkIntegrand:
 
 
 class TestSimulation:
+    def test_reads_the_end_column_beyond_the_grid(self, zero_clark):
+        # a = 1 on the grid but 2 in its last column, on y nodes that end at
+        # 0: every path starts on the last node, and a path that stays
+        # above 0 reads a = 2 at every step, so its T is 4 exactly (the
+        # trapezoid weights are powers of two)
+        clark = copy.copy(zero_clark)
+        clark._y = np.linspace(-16.0, 0.0, zero_clark._y.size)
+        clark._grid = np.ones_like(zero_clark._grid)
+        clark._grid[:, -1] = 2.0
+        ens = simulate_embedding(clark, 400, 64, seed=3)
+        assert np.max(ens.T) == 4.0
+        assert np.count_nonzero(ens.T == 4.0) >= 10
+
     def test_identity_transport_has_constant_stopping_time(self, zero_clark):
         ens = simulate_embedding(zero_clark, 500, 64, seed=5)
         assert np.max(np.abs(ens.T - 1.0)) <= 1e-12

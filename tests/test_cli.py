@@ -836,16 +836,24 @@ class TestSerializerOracles:
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_out():
-    """Importing the CLI must import no scipy module at all.  scipy.integrate
+    """Importing the CLI must import no scipy module at all, and no module
+    outside the standard library, numpy and blverify itself, which keeps
+    the numpy-only dependency list of pyproject.toml true.  scipy.integrate
     and scipy.optimize once cost about a third of the import time of every
     invocation, and scipy.special alone about two thirds of what was left;
-    scipy is a test-only dependency."""
-    code = ("import blverify.cli, sys; print(' '.join(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+    scipy and mpmath are test-only dependencies."""
+    # the top-level names of the modules the import adds to those that
+    # the interpreter's start-up (site hooks included) loaded
+    code = ("import sys; before = set(sys.modules); import blverify.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules "
+            "if m not in before})))")
     src = str(Path(blverify.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
-    assert proc.stdout.split() == []
+    loaded = proc.stdout.split()
+    assert "blverify" in loaded and "scipy" not in loaded
+    allowed = set(sys.stdlib_module_names) | {"numpy", "blverify"}
+    assert [name for name in loaded if name not in allowed] == []

@@ -63,6 +63,8 @@ def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
                          seed: int):
     """(T, bt, w1) stepping one 4096-path block at a time."""
     rows = clark.rows_for_steps(n_steps, 0, n_steps + 1)
+    # row[j + 1] - row[j], and 0 at the last y node, which W beyond it reads
+    diffs = np.append(np.diff(rows, axis=1), np.zeros((len(rows), 1)), axis=1)
     y0 = clark._y[0]
     inv_dy = (len(clark._y) - 1) / (clark._y[-1] - clark._y[0])
     n_y = len(clark._y)
@@ -81,11 +83,9 @@ def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
         t_acc = np.zeros(size)
         w = np.zeros(size)
         for i in range(n_steps + 1):
-            pos = np.clip((w - y0) * inv_dy, 0.0, n_y - 1.001)
+            pos = np.clip((w - y0) * inv_dy, 0.0, n_y - 1)
             j = pos.astype(np.int64)
-            frac = pos - j
-            lo = rows[i][j]
-            a = lo + (rows[i][j + 1] - lo) * frac
+            a = rows[i][j] + diffs[i][j] * (pos - j)
             t_acc += a * a * weights[i]
             if i < n_steps:
                 w += incr[i]

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import erfc as scipy_erfc
 from scipy.special import ndtri
 
-from blverify.gaussian_core import (erfc, std_normal_cdf, std_normal_pdf,
+from blverify.gaussian_core import (std_normal_cdf, std_normal_pdf,
                                     std_normal_quantile)
 
 _DENS = lambda y: math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
@@ -178,8 +178,8 @@ def test_quantile_forward_roundtrip(u):
 
 
 # ---------------------------------------------------------------------------
-# accuracy of the numpy primitives; each bound sits just above the largest
-# error measured on its grid
+# accuracy of the primitives; each bound sits just above the largest error
+# measured on its grid
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53                      # unit roundoff
@@ -192,13 +192,18 @@ def _mp_values(f, xs):
         return np.array([float(f(mpmath.mpf(float(x)))) for x in xs])
 
 
-# both sides of the switches at |a| = 1 and |a| = 8, and the subnormal range
-# from a ~ 26.55 on
+def _erfc(a):
+    """``math.erfc``, the C library's, at every point of an array."""
+    return np.array([math.erfc(x) for x in np.asarray(a, float)])
+
+
+# dense around |a| = 1 and |a| = 8, and the subnormal range from a ~ 26.55
 ERFC_GRID = np.unique(np.concatenate([
     np.linspace(-6.0, 27.4, 3341),
     np.linspace(0.95, 1.05, 201), -np.linspace(0.95, 1.05, 201),
     np.linspace(7.95, 8.05, 101), -np.linspace(7.95, 8.05, 101),
     np.linspace(26.4, 27.4, 501)]))
+ERF_BAND = np.linspace(-0.999, 0.999, 2001)
 CDF_GRID = np.linspace(-38.0, 8.0, 4601)
 
 
@@ -213,47 +218,51 @@ def cdf_reference():
 
 
 class TestErfcAccuracy:
+    """``math.erfc``, which ``std_normal_cdf`` and so every downstream
+    quantity rest on."""
+
     def test_relative_error_where_the_result_is_normal(self, erfc_reference):
         normal = erfc_reference >= _NORMAL_MIN
-        got, ref = erfc(ERFC_GRID)[normal], erfc_reference[normal]
-        # measured: 12.8 u, at 1 - erf just inside |a| = 1
-        assert np.max(np.abs(got - ref) / ref) <= 14 * _U
+        got, ref = _erfc(ERFC_GRID)[normal], erfc_reference[normal]
+        # measured: 2.9 u here, 3.3 u on 40000 random points
+        assert np.max(np.abs(got - ref) / ref) <= 3.5 * _U
 
     def test_absolute_error_in_the_subnormal_range(self, erfc_reference):
         sub = erfc_reference < _NORMAL_MIN
         assert np.count_nonzero(sub) > 100
-        # measured: 1 subnormal spacing here, 2 on 40000 random points
-        assert np.max(np.abs(erfc(ERFC_GRID[sub]) - erfc_reference[sub])) \
-            <= 2 * _SUBNORMAL
+        # measured: 1 subnormal spacing here and on 40000 random points
+        assert np.max(np.abs(_erfc(ERFC_GRID[sub]) - erfc_reference[sub])) \
+            <= _SUBNORMAL
 
-    def test_agrees_with_scipy_on_the_erf_band(self):
-        # the same coefficients in the same order as scipy's Cephes erfc
-        a = np.linspace(-0.999, 0.999, 2001)
-        assert np.array_equal(erfc(a), scipy_erfc(a))
+    def test_relative_error_on_the_erf_band(self):
+        # |a| < 1, where erfc is 1 - erf(a); measured: 2.1 u
+        ref = _mp_values(mpmath.erfc, ERF_BAND)
+        assert np.max(np.abs(_erfc(ERF_BAND) - ref) / ref) <= 2.5 * _U
 
     def test_special_values_and_shapes(self):
-        out = erfc(np.array([np.inf, -np.inf, np.nan, 0.0, 28.0, -28.0]))
-        assert out[0] == 0.0 and out[1] == 2.0 and np.isnan(out[2])
-        assert out[3] == 1.0 and out[4] == 0.0 and out[5] == 2.0
-        assert isinstance(erfc(0.5), float)
-        assert erfc(np.ones((2, 3))).shape == (2, 3)
-        assert erfc(np.array([])).shape == (0,)
+        out = _erfc([np.inf, -np.inf, 0.0, 28.0, -28.0])
+        assert out.tolist() == [0.0, 2.0, 1.0, 0.0, 2.0]
+        assert math.isnan(math.erfc(math.nan))
+        # the CDF keeps scalars scalar and arrays in their shape
+        assert isinstance(std_normal_cdf(0.5), float)
+        assert std_normal_cdf(np.ones((2, 3))).shape == (2, 3)
+        assert std_normal_cdf(np.array([])).shape == (0,)
 
 
 class TestCdfAccuracy:
     def test_relative_error_in_the_lower_tail(self, cdf_reference):
         # The rounding of x / sqrt 2 perturbs the argument of erfc by one
         # unit roundoff, which moves Phi(x) by about x^2 u relative; the
-        # error bound is therefore C (1 + x^2) u.  Measured C: 4.0 here
-        # (4.7 on a 20001-point grid), and 1.9e-13 at x = -37.2.  In the
+        # error bound is therefore C (1 + x^2) u.  Measured C: 1.8 here
+        # (1.9 on 20001 random points of the same range).  In the
         # subnormal range the same relative error appears as an absolute
         # one, plus erfc's own spacings (measured: 1).
         x, ref = CDF_GRID, cdf_reference
         err = np.abs(std_normal_cdf(x) - ref)
-        bound = 5.0 * (1.0 + x * x) * _U * ref
+        bound = 2.5 * (1.0 + x * x) * _U * ref
         normal = ref >= _NORMAL_MIN
         assert np.all(err[normal] <= bound[normal])
-        assert np.all(err[~normal] <= bound[~normal] + 2 * _SUBNORMAL)
+        assert np.all(err[~normal] <= bound[~normal] + _SUBNORMAL)
         assert np.count_nonzero(~normal) > 10
 
 
@@ -281,21 +290,21 @@ class TestQuantileAccuracy:
         got = std_normal_quantile(QUANTILE_GRID)
         ref = _scipy_quantile(QUANTILE_GRID)
         # measured: 5.3 u relative
-        assert np.all(np.abs(got - ref) <= 6 * _U * np.abs(ref))
+        assert np.all(np.abs(got - ref) <= 5.5 * _U * np.abs(ref))
         assert std_normal_quantile(0.5) == 0.0
 
     def test_self_consistent_with_the_cdf(self):
         # Phi(Phi^{-1}(u)) returns u up to the rounding of the quantile
         # itself, which moves Phi by about z^2 u relative; measured C in
-        # C (1 + z^2) u: 4.0
+        # C (1 + z^2) u: 2.4
         u = QUANTILE_GRID[QUANTILE_GRID <= 0.5]
         z = std_normal_quantile(u)
         err = np.abs(std_normal_cdf(z) - u) / u
-        assert np.all(err <= 4.5 * (1.0 + z * z) * _U)
+        assert np.all(err <= 3.0 * (1.0 + z * z) * _U)
 
     def test_relative_error_against_mpmath(self):
-        # 40-digit Newton iterations on mpmath's CDF; measured: 4.7 u, the
-        # same as the scipy-based formula
+        # 40-digit Newton iterations on mpmath's CDF; measured: 4.7 u, at
+        # u = 0.502, the same as the scipy-based formula
         u = QUANTILE_GRID[::7]
         with mpmath.workdps(40):
             exact = []

@@ -16,9 +16,19 @@ from blverify.transport import (_GL_W, DEFAULT_QUADRATURE_TOL,
                                 build_transport)
 from blverify.verifier import appendix_transport
 
-from conftest import MATRIX_KEYS
+from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS
 
 X = np.linspace(-8.0, 8.0, 1601)
+
+
+def quantile(tmap, u):
+    """F_mu^{-1}(u), as g at the standard normal quantile of u."""
+    return tmap.g(std_normal_quantile(u))
+
+
+def density(tmap, x):
+    """The density of mu, from the tables' unnormalized density."""
+    return tmap._unnormalized_density(x) / tmap._z
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +67,36 @@ class TestBuildOracles:
         assert lin_map.var_mu == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(lin_map.g(X) - (X - 1.0))) <= 1e-9
 
-    @pytest.mark.parametrize("c, a", [(5.0, 17.8), (30.0, 1.0), (20.0, 1.44)])
+    @pytest.mark.parametrize("c, a", [(5.0, 17.8), (30.0, 1.0), (20.0, 1.44),
+                                      (38.0, 1.0), (-7.0, 34.5), (8.0, 23.8),
+                                      (20.0, 7.85)])
     def test_linear_tilt_with_mode_beyond_the_first_grid(self, c, a):
-        # exp(-c x) against N(0, A) is N(-cA, A), and the mode -cA lies
-        # beyond the +-(12 sqrt(A) + 8) of the first mode-search grid
-        assert c * a > 12.0 * math.sqrt(a) + 8.0
+        # exp(-c x) against N(0, A) is N(-cA, A) with Z = exp(c^2 A / 2),
+        # and the mode -cA lies beyond the +-(12 sqrt(A) + 8) of the first
+        # mode-search grid; in the last four Z overflows, and the tables,
+        # offset by the exponent at the mode, must not
+        assert abs(c) * a > 12.0 * math.sqrt(a) + 8.0
         tmap = build_transport(builtin_potential("linear", {"c": c}), a)
         assert tmap.window[0] < -c * a < tmap.window[1]
         assert tmap.mean_mu == pytest.approx(-c * a, rel=1e-12)
         assert tmap.var_mu == pytest.approx(a, rel=1e-12)
+        with np.errstate(over="ignore"):
+            assert tmap.Z == pytest.approx(np.exp(0.5 * c * c * a), rel=1e-12)
+        # measured: 1.0e-14 sd, at linear(20), A = 7.85
+        sd = math.sqrt(a)
+        assert np.max(np.abs(tmap.g(X) - (sd * X - c * a))) <= 5e-14 * sd
+
+    def test_tables_unshifted_where_the_minimum_is_near_zero(self):
+        # V(0) = 0 at the grid node x = 0, and the slope maps' exponent U
+        # has its minimum within 1/2 of 0, so these tables keep their bits
+        for name in ("zero", "quadratic", "abs"):
+            for a in (0.25, 1.0, 4.0):
+                assert build_transport(builtin_potential(name),
+                                       a)._shift == 0.0
+        for name, params in (("cubic", None),
+                             ("log_mixture", LOG_MIXTURE_PARAMS)):
+            sm = builtin_slope_map(name, params)
+            assert appendix_transport(sm, sm.alpha)._shift == 0.0
 
     def test_variance_never_exceeds_gaussian(self):
         for name in ("zero", "linear", "quadratic", "abs"):
@@ -77,7 +108,7 @@ class TestBuildOracles:
 class TestCdfQuantile:
     def test_symmetric_median(self, zero_map):
         assert zero_map.cdf(0.0) == pytest.approx(0.5, abs=1e-13)
-        assert zero_map.quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+        assert quantile(zero_map, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_shifted_median(self, lin_map):
         assert lin_map.cdf(-1.0) == pytest.approx(0.5, abs=1e-12)
@@ -87,14 +118,14 @@ class TestCdfQuantile:
             std_normal_cdf(1.0), abs=1e-12)
 
     def test_shift_quantile(self, lin_map):
-        assert lin_map.quantile(std_normal_cdf(1.0)) == pytest.approx(0.0, abs=1e-11)
+        assert quantile(lin_map, std_normal_cdf(1.0)) == pytest.approx(0.0, abs=1e-11)
 
     def test_round_trip_double_well(self):
         from blverify.verifier import appendix_transport
         from blverify.potentials import builtin_slope_map
         tm = appendix_transport(builtin_slope_map("cubic"), 1.0)
         for u in (0.123, 0.5, 0.77, 0.999):
-            assert tm.cdf(tm.quantile(u)) == pytest.approx(u, abs=1e-10)
+            assert tm.cdf(quantile(tm, u)) == pytest.approx(u, abs=1e-10)
 
     def test_cdf_monotone(self, quad_map):
         vals = quad_map.cdf(np.linspace(-7, 7, 701))
@@ -105,16 +136,11 @@ class TestCdfQuantile:
         np.testing.assert_allclose(lin_map.cdf(xs) + lin_map.survival(xs),
                                    1.0, atol=1e-12)
 
-    def test_quantile_rejects_out_of_domain(self, zero_map):
-        for u in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                zero_map.quantile(u)
-
     def test_sampling_identity_kolmogorov(self, quad_map):
         # inverse-transform sampling reproduces the CDF
         rng = np.random.default_rng(20240901)
         n = 100_000
-        samples = quad_map.quantile(rng.uniform(1e-12, 1 - 1e-12, n))
+        samples = quantile(quad_map, rng.uniform(1e-12, 1 - 1e-12, n))
         s = np.sort(samples)
         f = quad_map.cdf(s)
         grid = np.arange(1, n + 1) / n
@@ -184,18 +210,18 @@ class TestDensityQuantileGap:
     # the quantile scale
     def test_zero_gap_vanishes(self, zero_map):
         xi = np.linspace(0.0005, 0.9995, 1999)
-        gap = (zero_map.density(zero_map.quantile(xi))
+        gap = (density(zero_map, quantile(zero_map, xi))
                - std_normal_pdf(std_normal_quantile(xi)))
         assert np.max(np.abs(gap)) <= 1e-12
 
     def test_quadratic_median_value(self, quad_map):
         # at xi = 1/2: sqrt(2)/sqrt(2 pi) - 1/sqrt(2 pi)
-        gap = (quad_map.density(quad_map.quantile(0.5))
+        gap = (density(quad_map, quantile(quad_map, 0.5))
                - 1.0 / math.sqrt(2 * math.pi))
         assert gap == pytest.approx((math.sqrt(2) - 1) / math.sqrt(2 * math.pi),
                                     abs=1e-12)
         xi = np.linspace(0.0005, 0.9995, 1999)
-        assert np.all(quad_map.density(quad_map.quantile(xi))
+        assert np.all(density(quad_map, quantile(quad_map, xi))
                       >= std_normal_pdf(std_normal_quantile(xi)))
 
 
@@ -255,7 +281,7 @@ def composed_call_value(tmap, c):
     j = tmap._bracket(arr)
     cx = np.clip(arr, tmap.window[0], tmap.window[1])
     pm = (tmap._cum_x_hi[j + 1]
-          + _weighted_partial_mass(tmap, cx, tmap.edges[j + 1])) / tmap.Z
+          + _weighted_partial_mass(tmap, cx, tmap.edges[j + 1])) / tmap._z
     out = pm - arr * tmap.survival(arr)
     out[arr <= tmap.window[0]] = tmap.mean_mu - arr[arr <= tmap.window[0]]
     out[arr >= tmap.window[1]] = 0.0
@@ -268,7 +294,7 @@ def composed_put_value(tmap, c):
     j = tmap._bracket(arr)
     cx = np.clip(arr, tmap.window[0], tmap.window[1])
     pm = (tmap._cum_x_lo[j]
-          + _weighted_partial_mass(tmap, tmap.edges[j], cx)) / tmap.Z
+          + _weighted_partial_mass(tmap, tmap.edges[j], cx)) / tmap._z
     out = arr * tmap.cdf(arr) - pm
     out[arr <= tmap.window[0]] = 0.0
     out[arr >= tmap.window[1]] = arr[arr >= tmap.window[1]] - tmap.mean_mu

@@ -109,7 +109,8 @@ class TestMomentSides:
         tq = build_transport(builtin_potential("abs"), 1.0)
         m = tq.mean_mu
         psi = builtin_convex_test("corridor", width=1.0)
-        oracle, _ = quad(lambda x: float(psi.closed_form(x - m)) * tq.density(x),
+        density = lambda x: tq._unnormalized_density(x) / tq._z
+        oracle, _ = quad(lambda x: float(psi.closed_form(x - m)) * density(x),
                          -14, 14, epsabs=1e-12, limit=400)
         assert moment_rhs(psi, tq) == pytest.approx(oracle, abs=1e-9)
 
