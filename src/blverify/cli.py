@@ -43,9 +43,8 @@ from .local_time import (check_variance_pair, est1_lower, est2_upper,
                          local_time_gap_mc)
 from .potentials import (SlopeBoundReport, _real_number, builtin_potential,
                          builtin_slope_map)
-from .transport import (DEFAULT_QUADRATURE_TOL, DivergentNormalizerError,
-                        NonFinitePotentialError, TransportMap,
-                        build_transport)
+from .transport import (DivergentNormalizerError, NonFinitePotentialError,
+                        TransportMap, build_transport)
 # the moment check keeps the name that blbench's tracer wraps
 from .verifier import (SlopeBoundError, appendix_transport,
                        check_declared_slope_bounds, format_float,
@@ -76,7 +75,6 @@ class ExperimentConfig:
     n_paths: int = 100_000
     n_steps: int = 2048
     seed: int = 42
-    quadrature_tol: float = DEFAULT_QUADRATURE_TOL
     output_dir: str = "out"
 
     def validate(self) -> "ExperimentConfig":
@@ -104,15 +102,12 @@ class ExperimentConfig:
         # the random streams are keyed by the seed as a 64-bit word
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"'seed' must lie in [0, 2^64), got {self.seed}")
-        if not (0.0 < self.quadrature_tol < math.inf):
-            raise ConfigError("'quadrature_tol' must be positive and finite")
         # Path("") is the current directory
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("'output_dir' must be a nonempty string, got "
                               f"{self.output_dir!r}")
         for spec in self.potentials:
-            _parse_potential_entry(spec, self.A, self.quadrature_tol,
-                                   build=False)
+            _parse_potential_entry(spec, self.A, build=False)
         for spec in self.psis:
             try:
                 convex_test_from_spec(spec)
@@ -134,8 +129,6 @@ class ExperimentConfig:
             cfg.n_paths = _integer(cfg.n_paths, "'n_paths'")
             cfg.n_steps = _integer(cfg.n_steps, "'n_steps'")
             cfg.seed = _integer(cfg.seed, "'seed'")
-            cfg.quadrature_tol = _real_number(cfg.quadrature_tol,
-                                              "'quadrature_tol'")
         except _MALFORMED as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         return cfg.validate()
@@ -206,7 +199,7 @@ def _params(obj: dict) -> dict | None:
     return params
 
 
-def _parse_potential_entry(spec, variance: float, tol: float,
+def _parse_potential_entry(spec, variance: float,
                            build: bool = True) -> _Entry | None:
     """Check one potential entry; with ``build``, check its declared slope
     bounds and build its transports.
@@ -226,7 +219,7 @@ def _parse_potential_entry(spec, variance: float, tol: float,
             raise ConfigError(f"bad potential entry {spec!r}: {exc}") from exc
         if not build:
             return None
-        return _Entry("theorem", build_transport(pot, variance, tol))
+        return _Entry("theorem", build_transport(pot, variance))
     if "slope_map" in spec:
         _check_keys(spec, ("slope_map", "alpha", "beta", "improved_alpha"),
                     "slope map entry")
@@ -255,10 +248,10 @@ def _parse_potential_entry(spec, variance: float, tol: float,
             return None
         # the bounds first: the transport build never looks at k'
         slope = check_declared_slope_bounds(sm, alpha, beta)
-        return _Entry("appendix", appendix_transport(sm, alpha, tol),
+        return _Entry("appendix", appendix_transport(sm, alpha),
                       slope=slope,
                       improved_tmap=None if improved is None
-                      else appendix_transport(sm, improved, tol))
+                      else appendix_transport(sm, improved))
     raise ConfigError(f"potential entry needs 'family' or 'slope_map': {spec!r}")
 
 
@@ -447,7 +440,7 @@ def run(cfg: ExperimentConfig, mode: str = "run", x_grid=None) -> int:
 
     # phase 1: every transport, slope bound and integrand with its Clark
     # grid; a configuration error raised here leaves nothing written
-    entries = [_parse_potential_entry(spec, cfg.A, cfg.quadrature_tol)
+    entries = [_parse_potential_entry(spec, cfg.A)
                for spec in cfg.potentials]
     psis = [convex_test_from_spec(s) for s in cfg.psis]
     _check_transports(entries, [*x_grid, *(loc for psi in psis

@@ -33,7 +33,6 @@ __all__ = [
     "NonFinitePotentialError",
     "NonConvexPotentialError",
     "build_transport",
-    "DEFAULT_QUADRATURE_TOL",
 ]
 
 
@@ -67,9 +66,10 @@ _G_XMAX = 11.5                # |x| beyond which g is linearly extrapolated
 # the same bits, but showed no end-to-end gain in wall time.
 _NEWTON_ITERS = 6
 _TINY = 5e-324
-# Relative panel tolerance of the density tables, for library callers and
-# the CLI's ``quadrature_tol`` alike.
-DEFAULT_QUADRATURE_TOL = 1e-10
+# Relative panel tolerance of the density tables.  On every transport of the
+# default matrix at A = 1 and 4, 1e-10, 1e-6 and 1.0 give the same 4097
+# edges: the initial panels already meet it.
+_QUADRATURE_TOL = 1e-10
 
 
 def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,15 +85,11 @@ class TransportMap:
     and safe for concurrent use (the extrapolation counter is advisory).
     """
 
-    def __init__(self, potential: Potential, variance: float,
-                 quadrature_tol: float = DEFAULT_QUADRATURE_TOL):
+    def __init__(self, potential: Potential, variance: float):
         if not (variance > 0.0 and np.isfinite(variance)):
             raise ValueError(f"Gaussian variance must be positive, got {variance}")
-        if not (quadrature_tol > 0.0):
-            raise ValueError("quadrature tolerance must be positive")
         self.potential = potential
         self.A = float(variance)
-        self.quadrature_tol = float(quadrature_tol)
         self.extrapolation_count = 0
 
         sd = np.sqrt(self.A)
@@ -167,7 +163,7 @@ class TransportMap:
                        + rh * (self._unnormalized_density(rn) @ _GL_W))
             err = np.abs(panel - refined)
             total = float(np.sum(refined))
-            bad = err > max(self.quadrature_tol, 1e-15) * max(total, 1e-300)
+            bad = err > _QUADRATURE_TOL * max(total, 1e-300)
             if not np.any(bad) or len(edges) + int(np.sum(bad)) > _MAX_EDGES:
                 if np.any(bad) and len(edges) + int(np.sum(bad)) > _MAX_EDGES:
                     raise DivergentNormalizerError(
@@ -387,9 +383,7 @@ class TransportMap:
         return float(out[0]) if np.ndim(c) == 0 else out.reshape(np.shape(c))
 
 
-def build_transport(potential: Potential, variance: float,
-                    quadrature_tol: float = DEFAULT_QUADRATURE_TOL
-                    ) -> TransportMap:
+def build_transport(potential: Potential, variance: float) -> TransportMap:
     """Construct the transport representation of mu = exp(-V) d N(0, A) / Z.
 
     Raises
@@ -400,4 +394,4 @@ def build_transport(potential: Potential, variance: float,
     NonFinitePotentialError
         If V takes non-finite values on the evaluation window.
     """
-    return TransportMap(potential, variance, quadrature_tol)
+    return TransportMap(potential, variance)

@@ -50,9 +50,8 @@ from .gaussian_core import std_normal_pdf, std_normal_quantile
 from .local_time import expected_local_time_array
 from .potentials import (_GRID, Potential, SlopeBoundReport, SlopeMap,
                          check_slope_bounds)
-from .transport import (_G_XMAX, _GL_W, DEFAULT_QUADRATURE_TOL,
-                        NonConvexPotentialError, TransportMap, _panel_nodes,
-                        build_transport)
+from .transport import (_G_XMAX, _GL_W, NonConvexPotentialError,
+                        TransportMap, _panel_nodes, build_transport)
 
 __all__ = [
     "Bl3Entry",
@@ -319,9 +318,7 @@ def gaussianized_potential(lebesgue_potential: Potential,
                      convex=False, kinks=lebesgue_potential.kinks)
 
 
-def appendix_transport(slope_map: SlopeMap, alpha: float,
-                       quadrature_tol: float = DEFAULT_QUADRATURE_TOL
-                       ) -> TransportMap:
+def appendix_transport(slope_map: SlopeMap, alpha: float) -> TransportMap:
     """Transport build for mu = exp(-U) dx / Z' with U = k^2/2 - log k',
     expressed against the effective Gaussian N(0, 1/alpha).
 
@@ -332,7 +329,7 @@ def appendix_transport(slope_map: SlopeMap, alpha: float,
     if not (a > 0.0):
         raise ValueError("alpha must be positive")
     return build_transport(gaussianized_potential(slope_map.potential, 1.0 / a),
-                           1.0 / a, quadrature_tol)
+                           1.0 / a)
 
 
 def check_declared_slope_bounds(slope_map: SlopeMap, alpha: float,

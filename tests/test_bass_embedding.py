@@ -63,13 +63,15 @@ def abs_clark():
 
 
 A_VALUES = (0.25, 1.0, 4.0)
-# the largest excesses of g' over sqrt(A) found in sweeps of linear(c)
-# over c in [-7, 20] and A in [0.01, 50] while the transport window could
-# not reach a mode beyond 12 sqrt(A) + 8.  Windows that reach it go higher:
-# 2560 u at linear(+-6), A = 34.5, inside the tolerance but above the
-# quarter of it that test_t_bound_tolerances_cover_measured_round_off allows.
+# the largest excesses of g' over sqrt(A), per unit of the tolerance, found
+# in sweeps of linear(c) over c in [-7, 20] and A in [0.01, 50]: before the
+# transport window could reach a far mode (1366 u at A = 1.44, shift -288:
+# 0.100 of the tolerance; the T bound's worst case at A = 7.4989), and over
+# the 28 c by the 24 A of np.logspace(-2, log10(50), 24) since (34540 u at
+# the last A, one ulp below 50, shift -10000: 0.204 of the tolerance)
 WORST_LINEAR = (("linear", 20.0, 1.4399033208816328),
-                ("linear", 5.0, 7.4989))
+                ("linear", 5.0, 7.4989),
+                ("linear", 20.0, 49.99999999999999))
 
 
 @pytest.fixture(scope="module")
@@ -238,13 +240,6 @@ class TestSimulation:
         b = simulate_embedding(abs_clark, 1000, 64, seed=2)
         assert not np.array_equal(a.w1, b.w1)
 
-    def test_worker_count_does_not_change_results(self, abs_clark, monkeypatch):
-        monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 1)
-        a = simulate_embedding(abs_clark, 9000, 64, seed=13)
-        monkeypatch.setattr(bass_embedding, "_worker_count", lambda: 4)
-        b = simulate_embedding(abs_clark, 9000, 64, seed=13)
-        assert np.array_equal(a.T, b.T) and np.array_equal(a.bt, b.bt)
-
     def test_step_halving_within_budget(self, abs_clark):
         coarse = simulate_embedding(abs_clark, 4000, 128, seed=21)
         fine = simulate_embedding(abs_clark, 4000, 256, seed=21)
@@ -351,14 +346,20 @@ class TestChecks:
             assert rep.max_T < a * (1 - 1e-3)
 
     def test_t_bound_tolerances_cover_measured_round_off(self, bound_clarks):
-        # the g' tables and grids stay within a quarter of the tolerance
-        # above sqrt(A) (measured: 1366 u on linear(20) at A = 1.44); the
+        # the g' tables and grids stay within a quarter of their tolerance
+        # above sqrt(A) (measured: 0.204 of it on linear(20) at A = 50); the
         # cubic map at alpha = 4 breaks its slope bound, see below
-        excess = max(max(np.max(c._fine_gp), np.max(c._grid))
-                     / math.sqrt(c.transport.A) - 1.0
-                     for key, c in bound_clarks.items()
-                     if key != ("cubic", 0.25))
-        assert excess <= bass_embedding._G_PRIME_REL_TOL / 4
+        used = max((max(np.max(c._fine_gp), np.max(c._grid))
+                    / math.sqrt(c.transport.A) - 1.0)
+                   / bass_embedding._g_prime_rel_tol(c.transport)
+                   for key, c in bound_clarks.items()
+                   if key != ("cubic", 0.25))
+        assert used <= 0.25
+        # no offset, no widening: the bound keeps its bytes
+        for key, c in bound_clarks.items():
+            if c.transport._shift == 0.0:
+                assert bass_embedding._g_prime_rel_tol(c.transport) == \
+                    bass_embedding._G_PRIME_REL_TOL, key
         # T over the squared grid maximum is the rounding of the trapezoid
         # sum: at most a quarter of the (n_steps + 32) u the bound allows
         keys = [("zero", 1.0), ("linear(5)", 7.4989)]
@@ -376,6 +377,19 @@ class TestChecks:
         assert max_t[("zero", 1.0), 3001] > 1.0
         assert max_t[("linear(5)", 7.4989), 16384] > 7.4989 * (
             1.0 + 2048 * bass_embedding._U)
+
+    def test_t_bound_on_a_far_shifted_gaussian(self, bound_clarks):
+        # linear(20) at A = 50 passes on its own tables (its g' round-off,
+        # 3.8e-12, used to fail a bound of 1e-12), and fails once its g'
+        # table is scaled by 1 + 1e-10
+        clark = bound_clarks["linear(20)", 49.99999999999999]
+        ens = simulate_embedding(clark, 400, 64, seed=2)
+        assert t_bound_check(ens).passed
+        scaled = copy.copy(clark)
+        scaled._fine_gp = clark._fine_gp * (1.0 + 1e-10)
+        rep = t_bound_check(dataclasses.replace(ens, clark=scaled))
+        assert not rep.passed
+        assert rep.max_g_prime > rep.g_prime_bound
 
     def test_t_bound_fails_on_g_prime_above_the_bound(self, bound_clarks):
         # a real g' table, then a real grid, scaled by 1 + 2 tol: only the

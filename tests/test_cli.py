@@ -63,14 +63,14 @@ class TestConfig:
         cfg = default_matrix_config()
         assert cfg.n_paths == 100_000 and cfg.n_steps == 2048
         assert cfg.seed == 42 and cfg.p_list == [1.5, 2.0, 4.0]
-        assert cfg.quadrature_tol == 1e-10
+        assert "quadrature_tol" not in cfg.to_dict()
         assert len(cfg.potentials) == 6 and len(cfg.psis) == 5
 
     def test_integral_and_int_numbers_are_accepted(self):
         cfg = ExperimentConfig.from_dict(dict(
-            SMALL, A=4, p_list=[2], n_steps=128.0, seed=7.0, quadrature_tol=1,
+            SMALL, A=4, p_list=[2], n_steps=128.0, seed=7.0,
             potentials=[{"family": "abs", "params": {"c": 1}}]))
-        assert (cfg.A, cfg.p_list, cfg.quadrature_tol) == (4.0, [2.0], 1.0)
+        assert (cfg.A, cfg.p_list) == (4.0, [2.0])
         assert type(cfg.n_steps) is int and cfg.n_steps == 128
         assert type(cfg.seed) is int and cfg.seed == 7
 
@@ -88,6 +88,8 @@ class TestConfig:
         {"potentials": [{"family": "unknown"}]},
         {"potentials": [{"oops": 1}]},
         {"unknown_key": 3},
+        # the quadrature tolerance is a constant of the transport build now
+        {"quadrature_tol": 1e-10},
         {"potentials": [{"slope_map": {"name": "cubic"}, "alpha": -1.0}]},
         {"potentials": [{"slope_map": {"name": "cubic"}, "beta": 0.5}]},
         {"potentials": [{"slope_map": {"name": "cubic"},
@@ -135,14 +137,13 @@ class TestConfig:
         {"psis": [{"power": 3, "call": 1.0}]},
         {"psis": [{"lable": "x", "atoms": [[0.0, 1.0]]}]},
         # JSON's 1e400 parses to inf
-        {"quadrature_tol": json.loads("1e400")},
+        {"A": json.loads("1e400")},
         # numbers of the wrong type were coerced: seed 3.7 ran as 3, "32"
         # steps as 32, A = true as 1, and c = true built abs(1)
         {"seed": 3.7},
         {"n_paths": 1500.5},
         {"n_steps": "32"},
         {"A": True},
-        {"quadrature_tol": "1e-10"},
         {"p_list": "23"},
         {"p_list": [True]},
         {"potentials": [{"family": "abs", "params": {"c": True}}]},
@@ -186,6 +187,18 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is True
         assert report["potentials"][0]["wald"]["passed"] is True
+
+    def test_far_shifted_gaussian_passes(self, tmp_path):
+        # linear(20) at A = 50 is N(-1000, 50): its g' round-off, 3.8e-12
+        # relative, used to fail T <= A with every other check passed
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "linear", "params": {"c": 20}}],
+            "A": 50, "n_paths": 4096, "n_steps": 64})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["all_passed"] is True
+        assert report["potentials"][0]["t_bound"]["passed"] is True
 
     def test_summary_row_count_matches_matrix(self, tmp_path):
         cfg = write_config(tmp_path, overrides={
@@ -332,7 +345,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("config", [
         {}, {"psis": ["abs"]}, dict(SMALL, output_dir=None),
         dict(SMALL, output_dir=5), dict(SMALL, output_dir=["a", "b"]),
-        dict(SMALL, output_dir=""), dict(SMALL, n_paths=1)])
+        dict(SMALL, output_dir=""), dict(SMALL, n_paths=1),
+        dict(SMALL, quadrature_tol=1e-10)])
     @pytest.mark.parametrize("command", ["run", "embed"])
     def test_bad_config_exits_2_writing_nothing(self, command, config,
                                                 tmp_path, monkeypatch):
@@ -656,15 +670,6 @@ class TestSubcommands:
             7 * n_psis
         assert len(calls) == 2 and len(set(calls)) == 2
 
-    def test_improved_alpha_transport_uses_the_config_tolerance(self):
-        spec = {"slope_map": {"name": "log_mixture",
-                              "params": {"p": 0.5, "q": 0.5 * math.sqrt(2),
-                                         "a": 1.0, "b": 2.0}},
-                "improved_alpha": 1.0}
-        entry = _parse_potential_entry(spec, 1.0, 1e-6)
-        assert entry.tmap.quadrature_tol == 1e-6
-        assert entry.improved_tmap.quadrature_tol == 1e-6
-
     def test_multi_potential_ensembles_get_labeled_files(self, tmp_path):
         cfg = write_config(tmp_path, overrides={
             "potentials": [{"family": "zero"}, {"family": "quadratic"}],
@@ -790,10 +795,8 @@ def oracle_reports():
     cfg = ExperimentConfig.from_dict(dict(
         SMALL, psis=["abs", "square", {"call": 1.0}], p_list=[1.5, 4.0]))
     theorem = _parse_potential_entry(
-        {"family": "quadratic", "params": {"c": 1.0}}, cfg.A,
-        cfg.quadrature_tol)
-    mixture = _parse_potential_entry(LOG_MIXTURE_ENTRY, cfg.A,
-                                     cfg.quadrature_tol)
+        {"family": "quadratic", "params": {"c": 1.0}}, cfg.A)
+    mixture = _parse_potential_entry(LOG_MIXTURE_ENTRY, cfg.A)
     ensemble = simulate_embedding(ClarkIntegrand(theorem.tmap), 400, 32,
                                   seed=3)
     psis = [convex_test_from_spec(s) for s in cfg.psis]

@@ -4,8 +4,8 @@ against the real-space closed form of its smoothing.
 The simulation reference is the straightforward implementation: one block
 of paths at a time with the block's whole increment array drawn up front,
 one potential at a time.  Production code streams the simulation in bounded
-chunks on worker threads and steps every potential along one set of paths;
-it must reproduce the reference bit for bit whatever the worker count.
+chunks, drawn ahead on one helper thread, and steps every potential along
+one set of paths; it must reproduce the reference bit for bit.
 
 The grid is filled by FFT on the g' lattice; `exact_a` evaluates the same
 smoothing in real space, term by term, with neither an FFT nor a Gaussian
@@ -96,21 +96,12 @@ def reference_simulation(clark: ClarkIntegrand, n_paths: int, n_steps: int,
     return np.concatenate(t_parts), bt, w1
 
 
-WORKER_COUNTS = (1, 2, 4)
-
-
-def set_workers(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(bass_embedding, "_worker_count", lambda: n)
-
-
-def assert_matches_reference(monkeypatch, clark, n_paths, n_steps, seed):
+def assert_matches_reference(clark, n_paths, n_steps, seed):
     T, bt, w1 = reference_simulation(clark, n_paths, n_steps, seed)
-    for n in WORKER_COUNTS:
-        set_workers(monkeypatch, n)
-        ens = simulate_embedding(clark, n_paths, n_steps, seed)
-        assert np.array_equal(ens.T, T), n
-        assert np.array_equal(ens.bt, bt), n
-        assert np.array_equal(ens.w1, w1), n
+    ens = simulate_embedding(clark, n_paths, n_steps, seed)
+    assert np.array_equal(ens.T, T)
+    assert np.array_equal(ens.bt, bt)
+    assert np.array_equal(ens.w1, w1)
 
 
 @pytest.fixture(scope="module")
@@ -186,30 +177,25 @@ def test_multipliers_leave_out_only_terms_that_underflow():
 
 
 def test_simulation_builds_fresh_grids_bit_for_bit(matrix_transports,
-                                                   matrix_clarks, monkeypatch):
+                                                   matrix_clarks):
     """Grids filled together by clark_integrands equal those of one
-    ClarkIntegrand per transport, and so do the ensembles stepped on them,
-    at every worker count of the simulation."""
+    ClarkIntegrand per transport, and so do the ensembles stepped on them."""
     n_paths, n_steps = 4113, 130
     expected = simulate_embeddings(
         [matrix_clarks[key] for key in MATRIX_KEYS], n_paths, n_steps, 17)
     clarks = clark_integrands([matrix_transports[key] for key in MATRIX_KEYS])
     for key, clark in zip(MATRIX_KEYS, clarks):
         assert np.array_equal(clark._grid, matrix_clarks[key]._grid), key
-    for n in WORKER_COUNTS:
-        set_workers(monkeypatch, n)
-        ensembles = simulate_embeddings(clarks, n_paths, n_steps, 17)
-        for key, ens, ref in zip(MATRIX_KEYS, ensembles, expected):
-            assert np.array_equal(ens.T, ref.T), (n, key)
-            assert np.array_equal(ens.bt, ref.bt), (n, key)
+    ensembles = simulate_embeddings(clarks, n_paths, n_steps, 17)
+    for key, ens, ref in zip(MATRIX_KEYS, ensembles, expected):
+        assert np.array_equal(ens.T, ref.T), key
+        assert np.array_equal(ens.bt, ref.bt), key
 
 
-def test_concurrent_simulations_build_each_chunk_once(matrix_transports,
-                                                      monkeypatch):
-    """Two threads simulating on one integrand, each with its own fill pool,
-    at a 1 us switch interval, match the reference: the grid is built once,
-    by the constructor, and the simulations only read it."""
-    set_workers(monkeypatch, 4)
+def test_concurrent_simulations_build_each_chunk_once(matrix_transports):
+    """Two threads simulating on one integrand, each with its own fill
+    helper, at a 1 us switch interval, match the reference: the grid is
+    built once, by the constructor, and the simulations only read it."""
     clark = ClarkIntegrand(matrix_transports["double_well_k"])
     grid = clark._grid.copy()
     results = [None, None]
@@ -237,65 +223,60 @@ def test_concurrent_simulations_build_each_chunk_once(matrix_transports,
         assert np.array_equal(ens.w1, w1)
 
 
-def test_extrapolation_count_does_not_depend_on_workers(matrix_transports,
-                                                        monkeypatch):
-    """Only the calling thread touches the transports: the constructor's g'
-    table and E g, and g at the end of the run."""
+def test_extrapolation_count_does_not_depend_on_workers(matrix_transports):
+    """Only the calling thread touches the transports, never the fill
+    helper: the counters move by exactly as much as the constructor's g'
+    table and E g and the final g(W_1) alone move them."""
     tmaps = [matrix_transports[key] for key in MATRIX_KEYS]
-    deltas = {}
-    for n in (1, 2):
-        set_workers(monkeypatch, n)
-        before = [tmap.extrapolation_count for tmap in tmaps]
-        simulate_embeddings([ClarkIntegrand(tmap) for tmap in tmaps],
-                            4096, 64, seed=19)
-        deltas[n] = [tmap.extrapolation_count - b
-                     for tmap, b in zip(tmaps, before)]
-    assert deltas[1] == deltas[2]
-    assert all(delta > 0 for delta in deltas[1])
+    before = [tmap.extrapolation_count for tmap in tmaps]
+    ensembles = simulate_embeddings([ClarkIntegrand(tmap) for tmap in tmaps],
+                                    4096, 64, seed=19)
+    middle = [tmap.extrapolation_count for tmap in tmaps]
+    for tmap, ens in zip(tmaps, ensembles):
+        ClarkIntegrand(tmap)
+        tmap.g(ens.w1)
+    after = [tmap.extrapolation_count for tmap in tmaps]
+    simulated = [m - b for m, b in zip(middle, before)]
+    assert simulated == [a - m for a, m in zip(after, middle)]
+    assert all(delta > 0 for delta in simulated)
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)
-def test_simulation_matches_reference_on_matrix(key, matrix_clarks,
-                                                monkeypatch):
-    assert_matches_reference(monkeypatch, matrix_clarks[key], 4113, 64, seed=7)
+def test_simulation_matches_reference_on_matrix(key, matrix_clarks):
+    assert_matches_reference(matrix_clarks[key], 4113, 64, seed=7)
 
 
 @pytest.mark.parametrize("n_paths,n_steps", [
     (3, 600), (4113, 200), (9000, 97), (12288, 130), (4096, 256)])
-def test_simulation_matches_reference_ragged(n_paths, n_steps, matrix_clarks,
-                                             monkeypatch):
+def test_simulation_matches_reference_ragged(n_paths, n_steps, matrix_clarks):
     # the chunks hold 255 steps for 3 paths, 63 for 4113, 29 for 9000, 21
     # for 12288 and 64 for 4096: the first four step counts leave the last
     # chunk part-full, and with 4096 paths it holds only the final grid time
-    assert_matches_reference(monkeypatch, matrix_clarks["abs"], n_paths,
-                             n_steps, seed=11)
+    assert_matches_reference(matrix_clarks["abs"], n_paths, n_steps, seed=11)
 
 
-def test_simulation_matches_reference_with_large_seed(matrix_clarks,
-                                                      monkeypatch):
-    assert_matches_reference(monkeypatch, matrix_clarks["double_well_k"], 5000,
-                             300, seed=2**63 + 12345)
+def test_simulation_matches_reference_with_large_seed(matrix_clarks):
+    assert_matches_reference(matrix_clarks["double_well_k"], 5000, 300,
+                             seed=2**63 + 12345)
 
 
 @pytest.mark.parametrize("n_paths", [3, 4113, 12288],
                          ids=lambda n: f"{n}-trapezoid")
 def test_batched_simulation_matches_per_potential_reference(
-        n_paths, matrix_clarks, monkeypatch):
+        n_paths, matrix_clarks):
     # six integrands give chunks of 42 steps for 3 and 4113 paths and 21
     # for 12288; 131 grid times leave the last chunk part-full
     n_steps = 130
     clarks = [matrix_clarks[key] for key in MATRIX_KEYS]
     expected = [reference_simulation(clark, n_paths, n_steps, 13)
                 for clark in clarks]
-    for n in (1, 2):
-        set_workers(monkeypatch, n)
-        ensembles = simulate_embeddings(clarks, n_paths, n_steps, 13)
-        assert len(ensembles) == len(clarks)
-        for key, ens, (T, bt, w1) in zip(MATRIX_KEYS, ensembles, expected):
-            assert np.array_equal(ens.T, T), (n, key)
-            assert np.array_equal(ens.bt, bt), (n, key)
-            assert np.array_equal(ens.w1, w1), (n, key)
-            assert ens.clark is matrix_clarks[key], (n, key)
+    ensembles = simulate_embeddings(clarks, n_paths, n_steps, 13)
+    assert len(ensembles) == len(clarks)
+    for key, ens, (T, bt, w1) in zip(MATRIX_KEYS, ensembles, expected):
+        assert np.array_equal(ens.T, T), key
+        assert np.array_equal(ens.bt, bt), key
+        assert np.array_equal(ens.w1, w1), key
+        assert ens.clark is matrix_clarks[key], key
 
 
 def test_batched_simulation_gives_each_ensemble_its_own_w1(matrix_clarks):
@@ -311,14 +292,14 @@ def test_batched_simulation_rejects_bad_integrand_lists():
         simulate_embeddings([], 100, 32, seed=1)
 
 
-def test_many_fill_threads_under_fast_switching(matrix_clarks, monkeypatch):
-    """Eight fill threads on a 1 us switch interval still match the reference.
+def test_fill_ahead_under_fast_switching(matrix_clarks):
+    """The fill-ahead on a 1 us switch interval still matches the reference.
 
-    Ten ragged blocks over eight fill tasks share tasks and scratch buffers;
+    The helper draws ten ragged blocks per chunk through one scratch buffer
+    into the half of the double buffer the calling thread is not stepping;
     a generator used out of order or a buffer refilled while being stepped
     would change the ensemble.
     """
-    set_workers(monkeypatch, 8)
     clark = matrix_clarks["log_mixture_k"]
     n_paths, n_steps = 9 * 4096 + 17, 120
     result = {}
@@ -338,6 +319,37 @@ def test_many_fill_threads_under_fast_switching(matrix_clarks, monkeypatch):
     assert np.array_equal(result["ens"].T, T)
     assert np.array_equal(result["ens"].bt, bt)
     assert np.array_equal(result["ens"].w1, w1)
+
+
+def test_a_failing_fill_fails_the_run(matrix_clarks, monkeypatch):
+    """A draw that raises on the helper thread fails the simulation with
+    that error, and the call leaves no thread of its own running.
+
+    Three blocks over seven chunks of 31 steps; the draw of block 1 in
+    chunk 3 raises, while the calling thread steps chunk 2.  Every draw
+    before it ran on one thread other than the caller's.
+    """
+    real_generator = np.random.Generator
+    drawers, calls = set(), []
+
+    class FailingGenerator:
+        def __init__(self, bit_generator):
+            self._gen = real_generator(bit_generator)
+
+        def standard_normal(self, **kwargs):
+            calls.append(None)
+            if len(calls) == 3 * 3 + 2:
+                raise RuntimeError("draw failed")
+            drawers.add(threading.get_ident())
+            return self._gen.standard_normal(**kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="draw failed"):
+        simulate_embedding(matrix_clarks["abs"], 2 * 4096 + 5, 200, seed=3)
+    assert set(threading.enumerate()) <= before
+    assert len(calls) == 3 * 3 + 2
+    assert len(drawers) == 1 and threading.get_ident() not in drawers
 
 
 def _peak_bytes(fn):
@@ -383,9 +395,3 @@ def test_simulation_rejects_seeds_outside_64_bits(seed, matrix_clarks):
     with pytest.raises(ValueError, match="seed"):
         simulate_embedding(matrix_clarks["abs"], 100, 32, seed)
 
-
-def test_worker_count_follows_affinity(monkeypatch):
-    monkeypatch.setattr(bass_embedding.os, "sched_getaffinity",
-                        lambda pid: {0, 2, 3, 5, 7, 9}, raising=False)
-    monkeypatch.setattr(bass_embedding.os, "cpu_count", lambda: 64)
-    assert bass_embedding._worker_count() == 6

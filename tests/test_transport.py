@@ -9,9 +9,7 @@ from blverify.bass_embedding import _G_PRIME_REL_TOL
 from blverify.gaussian_core import (std_normal_cdf, std_normal_pdf,
                                     std_normal_quantile)
 from blverify.potentials import Potential, builtin_potential, builtin_slope_map
-from blverify.cli import ExperimentConfig
-from blverify.transport import (_GL_W, DEFAULT_QUADRATURE_TOL,
-                                DivergentNormalizerError,
+from blverify.transport import (_GL_W, DivergentNormalizerError,
                                 NonFinitePotentialError, _panel_nodes,
                                 build_transport)
 from blverify.verifier import appendix_transport
@@ -240,15 +238,6 @@ class TestBuildErrors:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NonFinitePotentialError):
                 build_transport(bad, 1.0)
-
-    def test_library_and_cli_share_the_default_tolerance(self):
-        cfg = ExperimentConfig(potentials=[{"family": "zero"}])
-        assert cfg.quadrature_tol == DEFAULT_QUADRATURE_TOL
-        assert build_transport(builtin_potential("zero"),
-                               1.0).quadrature_tol == DEFAULT_QUADRATURE_TOL
-        cubic = builtin_slope_map("cubic")
-        assert appendix_transport(
-            cubic, cubic.alpha).quadrature_tol == DEFAULT_QUADRATURE_TOL
 
     def test_bad_variance(self):
         with pytest.raises(ValueError):
