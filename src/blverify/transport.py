@@ -106,7 +106,6 @@ class TransportMap:
         self.window = (center - half, center + half)
 
         self._build_tables()
-        self._finalize_moments()
         self._prepare_extrapolation()
 
     # -- construction ------------------------------------------------------
@@ -155,30 +154,27 @@ class TransportMap:
                 raise NonFinitePotentialError(
                     f"density of {self.potential.label!r} is not finite "
                     "inside the window")
-            panel = half * (vals @ _GL_W)
+            mass = half * (vals @ _GL_W)
             mids = 0.5 * (edges[:-1] + edges[1:])
             ln, lh = _panel_nodes(edges[:-1], mids)
             rn, rh = _panel_nodes(mids, edges[1:])
             refined = (lh * (self._unnormalized_density(ln) @ _GL_W)
                        + rh * (self._unnormalized_density(rn) @ _GL_W))
-            err = np.abs(panel - refined)
             total = float(np.sum(refined))
-            bad = err > _QUADRATURE_TOL * max(total, 1e-300)
-            if not np.any(bad) or len(edges) + int(np.sum(bad)) > _MAX_EDGES:
-                if np.any(bad) and len(edges) + int(np.sum(bad)) > _MAX_EDGES:
-                    raise DivergentNormalizerError(
-                        f"normalizer quadrature for {self.potential.label!r} "
-                        "did not converge within the node budget")
+            bad = np.abs(mass - refined) > _QUADRATURE_TOL * max(total, 1e-300)
+            if not bad.any():
                 break
+            if len(edges) + int(np.sum(bad)) > _MAX_EDGES:
+                raise DivergentNormalizerError(
+                    f"normalizer quadrature for {self.potential.label!r} "
+                    "did not converge within the node budget")
             edges = np.unique(np.concatenate([edges, mids[bad]]))
         else:
             raise DivergentNormalizerError(
                 f"normalizer quadrature for {self.potential.label!r} did not "
                 f"converge after {_MAX_REFINE_ROUNDS} refinement rounds")
 
-        nodes, half = _panel_nodes(edges[:-1], edges[1:])
-        vals = self._unnormalized_density(nodes)
-        mass = half * (vals @ _GL_W)
+        # the accepting round's nodes and values give every table
         mass_x = half * ((vals * nodes) @ _GL_W)
         mass_x2 = half * ((vals * nodes * nodes) @ _GL_W)
         if np.any(mass < 0.0):
@@ -205,11 +201,8 @@ class TransportMap:
         self._cum_hi = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
         self._cum_x_lo = np.concatenate([[0.0], np.cumsum(mass_x)])
         self._cum_x_hi = np.concatenate([np.cumsum(mass_x[::-1])[::-1], [0.0]])
-        self._sum_x2 = float(np.sum(mass_x2))
-
-    def _finalize_moments(self) -> None:
-        self.mean_mu = float(np.sum(self._mass_x) / self._z)
-        self.var_mu = float(self._sum_x2 / self._z - self.mean_mu**2)
+        self.mean_mu = float(np.sum(mass_x) / z)
+        self.var_mu = float(np.sum(mass_x2) / z - self.mean_mu**2)
 
     def _prepare_extrapolation(self) -> None:
         self._g_edge_x = np.array([-_G_XMAX, _G_XMAX])
