@@ -15,6 +15,17 @@ rearrangement map g = F_mu^{-1} o Phi and its derivative
 are then accurate deep into both tails.  The derivative is always evaluated
 through this density ratio, never by finite differences.
 
+Every panel edge x_k is an exact node of g: its w-image is
+w_k = Phi^{-1}(F_mu(x_k)), taken from the cumulative table of the side that
+resolves it, and g'(w_k) = Phi'(w_k) / F_mu'(x_k).  g(x) brackets x between
+two w-images, starts from the cubic Hermite interpolant of that panel's
+(w, x, g') at its two edges, and takes three Newton steps on the panel's
+cumulative mass, left-accumulated up to x = 0 and right-accumulated above.
+So that every |x| <= 11.5 brackets between two finite w-images, each end
+panel must hold less than Phi(-11.5) ~ 6.6e-31 of the mass; heavier end
+panels raise DivergentNormalizerError.  Beyond |x| = 11.5, g continues
+linearly.
+
 For convex V the map satisfies g' <= sqrt(A) (Caffarelli); every simulating
 run checks that bound on the dense g' table of its Clark integrand
 (``bass_embedding.t_bound_check``).
@@ -24,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian_core import std_normal_cdf, std_normal_pdf
+from .gaussian_core import (_Q_EDGE, std_normal_cdf, std_normal_pdf,
+                            std_normal_quantile)
 from .potentials import Potential
 
 __all__ = [
@@ -59,12 +71,10 @@ _MODE_GRID_MOVES = 16         # most moves of that grid toward the mode
 _INITIAL_PANELS = 4096
 _MAX_EDGES = 9000
 _MAX_REFINE_ROUNDS = 30
-_BOUNDARY_MASS_LIMIT = 1e-6   # relative tail-panel mass that flags divergence
 _G_XMAX = 11.5                # |x| beyond which g is linearly extrapolated
-# Fixed count.  On the benchmark workloads' inputs, iterating only the points
-# that the previous iteration moved does 56-59% of the point-iterations with
-# the same bits, but showed no end-to-end gain in wall time.
-_NEWTON_ITERS = 6
+# Newton steps of g from its cubic Hermite start; tests/test_transport.py
+# (TestInverse) holds the residual of fewer and more steps
+_NEWTON_STEPS = 3
 _TINY = 5e-324
 # Relative panel tolerance of the density tables.  On every transport of the
 # default matrix at A = 1 and 4, 1e-10, 1e-6 and 1.0 give the same 4097
@@ -184,18 +194,8 @@ class TransportMap:
         if not (np.isfinite(z) and z > 0.0):
             raise DivergentNormalizerError(
                 f"normalizer of {self.potential.label!r} evaluated to {z}")
-        # A heavy boundary panel means the integrand has not decayed: the
-        # normalizer (or a moment) is effectively divergent on R.
-        edge_mass = float(mass[0] + mass[-1])
-        if edge_mass > _BOUNDARY_MASS_LIMIT * z:
-            raise DivergentNormalizerError(
-                f"integrand of {self.potential.label!r} has relative mass "
-                f"{edge_mass / z:.2e} in the boundary panels; "
-                "exp(-V) d nu appears divergent")
 
         self.edges = edges
-        self._mass = mass
-        self._mass_x = mass_x
         self._z = z
         self._cum_lo = np.concatenate([[0.0], np.cumsum(mass)])
         self._cum_hi = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
@@ -203,6 +203,22 @@ class TransportMap:
         self._cum_x_hi = np.concatenate([np.cumsum(mass_x[::-1])[::-1], [0.0]])
         self.mean_mu = float(np.sum(mass_x) / z)
         self.var_mu = float(np.sum(mass_x2) / z - self.mean_mu**2)
+
+        # the edges as nodes of g (module docstring): w-images and g'
+        lower = self._cum_lo <= self._cum_hi
+        frac = np.where(lower, self._cum_lo, self._cum_hi) / z
+        q = np.full(frac.shape, -np.inf)
+        q[frac >= _Q_EDGE] = std_normal_quantile(frac[frac >= _Q_EDGE])
+        self._edge_w = np.where(lower, q, -q)
+        self._edge_gp = std_normal_pdf(self._edge_w) / np.maximum(
+            self._unnormalized_density(edges) / z, _TINY)
+        if not (self._edge_w[1] < -_G_XMAX and self._edge_w[-2] > _G_XMAX):
+            raise DivergentNormalizerError(
+                f"the end panels of {self.potential.label!r} hold "
+                f"{mass[0] / z:.2e} and {mass[-1] / z:.2e} of its mass; g "
+                f"needs each below Phi(-{_G_XMAX:g}) = "
+                f"{std_normal_cdf(-_G_XMAX):.2e}: exp(-V) d nu has not "
+                "decayed at the window's ends")
 
     def _prepare_extrapolation(self) -> None:
         self._g_edge_x = np.array([-_G_XMAX, _G_XMAX])
@@ -266,46 +282,31 @@ class TransportMap:
             np.clip(arr, self.window[0], self.window[1]), self.edges[j + 1]))
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
-    # -- inversion of the cumulative tables -----------------------------------
-
-    def _invert_lower(self, target: np.ndarray) -> np.ndarray:
-        """Solve cum_lo(x) = target (unnormalized mass scale)."""
-        cum = self._cum_lo
-        j = np.clip(np.searchsorted(cum, target, side="right") - 1,
-                    0, len(cum) - 2)
-        lo, hi = self.edges[j], self.edges[j + 1]
-        frac = (target - cum[j]) / np.maximum(self._mass[j], _TINY)
-        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-        for _ in range(_NEWTON_ITERS):
-            resid = (cum[j] + self._partial_mass(lo, x)) - target
-            x = np.clip(x - resid / np.maximum(self._unnormalized_density(x), _TINY),
-                        lo, hi)
-        return x
-
-    def _invert_upper(self, target: np.ndarray) -> np.ndarray:
-        """Solve cum_hi(x) = target (unnormalized survival mass scale)."""
-        cum = self._cum_hi
-        j = np.clip(np.searchsorted(-cum, -target, side="right") - 1,
-                    0, len(cum) - 2)
-        lo, hi = self.edges[j], self.edges[j + 1]
-        frac = (target - cum[j + 1]) / np.maximum(self._mass[j], _TINY)
-        x = hi - np.clip(frac, 0.0, 1.0) * (hi - lo)
-        for _ in range(_NEWTON_ITERS):
-            resid = (cum[j + 1] + self._partial_mass(x, hi)) - target
-            x = np.clip(x + resid / np.maximum(self._unnormalized_density(x), _TINY),
-                        lo, hi)
-        return x
-
     # -- the transport map ----------------------------------------------------
 
     def _g_core(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
+        """g(x) for |x| <= 11.5: the panel whose edges' w-images bracket x,
+        the cubic Hermite interpolant of the edges' (w, g, g') as a start,
+        then Newton steps on the panel's cumulative mass, accumulated from
+        the left up to x = 0 and from the right above it."""
+        w, gp = self._edge_w, self._edge_gp
+        j = np.searchsorted(w, x, side="right") - 1
+        lo, hi = self.edges[j], self.edges[j + 1]
+        h = w[j + 1] - w[j]
+        t = (x - w[j]) / h
+        s = 1.0 - t
+        y = np.clip(s * s * (1.0 + 2.0 * t) * lo + t * t * (3.0 - 2.0 * t) * hi
+                    + h * t * s * (s * gp[j] - t * gp[j + 1]), lo, hi)
         neg = x <= 0.0
-        if np.any(neg):
-            out[neg] = self._invert_lower(std_normal_cdf(x[neg]) * self._z)
-        if np.any(~neg):
-            out[~neg] = self._invert_upper(std_normal_cdf(-x[~neg]) * self._z)
-        return out
+        target = std_normal_cdf(np.where(neg, x, -x)) * self._z
+        base = np.where(neg, self._cum_lo[j], self._cum_hi[j + 1])
+        sign = np.where(neg, 1.0, -1.0)
+        for _ in range(_NEWTON_STEPS):
+            resid = base + self._partial_mass(np.where(neg, lo, y),
+                                              np.where(neg, y, hi)) - target
+            y = np.clip(y - sign * resid / np.maximum(
+                self._unnormalized_density(y), _TINY), lo, hi)
+        return y
 
     def _g_prime_core(self, x: np.ndarray) -> np.ndarray:
         gx = self._g_core(x)

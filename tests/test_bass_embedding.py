@@ -515,10 +515,12 @@ class TestEmbeddedLaw:
         x = ens.bt[1] + ens.clark.mean_g
         assert abs(1.0 - tm.cdf(x) - std_normal_cdf(-8.3)) > 1e-15
 
-    def test_one_newton_iteration_fails_where_ks_passes(self, monkeypatch):
-        # g from one Newton step is off by 1e-11 to 1e-9 in F_mu: far
-        # inside the KS threshold of 12288 paths, 1.5e-2
-        monkeypatch.setattr(transport, "_NEWTON_ITERS", 1)
+    def test_hermite_start_alone_fails_where_ks_passes(self, monkeypatch):
+        # g at its cubic Hermite start, with no Newton step, is off by
+        # 6.8e-12 (abs(1)) and 1.1e-10 (cubic) in F_mu, measured: 1.4e3 and
+        # 2.1e4 times the law tolerance, far inside the KS threshold of
+        # 12288 paths, 1.5e-2
+        monkeypatch.setattr(transport, "_NEWTON_STEPS", 0)
         transports = [build_transport(builtin_potential("abs"), 1.0),
                       appendix_transport(builtin_slope_map("cubic"), 1.0)]
         ensembles = simulate_embeddings(clark_integrands(transports), 12288,

@@ -392,12 +392,14 @@ class TestRunCommand:
         assert main(["verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_one_newton_iteration_fails_a_two_path_run(self, tmp_path,
-                                                        monkeypatch):
-        # g off by 1e-11 to 1e-9 in F_mu; the KS gate that the law check
-        # replaced, 1.63 / sqrt(2) = 1.15, passed any two paths
+    def test_hermite_start_alone_fails_a_two_path_run(self, tmp_path,
+                                                       monkeypatch):
+        # g at its cubic Hermite start, with no Newton step, is off by
+        # 5.1e-13 in F_mu at these two paths, measured: 102 times the law
+        # tolerance; the KS gate that the law check replaced,
+        # 1.63 / sqrt(2) = 1.15, passed any two paths
         import blverify.transport as transport_mod
-        monkeypatch.setattr(transport_mod, "_NEWTON_ITERS", 1)
+        monkeypatch.setattr(transport_mod, "_NEWTON_STEPS", 0)
         cfg = write_config(tmp_path, overrides={
             "potentials": [{"family": "abs"}], "psis": ["abs"],
             "n_paths": 2, "n_steps": 64})
@@ -406,7 +408,7 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         law = report["potentials"][0]["embedded_law"]
         assert not law["passed"]
-        assert float(law["pushforward_error"]) > 1e3 * float(law["tolerance"])
+        assert float(law["pushforward_error"]) > 50 * float(law["tolerance"])
 
 
 def _tree(root: Path) -> dict:

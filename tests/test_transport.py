@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blverify import transport
 from blverify.bass_embedding import _G_PRIME_REL_TOL
 from blverify.gaussian_core import (std_normal_cdf, std_normal_pdf,
                                     std_normal_quantile)
@@ -15,6 +16,7 @@ from blverify.transport import (_GL_W, DivergentNormalizerError,
 from blverify.verifier import appendix_transport
 
 from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS
+from test_bass_embedding import WORST_LINEAR
 
 X = np.linspace(-8.0, 8.0, 1601)
 
@@ -307,3 +309,129 @@ def test_call_put_values_match_two_pass_composition(key, matrix_transports):
     mid = 0.5 * (lo + hi)
     assert tmap.upper_call_value(mid) == composed_call_value(tmap, mid)[0]
     assert tmap.lower_put_value(mid) == composed_put_value(tmap, mid)[0]
+
+
+# 20000 normal points and the 8833-node lattice j/384 of [-11.5, 11.5]
+PUSH_W = np.concatenate([np.random.default_rng(5).standard_normal(20000),
+                         np.arange(-4416, 4417) / 384])
+
+
+def pushforward_error(tmap, w=PUSH_W):
+    """max |F(g(w)) - Phi(w)|, by the survival function above w = 0."""
+    x, up = tmap.g(w), w > 0.0
+    return float(np.max(np.abs(np.concatenate((
+        tmap.cdf(x[~up]) - std_normal_cdf(w[~up]),
+        tmap.survival(x[up]) - std_normal_cdf(-w[up]))))))
+
+
+def inverse_sweep():
+    """The transports on which the inverse of g is measured, keyed by
+    label: the default matrix at A = 1/4, 1 and 4 (the cubic map at
+    alpha = 1/A, the log-mixture at alpha = 1 and 1/4), WORST_LINEAR, and
+    abs(1e4) at A = 1e-6 and 1e4 and quadratic(1e4) at A = 4, 50 and 100,
+    which have 2 to 6 panels within 3 sd of the mean (the matrix has 280
+    to 1000)."""
+    out = {}
+    for a in (0.25, 1.0, 4.0):
+        for name in ("zero", "linear", "quadratic", "abs"):
+            out[f"{name} A={a:g}"] = build_transport(builtin_potential(name), a)
+        out[f"cubic A={a:g}"] = appendix_transport(builtin_slope_map("cubic"),
+                                                   1.0 / a)
+    for a in (1.0, 4.0):
+        out[f"log_mixture A={a:g}"] = appendix_transport(
+            builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS), 1.0 / a)
+    for name, c, a in WORST_LINEAR + (("abs", 1e4, 1e-6), ("abs", 1e4, 1e4),
+                                      ("quadratic", 1e4, 4.0),
+                                      ("quadratic", 1e4, 50.0),
+                                      ("quadratic", 1e4, 100.0)):
+        out[f"{name}({c:g}) A={a:g}"] = build_transport(
+            builtin_potential(name, {"c": c}), a)
+    return out
+
+
+@pytest.fixture(scope="module")
+def inverse_transports():
+    return inverse_sweep()
+
+
+class TestInverse:
+    def test_newton_steps_settle_the_pushforward(self, monkeypatch,
+                                                  inverse_transports):
+        # max pushforward error over the sweep, measured, by Newton steps
+        # from the Hermite start:
+        #
+        #   steps          0        1        2        3        4        5
+        #   max error  1.9e-03  9.7e-06  3.3e-10  5.9e-15  7.7e-15  5.9e-15
+        #
+        # (six iterations from a start linear in mass: 1.5e-4).  Up to two
+        # steps the worst is abs(1e4), A = 1e-6; from three on it is
+        # linear(20), A = 50, where one ulp of g (at x = -1000) moves F by
+        # 6.4e-15.  From 3 to 5 steps no transport's error moves by more
+        # than 5.6e-17 (abs(1e4), A = 1e-6), and from 2 to 4 by 3.3e-10.
+        errors = {}
+        for steps in (transport._NEWTON_STEPS, transport._NEWTON_STEPS + 2):
+            monkeypatch.setattr(transport, "_NEWTON_STEPS", steps)
+            errors[steps] = {key: pushforward_error(tmap)
+                             for key, tmap in inverse_transports.items()}
+        few, more = errors.values()
+        moved = {key: abs(few[key] - more[key]) for key in few}
+        assert max(moved.values()) <= 1.1e-16, moved
+        assert max(few.values()) <= 7e-15, few
+
+    def test_panels_of_59_sd_leave_three_steps_short(self, monkeypatch):
+        # quadratic(1e4) at A = 1e4: mu = N(0, 1e-4) on a grid of panels
+        # 59 sd of mu wide, refined to four within 3 sd of 0.  Measured:
+        # 1.6e-14 after three steps, 2.7e-15 after five (six iterations
+        # from a start linear in mass: 7.9e-6).
+        tmap = build_transport(builtin_potential("quadratic", {"c": 1e4}),
+                               1e4)
+        assert pushforward_error(tmap) <= 3e-14
+        monkeypatch.setattr(transport, "_NEWTON_STEPS",
+                            transport._NEWTON_STEPS + 2)
+        assert pushforward_error(tmap) <= 5e-15
+
+    def test_end_panels_bracket_every_inner_point(self, inverse_transports):
+        # the w-images of the edges are nondecreasing (an edge below
+        # 1e-300 of the mass maps to -inf or +inf), +-11.5 lie strictly
+        # inside the end panels' w-images, and every |x| <= 11.5 brackets
+        # in an inner panel of positive width with two finite w-images
+        x = np.linspace(-11.5, 11.5, 20001)
+        for key, tmap in inverse_transports.items():
+            w = tmap._edge_w
+            assert np.all(w[:-1] <= w[1:]), key
+            assert w[1] < -11.5 and 11.5 < w[-2], key
+            j = np.searchsorted(w, x, side="right") - 1
+            assert np.all((j >= 1) & (j <= len(w) - 3)), key
+            assert np.all((w[j] <= x) & (x < w[j + 1])), key
+            assert np.all(np.isfinite(w[j]) & np.isfinite(w[j + 1])), key
+
+    @pytest.mark.parametrize("a, g_bound", [(4.0, 5e-10), (50.0, 2e-7)])
+    def test_wide_panels_keep_g_on_its_closed_form(self, a, g_bound):
+        # quadratic(1e4) against N(0, A) is N(0, 1/(1e4 + 1/A)), on a grid
+        # of panels 1.3 (A = 4) and 4.2 (A = 50) sd of mu wide; measured:
+        # g within 1.7e-10 and 7.7e-8 sd of x sd on |x| <= 6, pushforward
+        # 1.7e-16 at both (six Newton iterations from a start linear in
+        # mass left 0.094 and 0.66 sd, 7.4e-8 and 5.0e-5)
+        tmap = build_transport(builtin_potential("quadratic", {"c": 1e4}), a)
+        sd = 1.0 / math.sqrt(1e4 + 1.0 / a)
+        x = np.linspace(-6.0, 6.0, 2401)
+        assert np.max(np.abs(tmap.g(x) - sd * x)) <= g_bound * sd
+        assert pushforward_error(tmap) <= 4.4e-16
+
+
+class TestEndPanelGuard:
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    def test_log_mixture_beyond_its_alpha_is_rejected(self, alpha):
+        # N(0, 1/alpha) windows of +-(12 sqrt(1/alpha) + 2) leave 1.4e-27
+        # (alpha = 2) and 1e-17 (alpha = 4) of the unit-variance component
+        # in the end panels, above Phi(-11.5) = 6.6e-31
+        sm = builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS)
+        with pytest.raises(DivergentNormalizerError,
+                           match=r"end panels .* hold .* of its mass"):
+            appendix_transport(sm, alpha)
+
+    def test_default_matrix_and_improved_alpha_build(self, matrix_transports):
+        assert set(matrix_transports) == set(MATRIX_KEYS)
+        sm = builtin_slope_map("log_mixture", LOG_MIXTURE_PARAMS)
+        tmap = appendix_transport(sm, 1.0)
+        assert tmap._edge_w[1] < -11.5 < 11.5 < tmap._edge_w[-2]
