@@ -75,6 +75,7 @@ _G_XMAX = 11.5                # |x| beyond which g is linearly extrapolated
 # Newton steps of g from its cubic Hermite start; tests/test_transport.py
 # (TestInverse) holds the residual of fewer and more steps
 _NEWTON_STEPS = 3
+_G_BLOCK = 4096               # points of g per pass, as a simulation block
 _TINY = 5e-324
 # Relative panel tolerance of the density tables.  On every transport of the
 # default matrix at A = 1 and 4, 1e-10, 1e-6 and 1.0 give the same 4097
@@ -288,25 +289,32 @@ class TransportMap:
         """g(x) for |x| <= 11.5: the panel whose edges' w-images bracket x,
         the cubic Hermite interpolant of the edges' (w, g, g') as a start,
         then Newton steps on the panel's cumulative mass, accumulated from
-        the left up to x = 0 and from the right above it."""
+        the left up to x = 0 and from the right above it.  Blocks of
+        _G_BLOCK points keep the Newton steps' (n, 7) temporaries at about
+        1.7 MB whatever the size of x."""
         w, gp = self._edge_w, self._edge_gp
-        j = np.searchsorted(w, x, side="right") - 1
-        lo, hi = self.edges[j], self.edges[j + 1]
-        h = w[j + 1] - w[j]
-        t = (x - w[j]) / h
-        s = 1.0 - t
-        y = np.clip(s * s * (1.0 + 2.0 * t) * lo + t * t * (3.0 - 2.0 * t) * hi
-                    + h * t * s * (s * gp[j] - t * gp[j + 1]), lo, hi)
-        neg = x <= 0.0
-        target = std_normal_cdf(np.where(neg, x, -x)) * self._z
-        base = np.where(neg, self._cum_lo[j], self._cum_hi[j + 1])
-        sign = np.where(neg, 1.0, -1.0)
-        for _ in range(_NEWTON_STEPS):
-            resid = base + self._partial_mass(np.where(neg, lo, y),
-                                              np.where(neg, y, hi)) - target
-            y = np.clip(y - sign * resid / np.maximum(
-                self._unnormalized_density(y), _TINY), lo, hi)
-        return y
+        out = np.empty_like(x)
+        for k in range(0, x.size, _G_BLOCK):
+            xb = x[k:k + _G_BLOCK]
+            j = np.searchsorted(w, xb, side="right") - 1
+            lo, hi = self.edges[j], self.edges[j + 1]
+            h = w[j + 1] - w[j]
+            t = (xb - w[j]) / h
+            s = 1.0 - t
+            y = np.clip(s * s * (1.0 + 2.0 * t) * lo
+                        + t * t * (3.0 - 2.0 * t) * hi
+                        + h * t * s * (s * gp[j] - t * gp[j + 1]), lo, hi)
+            neg = xb <= 0.0
+            target = std_normal_cdf(np.where(neg, xb, -xb)) * self._z
+            base = np.where(neg, self._cum_lo[j], self._cum_hi[j + 1])
+            sign = np.where(neg, 1.0, -1.0)
+            for _ in range(_NEWTON_STEPS):
+                resid = base + self._partial_mass(
+                    np.where(neg, lo, y), np.where(neg, y, hi)) - target
+                y = np.clip(y - sign * resid / np.maximum(
+                    self._unnormalized_density(y), _TINY), lo, hi)
+            out[k:k + _G_BLOCK] = y
+        return out
 
     def _g_prime_core(self, x: np.ndarray) -> np.ndarray:
         gx = self._g_core(x)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,24 @@ class TestInverse:
             assert np.all((j >= 1) & (j <= len(w) - 3)), key
             assert np.all((w[j] <= x) & (x < w[j + 1])), key
             assert np.all(np.isfinite(w[j]) & np.isfinite(w[j + 1])), key
+
+    def test_blocks_bound_memory_and_keep_the_bits(self, monkeypatch):
+        # g of 1e5 points in blocks of 4096: measured peak 3.9 MiB on the
+        # cubic map (one pass over all of them: 39.9 MiB; the two Newton
+        # loops of six iterations, one per side: 19.3 MiB); a one-point
+        # last block (4097 points) gives the bits of one pass
+        tmap = appendix_transport(builtin_slope_map("cubic"), 1.0)
+        w = np.random.default_rng(3).standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            tmap.g(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+        blocked = tmap.g(w[:4097])
+        monkeypatch.setattr(transport, "_G_BLOCK", w.size)
+        assert np.array_equal(blocked, tmap.g(w[:4097]))
 
     @pytest.mark.parametrize("a, g_bound", [(4.0, 5e-10), (50.0, 2e-7)])
     def test_wide_panels_keep_g_on_its_closed_form(self, a, g_bound):
