@@ -117,7 +117,9 @@ class TransportMap:
         self.window = (center - half, center + half)
 
         self._build_tables()
-        self._prepare_extrapolation()
+        self._g_edge_x = np.array([-_G_XMAX, _G_XMAX])
+        self._g_edge_val = self._g_core(self._g_edge_x)
+        self._g_edge_slope = self._g_prime_core(self._g_edge_x)
 
     # -- construction ------------------------------------------------------
 
@@ -221,11 +223,6 @@ class TransportMap:
                 f"{std_normal_cdf(-_G_XMAX):.2e}: exp(-V) d nu has not "
                 "decayed at the window's ends")
 
-    def _prepare_extrapolation(self) -> None:
-        self._g_edge_x = np.array([-_G_XMAX, _G_XMAX])
-        self._g_edge_val = self._g_core(self._g_edge_x)
-        self._g_edge_slope = self._g_prime_core(self._g_edge_x)
-
     # -- elementary evaluations ---------------------------------------------
 
     @property
@@ -286,12 +283,9 @@ class TransportMap:
     # -- the transport map ----------------------------------------------------
 
     def _g_core(self, x: np.ndarray) -> np.ndarray:
-        """g(x) for |x| <= 11.5: the panel whose edges' w-images bracket x,
-        the cubic Hermite interpolant of the edges' (w, g, g') as a start,
-        then Newton steps on the panel's cumulative mass, accumulated from
-        the left up to x = 0 and from the right above it.  Blocks of
-        _G_BLOCK points keep the Newton steps' (n, 7) temporaries at about
-        1.7 MB whatever the size of x."""
+        """g(x) for |x| <= 11.5, as the module docstring describes, in
+        blocks of _G_BLOCK points: the Newton steps' (n, 7) temporaries
+        stay near 1.7 MB whatever the size of x."""
         w, gp = self._edge_w, self._edge_gp
         out = np.empty_like(x)
         for k in range(0, x.size, _G_BLOCK):
