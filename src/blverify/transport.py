@@ -16,15 +16,16 @@ are then accurate deep into both tails.  The derivative is always evaluated
 through this density ratio, never by finite differences.
 
 Every panel edge x_k is an exact node of g: its w-image is
-w_k = Phi^{-1}(F_mu(x_k)), taken from the cumulative table of the side that
-resolves it, and g'(w_k) = Phi'(w_k) / F_mu'(x_k).  g(x) brackets x between
-two w-images, starts from the cubic Hermite interpolant of that panel's
-(w, x, g') at its two edges, and takes three Newton steps on the panel's
-cumulative mass, left-accumulated up to x = 0 and right-accumulated above.
-So that every |x| <= 11.5 brackets between two finite w-images, each end
-panel must hold less than Phi(-11.5) ~ 6.6e-31 of the mass; heavier end
-panels raise DivergentNormalizerError.  Beyond |x| = 11.5, g continues
-linearly.
+w_k = Phi^{-1}(F_mu(x_k)), from the cumulative table of the side that
+resolves it (infinite below 1e-300 of the mass), and g'(w_k) = Phi'(w_k) /
+F_mu'(x_k).  g(x) brackets x between two w-images, starts from the cubic
+Hermite interpolant of that panel's (w, x, g') at its two edges, and takes
+three Newton steps on the panel's cumulative mass, left-accumulated up to
+x = 0 and right-accumulated above.  The build splits each inner panel from
+an infinite w-image to one within +-11.5, and end panels holding
+Phi(-11.5) ~ 6.6e-31 of the mass or more raise DivergentNormalizerError, so
+every |x| <= 11.5 brackets between two finite w-images.  Beyond that, g
+continues linearly.
 
 For convex V the map satisfies g' <= sqrt(A) (Caffarelli); every simulating
 run checks that bound on the dense g' table of its Clark integrand
@@ -72,6 +73,7 @@ _INITIAL_PANELS = 4096
 _MAX_EDGES = 9000
 _MAX_REFINE_ROUNDS = 30
 _G_XMAX = 11.5                # |x| beyond which g is linearly extrapolated
+_G_TAIL = std_normal_cdf(-_G_XMAX)    # about 6.6e-31
 # Newton steps of g from its cubic Hermite start; tests/test_transport.py
 # (TestInverse) holds the residual of fewer and more steps
 _NEWTON_STEPS = 3
@@ -168,6 +170,9 @@ class TransportMap:
                     f"density of {self.potential.label!r} is not finite "
                     "inside the window")
             mass = half * (vals @ _GL_W)
+            z = float(np.sum(mass))
+            cum_lo = np.concatenate([[0.0], np.cumsum(mass)])
+            cum_hi = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
             mids = 0.5 * (edges[:-1] + edges[1:])
             ln, lh = _panel_nodes(edges[:-1], mids)
             rn, rh = _panel_nodes(mids, edges[1:])
@@ -175,6 +180,10 @@ class TransportMap:
                        + rh * (self._unnormalized_density(rn) @ _GL_W))
             total = float(np.sum(refined))
             bad = np.abs(mass - refined) > _QUADRATURE_TOL * max(total, 1e-300)
+            # and each inner panel from an infinite w-image into +-_G_XMAX
+            q, p = _Q_EDGE * z, _G_TAIL * z
+            bad[1:-1] |= (((cum_lo[1:-2] < q) & (cum_lo[2:-1] >= p))
+                          | ((cum_hi[2:-1] < q) & (cum_hi[1:-2] >= p)))
             if not bad.any():
                 break
             if len(edges) + int(np.sum(bad)) > _MAX_EDGES:
@@ -190,18 +199,13 @@ class TransportMap:
         # the accepting round's nodes and values give every table
         mass_x = half * ((vals * nodes) @ _GL_W)
         mass_x2 = half * ((vals * nodes * nodes) @ _GL_W)
-        if np.any(mass < 0.0):
-            raise DivergentNormalizerError("negative panel mass encountered")
-
-        z = float(np.sum(mass))
         if not (np.isfinite(z) and z > 0.0):
             raise DivergentNormalizerError(
                 f"normalizer of {self.potential.label!r} evaluated to {z}")
 
         self.edges = edges
         self._z = z
-        self._cum_lo = np.concatenate([[0.0], np.cumsum(mass)])
-        self._cum_hi = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+        self._cum_lo, self._cum_hi = cum_lo, cum_hi
         self._cum_x_lo = np.concatenate([[0.0], np.cumsum(mass_x)])
         self._cum_x_hi = np.concatenate([np.cumsum(mass_x[::-1])[::-1], [0.0]])
         self.mean_mu = float(np.sum(mass_x) / z)
@@ -215,13 +219,12 @@ class TransportMap:
         self._edge_w = np.where(lower, q, -q)
         self._edge_gp = std_normal_pdf(self._edge_w) / np.maximum(
             self._unnormalized_density(edges) / z, _TINY)
-        if not (self._edge_w[1] < -_G_XMAX and self._edge_w[-2] > _G_XMAX):
+        finite = self._edge_w[np.isfinite(self._edge_w)]
+        if not (finite[0] < -_G_XMAX and finite[-1] > _G_XMAX):
             raise DivergentNormalizerError(
                 f"the end panels of {self.potential.label!r} hold "
-                f"{mass[0] / z:.2e} and {mass[-1] / z:.2e} of its mass; g "
-                f"needs each below Phi(-{_G_XMAX:g}) = "
-                f"{std_normal_cdf(-_G_XMAX):.2e}: exp(-V) d nu has not "
-                "decayed at the window's ends")
+                f"{mass[0] / z:.2e} and {mass[-1] / z:.2e} of its mass (g needs "
+                f"each below {_G_TAIL:.2e}): exp(-V) d nu has not decayed")
 
     # -- elementary evaluations ---------------------------------------------
 
@@ -284,8 +287,8 @@ class TransportMap:
 
     def _g_core(self, x: np.ndarray) -> np.ndarray:
         """g(x) for |x| <= 11.5, as the module docstring describes, in
-        blocks of _G_BLOCK points: the Newton steps' (n, 7) temporaries
-        stay near 1.7 MB whatever the size of x."""
+        blocks of _G_BLOCK points, so that the Newton steps' temporaries
+        do not grow with the size of x."""
         w, gp = self._edge_w, self._edge_gp
         out = np.empty_like(x)
         for k in range(0, x.size, _G_BLOCK):

@@ -12,6 +12,16 @@ LOG_MIXTURE_PARAMS = {"p": 0.5, "q": 0.5 * math.sqrt(2.0), "a": 1.0, "b": 2.0}
 MATRIX_KEYS = ("zero", "linear", "quadratic", "abs",
                "double_well_k", "log_mixture_k")
 
+# the largest excesses of g' over sqrt(A), per unit of the tolerance, found
+# in sweeps of linear(c) over c in [-7, 20] and A in [0.01, 50]: before the
+# transport window could reach a far mode (1366 u at A = 1.44, shift -288:
+# 0.100 of the tolerance; the T bound's worst case at A = 7.4989), and over
+# the 28 c by the 24 A of np.logspace(-2, log10(50), 24) since (34540 u at
+# the last A, one ulp below 50, shift -10000: 0.204 of the tolerance)
+WORST_LINEAR = (("linear", 20.0, 1.4399033208816328),
+                ("linear", 5.0, 7.4989),
+                ("linear", 20.0, 49.99999999999999))
+
 
 def make_matrix_transport(key):
     if key in ("double_well_k", "log_mixture_k"):

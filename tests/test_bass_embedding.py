@@ -17,7 +17,7 @@ from blverify.potentials import builtin_potential, builtin_slope_map
 from blverify.transport import build_transport
 from blverify.verifier import appendix_transport
 
-from conftest import LOG_MIXTURE_PARAMS, make_matrix_transport
+from conftest import LOG_MIXTURE_PARAMS, WORST_LINEAR, make_matrix_transport
 from test_embedding_oracle import exact_a
 
 
@@ -63,17 +63,6 @@ def abs_clark():
 
 
 A_VALUES = (0.25, 1.0, 4.0)
-# the largest excesses of g' over sqrt(A), per unit of the tolerance, found
-# in sweeps of linear(c) over c in [-7, 20] and A in [0.01, 50]: before the
-# transport window could reach a far mode (1366 u at A = 1.44, shift -288:
-# 0.100 of the tolerance; the T bound's worst case at A = 7.4989), and over
-# the 28 c by the 24 A of np.logspace(-2, log10(50), 24) since (34540 u at
-# the last A, one ulp below 50, shift -10000: 0.204 of the tolerance)
-WORST_LINEAR = (("linear", 20.0, 1.4399033208816328),
-                ("linear", 5.0, 7.4989),
-                ("linear", 20.0, 49.99999999999999))
-
-
 @pytest.fixture(scope="module")
 def bound_clarks():
     """Integrands keyed (label, A): zero, linear(1), quadratic(1), abs(1)

@@ -16,8 +16,7 @@ from blverify.transport import (_GL_W, DivergentNormalizerError,
                                 build_transport)
 from blverify.verifier import appendix_transport
 
-from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS
-from test_bass_embedding import WORST_LINEAR
+from conftest import LOG_MIXTURE_PARAMS, MATRIX_KEYS, WORST_LINEAR
 
 X = np.linspace(-8.0, 8.0, 1601)
 
@@ -355,6 +354,19 @@ def inverse_transports():
     return inverse_sweep()
 
 
+def assert_finite_brackets(tmap, key=None):
+    """The w-images of the edges are nondecreasing (an edge below 1e-300
+    of the mass maps to -inf or +inf), and every |x| <= 11.5 brackets in
+    an inner panel of positive width with two finite w-images."""
+    x = np.linspace(-11.5, 11.5, 20001)
+    w = tmap._edge_w
+    assert np.all(w[:-1] <= w[1:]), key
+    j = np.searchsorted(w, x, side="right") - 1
+    assert np.all((j >= 1) & (j <= len(w) - 3)), key
+    assert np.all((w[j] <= x) & (x < w[j + 1])), key
+    assert np.all(np.isfinite(w[j]) & np.isfinite(w[j + 1])), key
+
+
 class TestInverse:
     def test_newton_steps_settle_the_pushforward(self, monkeypatch,
                                                   inverse_transports):
@@ -392,19 +404,10 @@ class TestInverse:
         assert pushforward_error(tmap) <= 5e-15
 
     def test_end_panels_bracket_every_inner_point(self, inverse_transports):
-        # the w-images of the edges are nondecreasing (an edge below
-        # 1e-300 of the mass maps to -inf or +inf), +-11.5 lie strictly
-        # inside the end panels' w-images, and every |x| <= 11.5 brackets
-        # in an inner panel of positive width with two finite w-images
-        x = np.linspace(-11.5, 11.5, 20001)
+        # +-11.5 lie strictly inside the end panels' w-images
         for key, tmap in inverse_transports.items():
-            w = tmap._edge_w
-            assert np.all(w[:-1] <= w[1:]), key
-            assert w[1] < -11.5 and 11.5 < w[-2], key
-            j = np.searchsorted(w, x, side="right") - 1
-            assert np.all((j >= 1) & (j <= len(w) - 3)), key
-            assert np.all((w[j] <= x) & (x < w[j + 1])), key
-            assert np.all(np.isfinite(w[j]) & np.isfinite(w[j + 1])), key
+            assert_finite_brackets(tmap, key)
+            assert tmap._edge_w[1] < -11.5 < 11.5 < tmap._edge_w[-2], key
 
     def test_blocks_bound_memory_and_keep_the_bits(self, monkeypatch):
         # g of 1e5 points in blocks of 4096: measured peak 3.9 MiB on the
@@ -448,6 +451,23 @@ class TestEndPanelGuard:
         with pytest.raises(DivergentNormalizerError,
                            match=r"end panels .* hold .* of its mass"):
             appendix_transport(sm, alpha)
+
+    def test_tail_panels_are_split_to_finite_brackets(self):
+        # the cubic map at alpha = 1e-5: the window of +-3797 holds panels
+        # 1.85 wide, and every edge beyond +-1.85 holds below 1e-300 of
+        # the mass on its side, so its w-image is infinite.  Unsplit, the
+        # panel from 1.85 (w-image 8.5) to 3.71 (+inf) left g NaN on
+        # 8.5 < |x| <= 11.5; the build splits it and its mirror once, at
+        # +-2.78 (w-image 24.7).  Measured pushforward 4.3e-12: panels that
+        # wide leave three Newton steps short (six iterations from a start
+        # linear in mass: 1.3e-7)
+        tmap = appendix_transport(builtin_slope_map("cubic"), 1e-5)
+        assert_finite_brackets(tmap)
+        x = np.arange(-4416, 4417) / 384
+        assert np.all(np.isfinite(tmap.g(x)) & np.isfinite(tmap.g_prime(x)))
+        assert np.all(np.isfinite(tmap._g_edge_val)
+                      & np.isfinite(tmap._g_edge_slope))
+        assert pushforward_error(tmap) <= 1e-11
 
     def test_default_matrix_and_improved_alpha_build(self, matrix_transports):
         assert set(matrix_transports) == set(MATRIX_KEYS)
