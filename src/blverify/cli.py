@@ -340,7 +340,7 @@ def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None, psis,
 
 _SUMMARY_COLUMNS = ("potential", "A", "psi", "p", "q", "lhs", "rhs", "var_x",
                     "bl1_margin", "bl2_correction", "bl2_margin",
-                    "bl3_constant", "bl3_margin", "bl3_skipped", "passed")
+                    "bl3_constant", "bl3_margin", "passed")
 _MARGIN_COLUMNS = ("potential", "psi", "p", "bl1_margin", "bl2_margin",
                    "bl3_margin")
 
@@ -351,9 +351,9 @@ def _summary_rows(report: dict) -> list:
     when there is none."""
     base = {**report, "A": report["gaussian_variance"],
             "passed": all(report["passes"].values())}
-    blank = dict.fromkeys(("p", "q", "constant", "margin", "skipped"), "")
+    blank = dict.fromkeys(("p", "q", "constant", "margin"), "")
     return [{**base, "p": e["p"], "q": e["q"], "bl3_constant": e["constant"],
-             "bl3_margin": e["margin"], "bl3_skipped": e["skipped"]}
+             "bl3_margin": e["margin"]}
             for e in report["bl3"] or [blank]]
 
 

@@ -11,16 +11,18 @@ function itself is recovered as
 which is also the decomposition the inequality verifier exploits: every
 moment of psi reduces to call/put values integrated against psi''.
 
-Every psi''-integral int f(y) psi''(dy) is an atom sum plus one adaptive
-quadrature of the density: composite 7-point Gauss-Legendre panels, bisected
-where a panel and its two halves disagree, with the density and f called on
-the whole array of a round's nodes (never point by point).  Densities and
-the integrands passed to ``integrate_against_second_derivative`` must
-therefore accept numpy arrays.
+The density is a sum of terms c |y|^e with c > 0 and 0 <= e <= 20, and
+every psi''-integral int f(y) psi''(dy) is an atom sum plus one adaptive
+quadrature of the density over a finite window: composite 7-point
+Gauss-Legendre panels, bisected where a panel and its two halves disagree,
+with f called on the whole array of a round's nodes (never point by point),
+so the integrands passed to ``integrate_against_second_derivative`` must
+accept numpy arrays.
 
-Divergent psi''-integrals are reported as an explicit +inf value, not an
-error; the moment inequalities are understood to hold when both sides are
-infinite, and the constants they involve live in [0, inf].
+Every such integral is finite.  mu is sqrt(A)-Lipschitz-Gaussian (Caffarelli,
+Harge), so both moment sides and every constant weigh a polynomial density
+against Gaussian tails; the exponent cap keeps the part of each integral
+beyond its window below 1.3e-18 of it (the window sizes are at the callers).
 """
 
 from __future__ import annotations
@@ -48,9 +50,12 @@ __all__ = [
     "P1LimitBounds",
 ]
 
-# Density integration runs over |y| <= this plus the caller's scale; the
-# relative contribution of the outermost strips flags divergence.
-_TAIL_FRACTION = 1e-8
+# Largest exponent e of a density term c |y|^e.  As A grows, the share of a
+# psi'' integral beyond its window tends to (mpmath, e = 20) 3.5e-21 for the
+# 12 sd of moment_lhs and bl2, 2.4e-20 for the 12 sd of bl3, and 1.3e-18
+# for the 11.43 sd of moment_rhs; at e = 30 these are 3.7e-17, 1.7e-16 and
+# 8.1e-15, and at e = 60 4.8e-9, 1.2e-8 and 2.5e-7.
+_MAX_EXPONENT = 20
 
 # The psi'' integrals use the 7-point Gauss-Legendre panels of the
 # transport tables.
@@ -62,26 +67,34 @@ _PANEL_BUDGET = 400       # most panels per integral, as quad's limit=400
 class ConvexTest:
     """A convex test function given by (psi(0), psi'_-(0), psi'').
 
-    ``atoms`` are (location, mass >= 0) pairs; ``density`` is a nonnegative
-    callable of polynomial growth.  It must accept a 1-d array of points and
-    return their values elementwise, because the quadrature evaluates it on
-    all nodes of a refinement round at once.  ``closed_form`` evaluates psi
-    directly on arrays; ``verifier.moment_check`` needs it (every catalog
-    and psi'' data test function has one), while the quadrature verdicts
-    use only psi(0), psi'_-(0) and psi''.
+    ``atoms`` are (location, mass >= 0) pairs; ``density`` holds the terms
+    (c, e) of the density sum c |y|^e, each with c > 0 and
+    0 <= e <= 20.  ``closed_form`` evaluates psi directly on arrays;
+    ``verifier.moment_check`` needs it (every catalog and psi'' data test
+    function has one), while the quadrature verdicts use only psi(0),
+    psi'_-(0) and psi''.
     """
 
     label: str
     value_at_zero: float
     left_slope_at_zero: float
     atoms: tuple[tuple[float, float], ...] = ()
-    density: Callable | None = None
+    density: tuple[tuple[float, float], ...] = ()
     closed_form: Callable | None = None
 
     def __post_init__(self):
         for loc, mass in self.atoms:
             if mass < 0.0:
                 raise ValueError(f"negative atom mass {mass} at {loc}")
+        for c, e in self.density:
+            if not (0.0 < c < math.inf and 0 <= e <= _MAX_EXPONENT):
+                raise ValueError(f"density term {c:g} |y|^{e:g} needs "
+                                 f"0 < c < inf and 0 <= e <= {_MAX_EXPONENT}")
+
+    def density_at(self, y) -> np.ndarray:
+        """The psi'' density sum c |y|^e at the points y."""
+        ay = np.abs(np.asarray(y, float))
+        return sum(c * ay ** e for c, e in self.density)
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +107,18 @@ def _abs_test() -> ConvexTest:
 
 
 def _square_test() -> ConvexTest:
-    return ConvexTest("square", 0.0, 0.0,
-                      density=lambda y: np.full_like(np.asarray(y, float), 2.0),
+    return ConvexTest("square", 0.0, 0.0, density=((2.0, 0),),
                       closed_form=lambda x: np.asarray(x, float) ** 2)
 
 
 def _power_test(p: float) -> ConvexTest:
-    # |x|^p for p >= 2; the psi'' density p(p-1)|x|^{p-2} of 1 < p < 2 is
-    # non-integrable at 0 and is deliberately not offered.
-    if p < 2.0:
-        raise ValueError("power test functions require p >= 2")
-    c = p * (p - 1.0)
-    if not math.isfinite(c):   # an infinite density gives inf * 0 = nan at 0
-        raise ValueError(f"power {p:g} is too large: p (p - 1) overflows")
+    # |x|^p for 2 <= p <= 22; the psi'' density p(p-1)|x|^{p-2} of 1 < p < 2
+    # is non-integrable at 0 and is deliberately not offered
+    if not 2.0 <= p <= _MAX_EXPONENT + 2:
+        raise ValueError("power test functions require 2 <= p <= "
+                         f"{_MAX_EXPONENT + 2}, got {p:g}")
     return ConvexTest(
-        f"power({p:g})", 0.0, 0.0,
-        density=lambda y, _c=c, _e=p - 2.0: _c * np.abs(np.asarray(y, float)) ** _e,
+        f"power({p:g})", 0.0, 0.0, density=((p * (p - 1.0), p - 2.0),),
         closed_form=lambda x, _p=p: np.abs(np.asarray(x, float)) ** _p)
 
 
@@ -165,10 +174,10 @@ def convex_test_from_spec(spec) -> ConvexTest:
     Accepts ``"abs"``, ``"square"``, ``{"power": p}``, ``{"call": K}``,
     ``{"corridor": K}``, or ``{"atoms": [[loc, mass], ...],
     "density_poly_coeffs": [c0, c1, ...]}`` (density sum_i c_i |y|^i,
-    required nonnegative), optionally with a string ``label``,
-    ``value_at_zero`` and ``left_slope_at_zero``; every number must be
-    finite, and an object with any other key is rejected.  The last form
-    gets the closed form
+    required nonnegative, with c_i = 0 for i > 20), optionally with a
+    string ``label``, ``value_at_zero`` and ``left_slope_at_zero``; every
+    number must be finite, and an object with any other key is rejected.
+    ``power`` takes 2 <= p <= 22.  The last form gets the closed form
     psi(0) + psi'_-(0) x + sum of kinks + sum_i c_i |x|^(i+2) / ((i+1)(i+2)).
     """
     if isinstance(spec, str):
@@ -193,14 +202,9 @@ def convex_test_from_spec(spec) -> ConvexTest:
     value_at_zero = _finite(spec.get("value_at_zero", 0.0), "value_at_zero")
     left_slope = _finite(spec.get("left_slope_at_zero", 0.0),
                          "left_slope_at_zero")
-    density = None
-    if coeffs:
-        if any(c < 0 for c in coeffs):
-            raise ValueError("density polynomial coefficients must be >= 0")
-
-        def density(y, _c=coeffs):
-            ay = np.abs(np.asarray(y, float))
-            return sum(ci * ay ** i for i, ci in enumerate(_c))
+    if any(c < 0 for c in coeffs):
+        raise ValueError("density polynomial coefficients must be >= 0")
+    density = tuple((c, i) for i, c in enumerate(coeffs) if c > 0.0)
 
     def closed_form(x):
         # the psi'' reconstruction integrated term by term:
@@ -211,8 +215,8 @@ def convex_test_from_spec(spec) -> ConvexTest:
             out = out + mass * (np.maximum(x - loc, 0.0) if loc >= 0.0
                                 else np.maximum(loc - x, 0.0))
         ax = np.abs(x)
-        for i, ci in enumerate(coeffs):
-            out = out + ci * ax ** (i + 2) / ((i + 1) * (i + 2))
+        for c, i in density:
+            out = out + c * ax ** (i + 2) / ((i + 1) * (i + 2))
         return out
 
     return ConvexTest(
@@ -226,20 +230,19 @@ def convex_test_from_spec(spec) -> ConvexTest:
 # ---------------------------------------------------------------------------
 
 def second_derivative_mass(psi: ConvexTest) -> float:
-    """Total mass psi''(R); +inf when the density does not decay."""
-    return integrate_against_second_derivative(psi, np.ones_like,
-                                               window=200.0)
+    """Total mass psi''(R): the atom masses, or +inf with any density term."""
+    if psi.density:
+        return math.inf
+    return float(sum(mass for _, mass in psi.atoms))
 
 
 def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
-                                        window: float = 60.0) -> float:
-    """int f(y) psi''(dy): atom sum plus density quadrature.
+                                        window: float) -> float:
+    """int f(y) psi''(dy) over |y| <= window: atom sum plus density
+    quadrature.
 
     ``f`` is vectorized: it is called once on the array of atom locations
     and once per refinement round on the flat array of quadrature nodes.
-    Returns +inf when the boundary strips of the density integral still
-    carry relative mass above 1e-8, the numerical signature of divergence
-    (e.g. f == 1 against the infinite-mass curvature of x^2).
     """
     total = 0.0
     if psi.atoms:
@@ -247,16 +250,12 @@ def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
         values = np.broadcast_to(np.asarray(f(locs), float), locs.shape)
         for (_, mass), value in zip(psi.atoms, values):
             total += mass * float(value)
-    if psi.density is not None:
-        h = lambda y: psi.density(y) * np.asarray(f(y), float)
+    if psi.density:
+        h = lambda y: psi.density_at(y) * np.asarray(f(y), float)
         inner = 0.0
         # split at 0: power-law densities have a corner there
         for lo, hi in ((-window, 0.0), (0.0, window)):
             inner += _gauss_legendre(h, lo, hi, 1e-13, 1e-11)
-        strip_hi = _gauss_legendre(h, window, window * 1.05, 1e-13, 1e-11)
-        strip_lo = _gauss_legendre(h, -window * 1.05, -window, 1e-13, 1e-11)
-        if abs(strip_hi) + abs(strip_lo) > _TAIL_FRACTION * max(abs(inner) + total, 1e-300):
-            return math.inf
         total += inner
     return total
 
@@ -336,7 +335,7 @@ def bl3_constant(psi: ConvexTest, variance: float, q: float) -> float:
 
         (A(1+q))^{1/(2q)} int psi''(dx) p(1; x / sqrt(A(1+q))),
 
-    a value in [0, inf]; +inf propagates from the psi'' integral.
+    a finite value >= 0.
     """
     if not (q > 1.0):
         raise ValueError(f"bl3_constant requires q > 1, got {q}")

@@ -29,9 +29,8 @@ Gaussian variance 1/alpha, because the transport derivative is bounded by
 checked on a grid once per map (``check_declared_slope_bounds``); every
 verdict of the map reads that report.
 
-Infinite sides follow the convention that an inequality with both sides
-infinite holds; upper-bound entries with an infinite constant are skipped
-and flagged.
+Every side and constant is finite: psi'' is atoms plus a capped polynomial
+density (``convex_tests``), and mu has Gaussian tails.
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ class Bl3Entry:
     constant: float
     upper_correction: float
     margin: float
-    skipped: bool
     passed: bool
 
 
@@ -145,8 +143,6 @@ class VerificationReport:
     bl2_correction: float
     bl2_margin: float
     bl3: tuple[Bl3Entry, ...]
-    lhs_infinite: bool
-    rhs_infinite: bool
     mad_ratio: float | None = None
     mad_lower_bound: float | None = None
     gap_p1_bound: float | None = None
@@ -180,16 +176,13 @@ class VerificationReport:
 def moment_lhs(psi: ConvexTest, variance: float) -> float:
     """E[psi(Y - EY)] for Gaussian Y of the given variance, by Tanaka's
     formula: psi(0) plus half the expected local time E[L^y_A] integrated
-    against psi''(dy); +inf when the psi'' integral diverges."""
+    against psi''(dy)."""
     if not (variance > 0.0):
         raise ValueError("variance must be positive")
     window = 12.0 * math.sqrt(variance) + 10.0
-    val = integrate_against_second_derivative(
+    return psi.value_at_zero + integrate_against_second_derivative(
         psi, lambda y: 0.5 * expected_local_time_array(y, variance),
         window=window)
-    if math.isinf(val):
-        return math.inf
-    return psi.value_at_zero + val
 
 
 def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
@@ -208,16 +201,14 @@ def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
             out[~up] = tmap.lower_put_value(m + y[~up])
         return out
 
-    # Call/put values vanish identically beyond the quadrature window of the
-    # build, so the divergence-detection strips must stay inside the region
-    # the tables actually resolve.
+    # Call/put values vanish identically beyond the tables' reach.  The
+    # window stays inside it; at reach = 12 sqrt(A) + 2 it is 11.43 sd of
+    # N(0, A) as A grows, beyond which a psi'' term of exponent <= 20 has
+    # less than 1.3e-18 of the integral (convex_tests._MAX_EXPONENT).
     reach = min(m - tmap.window[0], tmap.window[1] - m)
     window = (reach - 0.5) / 1.05
-    val = integrate_against_second_derivative(psi, centered_option,
-                                              window=window)
-    if math.isinf(val):
-        return math.inf
-    return psi.value_at_zero + val
+    return psi.value_at_zero + integrate_against_second_derivative(
+        psi, centered_option, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +222,10 @@ def _bl3_entries(psi, variance, rhs, lhs, delta, p_list):
             raise ValueError(f"upper-bound exponents must exceed 1, got {p}")
         q = p / (p - 1.0)
         c = bl3_constant(psi, variance, q)
-        if math.isinf(c) or math.isinf(lhs) or math.isinf(rhs):
-            entries.append(Bl3Entry(p=p, q=q, constant=c,
-                                    upper_correction=math.inf,
-                                    margin=math.nan, skipped=True,
-                                    passed=True))
-            continue
         corr = c * delta ** (1.0 / (2.0 * p))
         margin = rhs + corr - lhs
         entries.append(Bl3Entry(p=p, q=q, constant=c, upper_correction=corr,
-                                margin=margin, skipped=False,
+                                margin=margin,
                                 passed=bool(margin >= -BL3_TOL)))
     return tuple(entries)
 
@@ -254,10 +239,7 @@ def _verdict(kind: str, psi: ConvexTest, tmap: TransportMap,
     rhs = moment_rhs(psi, tmap)
     var_x = tmap.var_mu
     corr = bl2_correction(psi, variance, var_x)
-    if math.isinf(lhs) and math.isinf(rhs):
-        bl1_margin = bl2_margin = math.inf   # both-infinite convention: holds
-    else:
-        bl1_margin, bl2_margin = lhs - rhs, lhs - rhs - corr
+    bl1_margin, bl2_margin = lhs - rhs, lhs - rhs - corr
     bl3 = _bl3_entries(psi, variance, rhs, lhs,
                        max(variance - var_x, 0.0), p_list)
     return VerificationReport(
@@ -265,7 +247,7 @@ def _verdict(kind: str, psi: ConvexTest, tmap: TransportMap,
         psi_label=psi.label, gaussian_variance=variance,
         lhs=lhs, rhs=rhs, mean_x=tmap.mean_mu, var_x=var_x,
         bl1_margin=bl1_margin, bl2_correction=corr, bl2_margin=bl2_margin,
-        bl3=bl3, lhs_infinite=math.isinf(lhs), rhs_infinite=math.isinf(rhs),
+        bl3=bl3,
         passes={"bl1": bool(bl1_margin >= -BL1_TOL),
                 "bl2": bool(bl2_margin >= -BL2_TOL),
                 "bl3": all(e.passed for e in bl3)})
@@ -291,7 +273,7 @@ def verify_theorem(psi: ConvexTest, tmap: TransportMap,
     rep.mad_lower_bound = rb.mad_lower
     rep.passes["mad"] = bool(rep.mad_ratio >= rb.mad_lower - MAD_TOL)
     rep.gap_p1_bound = rb.finite_mass_bound
-    if rb.finite_mass_bound is not None and not rep.lhs_infinite:
+    if rb.finite_mass_bound is not None:
         rep.gap_p1_margin = rb.finite_mass_bound - (rep.lhs - rep.rhs)
         rep.passes["gap_p1"] = bool(rep.gap_p1_margin >= -GAP_P1_TOL)
     return rep
@@ -395,7 +377,7 @@ def moment_check(ensemble: EmbeddingEnsemble, psis,
     """E psi(g(W) - E g) = E psi(B(T)) for each psi, by one Gauss-Legendre
     rule in w with panel edges at the w-images of 0 and of the psi'' atoms,
     and whether it is within MOMENT_REL_TOL (1 + |E X| / sd(X)) E|psi| +
-    MOMENT_ABS_TOL of that psi's rhs in ``references`` (or that is inf)."""
+    MOMENT_ABS_TOL of that psi's rhs in ``references``."""
     if any(psi.closed_form is None for psi in psis):
         raise ValueError("moment_check needs every psi's closed form")
     clark, tmap = ensemble.clark, ensemble.clark.transport
@@ -412,5 +394,5 @@ def moment_check(ensemble: EmbeddingEnsemble, psis,
     vals = [np.asarray(psi.closed_form(y), float) for psi in psis]
     moments = [float(v @ weights) for v in vals]
     bounds = [rel_tol * (np.abs(v) @ weights) + MOMENT_ABS_TOL for v in vals]
-    return [(m, math.isinf(ref) or bool(abs(m - ref) <= bound))
+    return [(m, bool(abs(m - ref) <= bound))
             for m, bound, ref in zip(moments, bounds, references)]

@@ -211,7 +211,6 @@ def matrix_reports(matrix_transports):
 
 def test_criterion_7_theorem_matrix(matrix_reports):
     ok = True
-    skipped = 0
     details = []
     for key, entries in matrix_reports.items():
         for psi, rep in entries:
@@ -222,15 +221,13 @@ def test_criterion_7_theorem_matrix(matrix_reports):
                 ok = False
                 details.append(f"{key}/{psi.label} bl2 {rep.bl2_margin:.2e}")
             for e in rep.bl3:
-                if e.skipped:
-                    skipped += 1
-                elif e.margin < -1e-8:
+                if e.margin < -1e-8:
                     ok = False
                     details.append(
                         f"{key}/{psi.label} bl3(p={e.p}) {e.margin:.2e}")
     _report(7, "moment-inequality matrix, 6 potentials x 5 psis x 3 "
                "exponents", ok,
-            "; ".join(details) or f"{skipped} infinite-constant entries skipped")
+            "; ".join(details))
 
 
 def test_criterion_8_mad_and_p1_bounds(matrix_reports):

@@ -12,9 +12,9 @@ from blverify.convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                                    builtin_convex_test, convex_test_from_spec,
                                    integrate_against_second_derivative,
                                    p1_limit_bounds, second_derivative_mass)
-from blverify.gaussian_core import std_normal_cdf, std_normal_pdf
+from blverify.gaussian_core import std_normal_pdf
 from blverify.local_time import est1_lower, expected_local_time_array
-from blverify.verifier import moment_lhs, moment_rhs
+from blverify.verifier import moment_rhs
 
 from conftest import MATRIX_KEYS
 from test_gaussian_core import heat_kernel
@@ -46,10 +46,10 @@ def eval_psi(psi, x):
     out = psi.value_at_zero + psi.left_slope_at_zero * x
     for loc, mass in psi.atoms:
         out += mass * (max(x - loc, 0.0) if loc >= 0.0 else max(loc - x, 0.0))
-    if psi.density is not None and x != 0.0:
+    if psi.density and x != 0.0:
         # int (x - y)^+ psi''(dy) over [0, x] for x > 0 and
         # int (y - x)^+ psi''(dy) over [x, 0] for x < 0: |x - y| on both
-        val, _ = quad(lambda y: abs(x - y) * float(psi.density(y)),
+        val, _ = quad(lambda y: abs(x - y) * float(psi.density_at(y)),
                       min(x, 0.0), max(x, 0.0), epsabs=1e-13, epsrel=1e-13,
                       limit=200)
         out += val
@@ -62,27 +62,21 @@ def gaussian_call(variance):
     return lambda y: 0.5 * expected_local_time_array(y, variance)
 
 
-def quad_reference(psi, f, window=60.0):
+def quad_reference(psi, f, window):
     """The scalar-quad form of ``integrate_against_second_derivative``: one
-    scipy ``quad`` per half line and per divergence strip, with f and the
-    density called on one point at a time."""
+    scipy ``quad`` per half line, with f and the density called on one
+    point at a time."""
     def scalar(y):
         return float(np.asarray(f(np.array([y])), float).reshape(-1)[0])
 
     total = 0.0
     for loc, mass in psi.atoms:
         total += mass * scalar(loc)
-    if psi.density is not None:
-        h = lambda y: float(psi.density(y)) * scalar(y)
-        inner = 0.0
+    if psi.density:
+        h = lambda y: float(psi.density_at(y)) * scalar(y)
         for lo, hi in ((-window, 0.0), (0.0, window)):
             val, _ = quad(h, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400)
-            inner += val
-        strip_hi, _ = quad(h, window, window * 1.05, epsabs=1e-13, epsrel=1e-11)
-        strip_lo, _ = quad(h, -window * 1.05, -window, epsabs=1e-13, epsrel=1e-11)
-        if abs(strip_hi) + abs(strip_lo) > 1e-8 * max(abs(inner) + total, 1e-300):
-            return math.inf
-        total += inner
+            total += val
     return total
 
 
@@ -98,15 +92,6 @@ def scalar_centered_option(tmap):
         return float(tmap.lower_put_value(m + y))
 
     return option
-
-
-def explosive_psi():
-    # curvature growing like e^{0.6 y^2}: every psi'' integral against a
-    # Gaussian-tailed kernel of variance >= 5/6 diverges
-    def density(y):
-        with np.errstate(over="ignore"):
-            return np.exp(0.6 * np.asarray(y) ** 2)
-    return ConvexTest("explosive", 0.0, 0.0, density=density)
 
 
 def _kernels():
@@ -151,33 +136,6 @@ class TestIntegratorOracle:
             ref = psi.value_at_zero + quad_reference(psi, option, window)
             got = moment_rhs(psi, tmap)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), psi.label
-
-    def test_explosive_psi_diverges_on_both(self, matrix_transports):
-        psi = explosive_psi()
-        for a in (1.0, 4.0):
-            f, window = gaussian_call(a), 12.0 * math.sqrt(a) + 10.0
-            assert quad_reference(psi, f, window) == math.inf
-            assert integrate_against_second_derivative(psi, f, window) == math.inf
-        assert moment_lhs(psi, 1.0) == math.inf
-        zero = matrix_transports["zero"]
-        m = zero.mean_mu
-        window = (min(m - zero.window[0], zero.window[1] - m) - 0.5) / 1.05
-        assert quad_reference(psi, scalar_centered_option(zero), window) == math.inf
-        assert moment_rhs(psi, zero) == math.inf
-        assert math.isinf(bl3_constant(psi, 4.0, 3.0))
-
-    def test_square_against_one_diverges_on_both(self):
-        psi = builtin_convex_test("square")
-        one = lambda y: np.ones_like(np.asarray(y, float))
-        assert quad_reference(psi, one) == math.inf
-        assert integrate_against_second_derivative(psi, one) == math.inf
-
-    def test_jump_in_density(self):
-        # int (1 + 1{y > 0.3}) p(1; y) dy = 1 + Phi(-0.3)
-        psi = ConvexTest("jump", 0.0, 0.0,
-                         density=lambda y: 1.0 + (np.asarray(y) > 0.3))
-        got = integrate_against_second_derivative(psi, std_normal_pdf)
-        assert got == pytest.approx(1.0 + std_normal_cdf(-0.3), abs=1e-12)
 
     def test_rough_integrand_ends_within_panel_budget(self):
         # a sign flip every 1e-4 defeats every panel: the integrator must
@@ -237,22 +195,34 @@ class TestEvalPsi:
 class TestSecondDerivativeIntegrals:
     def test_atom_evaluation_against_heat_kernel(self):
         psi = builtin_convex_test("abs")
-        val = integrate_against_second_derivative(psi, std_normal_pdf)
+        val = integrate_against_second_derivative(psi, std_normal_pdf,
+                                                  window=60.0)
         assert val == pytest.approx(2.0 / math.sqrt(2.0 * math.pi), abs=1e-14)
 
     def test_infinite_mass_flagged(self):
-        psi = builtin_convex_test("square")
-        assert integrate_against_second_derivative(psi, lambda y: 1.0) == math.inf
-        assert second_derivative_mass(psi) == math.inf
+        assert second_derivative_mass(builtin_convex_test("square")) == math.inf
 
     def test_single_atom_moment(self):
         psi = builtin_convex_test("call", strike=1.0)
-        assert integrate_against_second_derivative(psi, lambda y: y * y) == 1.0
+        assert integrate_against_second_derivative(psi, lambda y: y * y,
+                                                   window=60.0) == 1.0
 
     def test_finite_masses(self):
         assert second_derivative_mass(builtin_convex_test("abs")) == 2.0
         assert second_derivative_mass(builtin_convex_test("corridor", width=1.0)) == 2.0
         assert second_derivative_mass(builtin_convex_test("power", p=3)) == math.inf
+        assert second_derivative_mass(ConvexTest("linear", 0.0, 1.0)) == 0.0
+
+    def test_mass_is_a_closed_form(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("second_derivative_mass integrated")
+        monkeypatch.setattr(convex_tests, "_gauss_legendre", no_quadrature)
+        monkeypatch.setattr(convex_tests, "integrate_against_second_derivative",
+                            no_quadrature)
+        data = convex_test_from_spec({"atoms": [[0.5, 1.5], [-1.0, 0.25]],
+                                      "density_poly_coeffs": [0.0]})
+        assert second_derivative_mass(data) == 1.75
+        assert second_derivative_mass(builtin_convex_test("power", p=22)) == math.inf
 
 
 def closed_over_residual(variance, var_x):
@@ -428,6 +398,28 @@ class TestSpecParsing:
     def test_rejects_power_below_two(self):
         with pytest.raises(ValueError):
             convex_test_from_spec({"power": 1.5})
+
+    @pytest.mark.parametrize("term", [(1.0, 20.5), (1.0, 21), (1.0, -1.0),
+                                      (0.0, 2), (-1.0, 2), (math.inf, 0),
+                                      (math.nan, 0), (1.0, math.nan)])
+    def test_rejects_density_terms_off_the_cap(self, term):
+        with pytest.raises(ValueError, match="density term"):
+            ConvexTest("t", 0.0, 0.0, density=(term,))
+
+    def test_exponent_cap_of_the_config_forms(self):
+        assert convex_test_from_spec({"power": 22}).density == ((462.0, 20.0),)
+        with pytest.raises(ValueError, match="2 <= p <= 22"):
+            convex_test_from_spec({"power": 22.5})
+        spec = {"density_poly_coeffs": [1.0] * 21}
+        assert convex_test_from_spec(spec).density[-1] == (1.0, 20)
+        with pytest.raises(ValueError, match="density term"):
+            convex_test_from_spec({"density_poly_coeffs": [1.0] * 22})
+
+    def test_density_keeps_only_positive_terms(self):
+        psi = convex_test_from_spec({"density_poly_coeffs": [1.0, 0.0, 0.3]})
+        assert psi.density == ((1.0, 0), (0.3, 2))
+        y = np.linspace(-3.0, 3.0, 13)
+        assert np.array_equal(psi.density_at(y), 1.0 + 0.3 * np.abs(y) ** 2)
 
     @pytest.mark.parametrize("spec", [
         {"power": 3, "call": 1.0},
