@@ -59,7 +59,6 @@ _MAX_EXPONENT = 20
 
 # The psi'' integrals use the 7-point Gauss-Legendre panels of the
 # transport tables.
-_INITIAL_PANELS = 16
 _PANEL_BUDGET = 400       # most panels per integral, as quad's limit=400
 
 
@@ -237,12 +236,15 @@ def second_derivative_mass(psi: ConvexTest) -> float:
 
 
 def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
-                                        window: float) -> float:
+                                        scale: float, window: float) -> float:
     """int f(y) psi''(dy) over |y| <= window: atom sum plus density
     quadrature.
 
     ``f`` is vectorized: it is called once on the array of atom locations
     and once per refinement round on the flat array of quadrature nodes.
+    ``scale`` is the width of f's bulk: each half-line starts from 16
+    equal panels with added edges at scale 2^k (k >= -3), so that a kernel
+    far narrower than the window still meets nodes.
     """
     total = 0.0
     if psi.atoms:
@@ -252,11 +254,11 @@ def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
             total += mass * float(value)
     if psi.density:
         h = lambda y: psi.density_at(y) * np.asarray(f(y), float)
-        inner = 0.0
+        grades = scale * 2.0 ** np.arange(-3, math.ceil(math.log2(window / scale)))
+        edges = np.union1d(np.linspace(0.0, window, 17), grades[grades < window])
         # split at 0: power-law densities have a corner there
-        for lo, hi in ((-window, 0.0), (0.0, window)):
-            inner += _gauss_legendre(h, lo, hi, 1e-13, 1e-11)
-        total += inner
+        total += (_gauss_legendre(h, -edges[::-1], 1e-13, 1e-11)
+                  + _gauss_legendre(h, edges, 1e-13, 1e-11))
     return total
 
 
@@ -268,9 +270,10 @@ def _panel_values(h: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half * (vals.reshape(nodes.shape) @ _GL_W)
 
 
-def _gauss_legendre(h: Callable, lo: float, hi: float,
+def _gauss_legendre(h: Callable, edges: np.ndarray,
                     epsabs: float, epsrel: float) -> float:
-    """Adaptive composite 7-point Gauss-Legendre quadrature of h on [lo, hi].
+    """Adaptive composite 7-point Gauss-Legendre quadrature of h on
+    [edges[0], edges[-1]], started from the panels between ``edges``.
 
     Every round evaluates the two halves of each open panel in one call of
     h.  A panel is accepted when its one-panel and two-half values differ by
@@ -278,7 +281,7 @@ def _gauss_legendre(h: Callable, lo: float, hi: float,
     are bisected.  When bisecting would exceed ``_PANEL_BUDGET`` panels the
     current estimate is returned, as quad does at its subinterval limit.
     """
-    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+    lo, hi = edges[0], edges[-1]
     a, b = edges[:-1], edges[1:]
     n = a.size
     m = 0.5 * (a + b)
@@ -325,9 +328,9 @@ def bl2_correction(psi: ConvexTest, variance: float, var_x: float) -> float:
     var_x = check_variance_pair(variance, var_x)
     if var_x == variance:
         return 0.0
-    window = 12.0 * math.sqrt(variance) + 10.0
+    sd = math.sqrt(variance)
     return 0.5 * integrate_against_second_derivative(
-        psi, lambda x: est1_lower(x, variance, var_x), window=window)
+        psi, lambda x: est1_lower(x, variance, var_x), sd, 12.0 * sd + 10.0)
 
 
 def bl3_constant(psi: ConvexTest, variance: float, q: float) -> float:
@@ -341,9 +344,8 @@ def bl3_constant(psi: ConvexTest, variance: float, q: float) -> float:
         raise ValueError(f"bl3_constant requires q > 1, got {q}")
     aq = variance * (1.0 + q)
     scale = math.sqrt(aq)
-    window = 12.0 * scale + 10.0
     integral = integrate_against_second_derivative(
-        psi, lambda x: std_normal_pdf(x / scale), window=window)
+        psi, lambda x: std_normal_pdf(x / scale), scale, 12.0 * scale + 10.0)
     return aq ** (1.0 / (2.0 * q)) * integral
 
 

@@ -179,10 +179,10 @@ def moment_lhs(psi: ConvexTest, variance: float) -> float:
     against psi''(dy)."""
     if not (variance > 0.0):
         raise ValueError("variance must be positive")
-    window = 12.0 * math.sqrt(variance) + 10.0
+    sd = math.sqrt(variance)
     return psi.value_at_zero + integrate_against_second_derivative(
-        psi, lambda y: 0.5 * expected_local_time_array(y, variance),
-        window=window)
+        psi, lambda y: 0.5 * expected_local_time_array(y, variance), sd,
+        12.0 * sd + 10.0)
 
 
 def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
@@ -208,7 +208,7 @@ def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
     reach = min(m - tmap.window[0], tmap.window[1] - m)
     window = (reach - 0.5) / 1.05
     return psi.value_at_zero + integrate_against_second_derivative(
-        psi, centered_option, window=window)
+        psi, centered_option, math.sqrt(tmap.var_mu), window)
 
 
 # ---------------------------------------------------------------------------

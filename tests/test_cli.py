@@ -190,6 +190,26 @@ class TestRunCommand:
         assert report["all_passed"] is True
         assert report["potentials"][0]["wald"]["passed"] is True
 
+    @pytest.mark.parametrize("potential, variance", [
+        ({"family": "zero"}, 1e-6), ({"family": "quadratic",
+                                     "params": {"c": 100.0}}, 1e4)])
+    def test_kernel_far_narrower_than_the_window(self, potential, variance,
+                                                 tmp_path):
+        # sd 1e-3 and 0.1 on windows of 10 and 1143: sixteen equal panels
+        # missed the bulk, read lhs(square) at A = 1e-6 as 8.4e-21 (a bl1
+        # failure, exit 1) and rhs(square) on quadratic(100) as 4.6e-21
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [potential], "A": variance, "psis": ["square"]})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rep, = json.loads((out / "report.json").read_text())[
+            "potentials"][0]["reports"]
+        assert abs(float(rep["lhs"]) / variance - 1.0) <= 1e-12
+        if "params" in potential:
+            # within the tables' own error (ROADMAP item 15): 1.3e-9
+            var_x = 1.0 / (100.0 + 1.0 / variance)
+            assert abs(float(rep["rhs"]) / var_x - 1.0) <= 1e-8
+
     def test_far_shifted_gaussian_passes(self, tmp_path):
         # linear(20) at A = 50 is N(-1000, 50): its g' round-off, 3.8e-12
         # relative, used to fail T <= A with every other check passed
