@@ -254,8 +254,10 @@ def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
             total += mass * float(value)
     if psi.density:
         h = lambda y: psi.density_at(y) * np.asarray(f(y), float)
-        grades = scale * 2.0 ** np.arange(-3, math.ceil(math.log2(window / scale)))
-        edges = np.union1d(np.linspace(0.0, window, 17), grades[grades < window])
+        k = np.arange(-3, math.ceil(math.log2(window / scale)))
+        grades = scale * 2.0 ** k
+        edges = np.union1d(np.linspace(0.0, window, 17),
+                           grades[grades < window])
         # split at 0: power-law densities have a corner there
         total += (_gauss_legendre(h, -edges[::-1], 1e-13, 1e-11)
                   + _gauss_legendre(h, edges, 1e-13, 1e-11))

@@ -195,9 +195,10 @@ class TestRunCommand:
                                      "params": {"c": 100.0}}, 1e4)])
     def test_kernel_far_narrower_than_the_window(self, potential, variance,
                                                  tmp_path):
-        # sd 1e-3 and 0.1 on windows of 10 and 1143: sixteen equal panels
-        # missed the bulk, read lhs(square) at A = 1e-6 as 8.4e-21 (a bl1
-        # failure, exit 1) and rhs(square) on quadratic(100) as 4.6e-21
+        # sd 1e-3 and 0.1 on windows of 10 and 1143: a start from sixteen
+        # equal panels alone put no node in the bulk and read lhs(square) at
+        # A = 1e-6 as 8.4e-21 (a bl1 failure, exit 1) and rhs(square) on
+        # quadratic(100) as 4.6e-21
         cfg = write_config(tmp_path, overrides={
             "potentials": [potential], "A": variance, "psis": ["square"]})
         out = tmp_path / "out"
