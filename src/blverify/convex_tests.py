@@ -72,6 +72,11 @@ class ConvexTest:
     ``verifier.moment_check`` needs it (every catalog and psi'' data test
     function has one), while the quadrature verdicts use only psi(0),
     psi'_-(0) and psi''.
+
+    ``_gaussian_sides`` holds the verifier's integrals of psi'' against
+    Gaussian kernels alone (E psi(Y) and the bl3 constants), keyed by
+    quantity and arguments: they read no measure, so every verdict that
+    shares this psi computes each of them once.
     """
 
     label: str
@@ -80,6 +85,8 @@ class ConvexTest:
     atoms: tuple[tuple[float, float], ...] = ()
     density: tuple[tuple[float, float], ...] = ()
     closed_form: Callable | None = None
+    _gaussian_sides: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         for loc, mass in self.atoms:

@@ -19,11 +19,11 @@ from blverify.cli import (_MARGIN_COLUMNS, _SUMMARY_COLUMNS, ConfigError,
                           ExperimentConfig, _parse_potential_entry,
                           _process_entry, _summary_rows,
                           default_matrix_config, main, run)
-from blverify.verifier import format_float
+import blverify.verifier as verifier_mod
+from blverify.verifier import format_float, verify_appendix, verify_theorem
 
 from test_convex_tests import SWEEP_SPECS
-# TestVerifyTheorem is collected under this module's name as well
-from test_verifier import TestVerifyTheorem, nonincreasing_slope_map  # noqa: F401
+from test_verifier import nonincreasing_slope_map
 
 # a key mapped to MISSING is left out of the config
 MISSING = object()
@@ -708,6 +708,103 @@ class TestSubcommands:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "ensemble_00_zero.csv").exists()
         assert (out / "ensemble_01_quadratic_1.csv").exists()
+
+
+class TestSharedGaussianSide:
+    """A verdict's Gaussian side, E psi(Y) and the bl3 constants, reads no
+    measure: a run computes each once per psi and arguments, shared by every
+    potential, and each report still equals its verdict computed alone."""
+
+    # two convex potentials at one A; a convex one beside the log-mixture,
+    # whose declared alpha 0.25 gives the same A = 4 and whose beta 2 and
+    # improved alpha 1 add the variances 1/2 and 1
+    POTENTIALS = {
+        "convex": [{"family": "zero"},
+                   {"family": "abs", "params": {"c": 1.0}}],
+        "appendix": [{"family": "zero"}, LOG_MIXTURE_ENTRY],
+    }
+    VARIANCES = {"convex": (4.0,), "appendix": (4.0, 0.5, 1.0)}
+
+    @staticmethod
+    def _record(monkeypatch, name, key):
+        """Calls of ``verifier.<name>``, each as ``key(*args)``."""
+        calls = []
+        real = getattr(verifier_mod, name)
+
+        def counting(*args):
+            calls.append(key(*args))
+            return real(*args)
+
+        monkeypatch.setattr(verifier_mod, name, counting)
+        return calls
+
+    def _verify(self, tmp_path, potentials):
+        cfg = ExperimentConfig.from_dict({
+            "potentials": potentials, "A": 4.0,
+            "psis": ["square", {"power": 3}], "p_list": [1.5, 3.0],
+            "n_paths": 0, "output_dir": str(tmp_path / "out")})
+        assert run(cfg, mode="verify") == 0
+
+    @pytest.mark.parametrize("case", ["convex", "appendix"])
+    def test_gaussian_side_once_per_psi_and_arguments(self, tmp_path,
+                                                      monkeypatch, case):
+        lhs = self._record(monkeypatch, "moment_lhs",
+                           lambda psi, variance: (psi.label, variance))
+        bl3 = self._record(monkeypatch, "bl3_constant",
+                           lambda psi, variance, q: (psi.label, variance, q))
+        self._verify(tmp_path, self.POTENTIALS[case])
+        psis = ("square", "power(3)")
+        assert sorted(lhs) == sorted(
+            (psi, v) for psi in psis for v in self.VARIANCES[case])
+        # q = p / (p - 1) of p = 1.5 and 3; the improved build has no bl3
+        assert sorted(bl3) == sorted(
+            (psi, 4.0, q) for psi in psis for q in (3.0, 1.5))
+
+    @pytest.mark.parametrize("case", ["convex", "appendix"])
+    def test_measure_side_once_per_verdict(self, tmp_path, monkeypatch,
+                                           case):
+        # the MAD ratio is a table call value, not one more moment_rhs
+        rhs = self._record(monkeypatch, "moment_rhs",
+                           lambda psi, tmap: (psi.label,
+                                              tmap.potential.label, tmap.A))
+        self._verify(tmp_path, self.POTENTIALS[case])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        verdicts = [(rep["psi"].removesuffix("~improved_alpha"),
+                     rep["potential"], float(rep["gaussian_variance"]))
+                    for entry in report["potentials"]
+                    for rep in entry["reports"]]
+        assert len(verdicts) == (4 if case == "convex" else 6)
+        assert sorted(rhs) == sorted(verdicts)
+
+    def test_reports_equal_verdicts_computed_alone(self, tmp_path):
+        # the default matrix, the log-mixture with its improved alpha; each
+        # verdict alone gets its own freshly parsed psi
+        potentials = default_matrix_config().potentials
+        potentials[-1] = LOG_MIXTURE_ENTRY
+        cfg = default_matrix_config(potentials=potentials, n_paths=0,
+                                    output_dir=str(tmp_path / "out"))
+        assert run(cfg, mode="verify") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        p_list = tuple(cfg.p_list)
+        for spec, record in zip(cfg.potentials, report["potentials"],
+                                strict=True):
+            entry = _parse_potential_entry(spec, cfg.A)
+            alone = []
+            for psi_spec in cfg.psis:
+                psi = convex_test_from_spec(psi_spec)
+                if entry.kind == "theorem":
+                    rep = verify_theorem(psi, entry.tmap, p_list=p_list)
+                else:
+                    rep = verify_appendix(psi, entry.tmap, entry.slope,
+                                          p_list=p_list)
+                alone.append(rep.to_json_dict())
+                if entry.improved_tmap is not None:
+                    imp = verify_appendix(convex_test_from_spec(psi_spec),
+                                          entry.improved_tmap, entry.slope,
+                                          p_list=())
+                    imp.psi_label += "~improved_alpha"
+                    alone.append(imp.to_json_dict())
+            assert record["reports"] == alone
 
 
 def test_csv_outputs_read_back_with_dictreader(tmp_path):

@@ -156,6 +156,23 @@ class TestVerifyTheorem:
             assert rep.passes["mad"]
             assert rep.mad_ratio >= rep.mad_lower_bound - 1e-9
 
+    @pytest.mark.parametrize("variance", [1.0, 4.0])
+    def test_mad_ratio_is_the_abs_rhs(self, variance):
+        # the table call value 2 E[(X - EX)^+] is moment_rhs of abs bit for bit
+        for name in ("zero", "linear", "quadratic", "abs"):
+            tm = build_transport(builtin_potential(name), variance)
+            rep = verify_theorem(builtin_convex_test("square"), tm, p_list=())
+            assert rep.mad_ratio == (
+                moment_rhs(builtin_convex_test("abs"), tm) / tm.var_mu)
+
+    def test_kept_gaussian_sides_leave_eq_hash_and_repr(self):
+        psi = builtin_convex_test("abs")
+        before = hash(psi), repr(psi)
+        verify_theorem(psi, build_transport(builtin_potential("zero"), 1.0))
+        assert psi._gaussian_sides
+        assert (hash(psi), repr(psi)) == before
+        assert psi == builtin_convex_test("abs")
+
     def test_gap_p1_bound_for_finite_mass(self):
         tm = build_transport(builtin_potential("abs"), 1.0)
         rep = verify_theorem(builtin_convex_test("abs"), tm)
