@@ -341,14 +341,11 @@ def _process_entry(entry: _Entry, ensemble: EmbeddingEnsemble | None, psis,
 _SUMMARY_COLUMNS = ("potential", "A", "psi", "p", "q", "lhs", "rhs", "var_x",
                     "bl1_margin", "bl2_correction", "bl2_margin",
                     "bl3_constant", "bl3_margin", "passed")
-_MARGIN_COLUMNS = ("potential", "psi", "p", "bl1_margin", "bl2_margin",
-                   "bl3_margin")
 
 
 def _summary_rows(report: dict) -> list:
-    """Rows of summary.csv (and, projected, of margins.csv) for one report in
-    its ``to_json_dict`` form: one per bl3 entry, or one with blank bl3 cells
-    when there is none."""
+    """Rows of summary.csv for one report in its ``to_json_dict`` form: one
+    per bl3 entry, or one with blank bl3 cells when there is none."""
     base = {**report, "A": report["gaussian_variance"],
             "passed": all(report["passes"].values())}
     blank = dict.fromkeys(("p", "q", "constant", "margin"), "")
@@ -505,7 +502,6 @@ def _write_outputs(out: Path, cfg: ExperimentConfig, mode: str, entries,
         records.append(record)
 
     if mode != "embed":
-        _write_csv(plotdir / "margins.csv", _MARGIN_COLUMNS, summary)
         _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, summary)
         report = {
             "config": cfg.to_dict(),
@@ -591,9 +587,9 @@ def main(argv=None) -> int:
         return run(cfg, mode=args.command,
                    x_grid=getattr(args, "x_grid", None))
     except (ConfigError, SlopeBoundError, DivergentNormalizerError,
-            NonFinitePotentialError, OSError) as exc:
-        # a measure that cannot be built or a misdeclared bound is a
-        # configuration problem, not an inequality failure
+            NonFinitePotentialError, OverflowError, OSError) as exc:
+        # a measure that cannot be built, a misdeclared bound or a side beyond
+        # the float range is a configuration problem, not an inequality failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,24 +11,24 @@ function itself is recovered as
 which is also the decomposition the inequality verifier exploits: every
 moment of psi reduces to call/put values integrated against psi''.
 
-The density is a sum of terms c |y|^e with c > 0 and 0 <= e <= 20, and
-every psi''-integral int f(y) psi''(dy) is an atom sum plus one adaptive
-quadrature of the density over a finite window: composite 7-point
-Gauss-Legendre panels, bisected where a panel and its two halves disagree,
-with f called on the whole array of a round's nodes (never point by point),
-so the integrands passed to ``integrate_against_second_derivative`` must
-accept numpy arrays.
+The density is a sum of terms c |y|^e with c > 0 and 0 <= e <= 20.  Against
+a Gaussian kernel (E psi(Y), the bl3 constants) a psi''-integral is a sum in
+closed form; the others (``verifier.moment_rhs``, the bl2 correction) are an
+atom sum plus one adaptive quadrature of the density over a finite window:
+composite 7-point Gauss-Legendre panels, bisected where a panel and its two
+halves disagree, with f called on the whole array of a round's nodes, so the
+integrands of ``integrate_against_second_derivative`` must accept arrays.
 
 Every such integral is finite.  mu is sqrt(A)-Lipschitz-Gaussian (Caffarelli,
 Harge), so both moment sides and every constant weigh a polynomial density
-against Gaussian tails; the exponent cap keeps the part of each integral
+against Gaussian tails; the exponent cap keeps the part of each quadrature
 beyond its window below 1.3e-18 of it (the window sizes are at the callers).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,12 +50,12 @@ __all__ = [
     "P1LimitBounds",
 ]
 
-# Largest exponent e of a density term c |y|^e.  As A grows, the share of a
-# psi'' integral beyond its window tends to (mpmath, e = 20) 3.5e-21 for the
-# 12 sd of moment_lhs and bl2, 2.4e-20 for the 12 sd of bl3, and 1.3e-18
-# for the 11.43 sd of moment_rhs; at e = 30 these are 3.7e-17, 1.7e-16 and
-# 8.1e-15, and at e = 60 4.8e-9, 1.2e-8 and 2.5e-7.
+# Largest exponent e of a density term c |y|^e.  As A grows, the share of
+# the bl2 and moment_rhs quadratures beyond their windows (12 and 11.43 sd)
+# tends to (mpmath) 3.5e-21 and 1.3e-18 at e = 20, 3.7e-17 and 8.1e-15 at
+# e = 30, and 4.8e-9 and 2.5e-7 at e = 60.
 _MAX_EXPONENT = 20
+_SQRT_PI = math.sqrt(math.pi)
 
 # The psi'' integrals use the 7-point Gauss-Legendre panels of the
 # transport tables.
@@ -70,13 +70,8 @@ class ConvexTest:
     (c, e) of the density sum c |y|^e, each with c > 0 and
     0 <= e <= 20.  ``closed_form`` evaluates psi directly on arrays;
     ``verifier.moment_check`` needs it (every catalog and psi'' data test
-    function has one), while the quadrature verdicts use only psi(0),
-    psi'_-(0) and psi''.
-
-    ``_gaussian_sides`` holds the verifier's integrals of psi'' against
-    Gaussian kernels alone (E psi(Y) and the bl3 constants), keyed by
-    quantity and arguments: they read no measure, so every verdict that
-    shares this psi computes each of them once.
+    function has one), while the verdicts use only psi(0), psi'_-(0) and
+    psi''.
     """
 
     label: str
@@ -85,8 +80,6 @@ class ConvexTest:
     atoms: tuple[tuple[float, float], ...] = ()
     density: tuple[tuple[float, float], ...] = ()
     closed_form: Callable | None = None
-    _gaussian_sides: dict = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
 
     def __post_init__(self):
         for loc, mass in self.atoms:
@@ -242,6 +235,35 @@ def second_derivative_mass(psi: ConvexTest) -> float:
     return float(sum(mass for _, mass in psi.atoms))
 
 
+def _atom_sum(psi: ConvexTest, f: Callable) -> float:
+    """sum of mass * f(location) over the atoms, f called on all at once."""
+    if not psi.atoms:
+        return 0.0
+    locs = np.array([loc for loc, _ in psi.atoms])
+    values = np.broadcast_to(np.asarray(f(locs), float), locs.shape)
+    return sum(mass * float(v) for (_, mass), v in zip(psi.atoms, values))
+
+
+def _gaussian_abs_moment(m: float, variance: float) -> float:
+    """E|Y|^m = (2A)^(m/2) Gamma((m+1)/2) / sqrt(pi) for Y ~ N(0, A)."""
+    return (2.0 * variance) ** (0.5 * m) * math.gamma(0.5 * m + 0.5) / _SQRT_PI
+
+
+def _gaussian_sum(psi: ConvexTest, variance: float, at_atoms: Callable,
+                  per_term: Callable, factor: float = 1.0) -> float:
+    """factor (sum of m at_atoms(y) over atoms (y, m) + sum of c per_term(e)
+    over density terms c |y|^e); OverflowError beyond the float range."""
+    try:
+        total = factor * (_atom_sum(psi, at_atoms)
+                          + sum(c * per_term(e) for c, e in psi.density))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError(f"a Gaussian side of psi {psi.label!r} at "
+                            f"A = {variance:g} exceeds the float range")
+    return total
+
+
 def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
                                         scale: float, window: float) -> float:
     """int f(y) psi''(dy) over |y| <= window: atom sum plus density
@@ -253,12 +275,7 @@ def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
     equal panels with added edges at scale 2^k (k >= -3), so that a kernel
     far narrower than the window still meets nodes.
     """
-    total = 0.0
-    if psi.atoms:
-        locs = np.array([loc for loc, _ in psi.atoms])
-        values = np.broadcast_to(np.asarray(f(locs), float), locs.shape)
-        for (_, mass), value in zip(psi.atoms, values):
-            total += mass * float(value)
+    total = _atom_sum(psi, f)
     if psi.density:
         h = lambda y: psi.density_at(y) * np.asarray(f(y), float)
         k = np.arange(-3, math.ceil(math.log2(window / scale)))
@@ -345,17 +362,19 @@ def bl2_correction(psi: ConvexTest, variance: float, var_x: float) -> float:
 def bl3_constant(psi: ConvexTest, variance: float, q: float) -> float:
     """Constant of the upper moment inequality at conjugate exponent q:
 
-        (A(1+q))^{1/(2q)} int psi''(dx) p(1; x / sqrt(A(1+q))),
+        (A(1+q))^{1/(2q)} int psi''(dx) p(1; x / S),   S = sqrt(A(1+q)),
 
-    a finite value >= 0.
+    in closed form: an atom (x, m) adds m p(1; x / S) and a density term
+    c |x|^e adds c S^(e+1) E|Z|^e.  OverflowError beyond the float range.
     """
     if not (q > 1.0):
         raise ValueError(f"bl3_constant requires q > 1, got {q}")
     aq = variance * (1.0 + q)
     scale = math.sqrt(aq)
-    integral = integrate_against_second_derivative(
-        psi, lambda x: std_normal_pdf(x / scale), scale, 12.0 * scale + 10.0)
-    return aq ** (1.0 / (2.0 * q)) * integral
+    return _gaussian_sum(
+        psi, variance, lambda x: std_normal_pdf(x / scale),
+        lambda e: scale ** (e + 1.0) * _gaussian_abs_moment(e, 1.0),
+        factor=aq ** (1.0 / (2.0 * q)))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ occupation integral and the two equivalent reflection forms
 2 int_0^inf (y - |x|)^+ p(t; y) dy and 2 int_0^inf (sqrt(t) y - |x|)^+
 p(1; y) dy are kept in the tests as quadrature oracles.
 
-The same formula gives the Gaussian side of every verdict.  For Y ~ N(0, A)
-Tanaka's formula reads E psi(Y) = psi(0) + (1/2) int psi''(dy) E[L^y_A],
-because the call value E(Y - |y|)^+ is (1/2) E[L^y_A]; ``verifier.moment_lhs``
-integrates that half against psi''.
+The same formula gives the atoms' part of every verdict's Gaussian side:
+for Y ~ N(0, A) the call value E(Y - |y|)^+ is (1/2) E[L^y_A], so by
+Tanaka's formula an atom (y, m) of psi'' adds m E[L^y_A] / 2 to E psi(Y)
+(``verifier.moment_lhs``).
 
 On top of it sit the two closed-form bounds for the residual local time
 E[L^x_A - L^x_T] accumulated between a stopping time T <= A with centered
@@ -54,11 +54,10 @@ def expected_local_time_array(x, t):
 
         sqrt(2 t / pi) exp(-x^2 / 2t) - 2 |x| Phi(-|x| / sqrt(t)).
 
-    Exactly the occupation formula in closed form; entries with t <= 0
-    evaluate to 0 (no residual horizon).  Used by the Monte Carlo gap
-    estimator, where one evaluation per path is needed, and by the psi''
-    integrals of the Gaussian moment side and of the bl2 correction, one
-    evaluation per quadrature node.
+    Exactly the occupation formula in closed form; entries with t <= 0, and
+    those that Phi's floor 5e-324 leaves below 0 (|x| / sqrt(t) beyond 38.3),
+    evaluate to 0.  Used per path by the gap estimator, per atom by the
+    Gaussian moment side and per quadrature node by the bl2 correction.
     """
     x = np.asarray(x, float)
     t = np.asarray(t, float)
@@ -68,9 +67,9 @@ def expected_local_time_array(x, t):
     if np.any(pos):
         a = np.abs(x[pos])
         tp = t[pos]
-        rt = np.sqrt(tp)
-        out[pos] = (np.sqrt(2.0 * tp / np.pi) * np.exp(-a * a / (2.0 * tp))
-                    - 2.0 * a * std_normal_cdf(-a / rt))
+        out[pos] = np.maximum(
+            np.sqrt(2.0 * tp / np.pi) * np.exp(-a * a / (2.0 * tp))
+            - 2.0 * a * std_normal_cdf(-a / np.sqrt(tp)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -121,9 +120,8 @@ def est1_lower(x, variance: float, var_x: float):
     """
     var_x = check_variance_pair(variance, var_x)
     horizon = (variance - var_x) ** 2 / variance
-    out = np.maximum(expected_local_time_array(
-        np.sqrt(np.square(x) + variance), horizon), 0.0)
-    return out if out.ndim else float(out)
+    return expected_local_time_array(np.sqrt(np.square(x) + variance),
+                                     horizon)
 
 
 def est2_upper(x: float, variance: float, var_x: float, p: float) -> float:

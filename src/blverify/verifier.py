@@ -11,19 +11,15 @@ test function psi (all moments centered):
 together with the p -> 1 finite-mass gap bound and the mean-absolute-
 deviation ratio bound E|X - EX| / var(X) >= 1 / sqrt(2 pi A).
 
-Expectations are evaluated by deterministic quadrature: both sides reduce,
-through the second-derivative measure of psi, to integrals of call/put
-values (half the expected local time of ``local_time`` for the Gaussian
-side, by Tanaka's formula; partial-moment tables of the transport build
-for the tilted side).  These integrands are vectorized: the
-adaptive Gauss-Legendre integrator of ``convex_tests`` hands them the whole
-array of a refinement round's nodes, and ``moment_rhs`` evaluates the table
-call values on the nodes y >= 0 and the put values on the nodes y < 0.
-``moment_check`` rules on the moments of a simulating run's embedded values;
-the variance entering the corrections is always the quadrature value.
-The Gaussian side reads no measure: E psi(Y) and the bl3 constants are
-kept on the psi, so the verdicts of one parsed psi compute each of them
-once per variance (and q); the MAD ratio is one table call value.
+Both sides reduce, through the second-derivative measure of psi, to
+integrals of call/put values.  The Gaussian side, like each bl3 constant,
+is a closed-form sum (half the expected local time of ``local_time`` per
+atom, a Gaussian absolute moment per density term).  The tilted side is a
+quadrature of the transport build's partial-moment tables: ``moment_rhs``
+evaluates their call values on a round's nodes y >= 0 and their put values
+on the nodes y < 0.  ``moment_check`` rules on the moments of a simulating
+run's embedded values; the variance entering the corrections is always the
+quadrature value, and the MAD ratio is one table call value.
 
 The appendix route covers non-convex potentials generated by a slope map k
 with k' >= sqrt(alpha): the same machinery applies verbatim with effective
@@ -32,8 +28,8 @@ Gaussian variance 1/alpha, because the transport derivative is bounded by
 checked on a grid once per map (``check_declared_slope_bounds``); every
 verdict of the map reads that report.
 
-Every side and constant is finite: psi'' is atoms plus a capped polynomial
-density (``convex_tests``), and mu has Gaussian tails.
+Every side and constant is finite (OverflowError beyond the float range):
+psi'' is atoms plus a capped polynomial density, and mu has Gaussian tails.
 """
 
 from __future__ import annotations
@@ -45,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bass_embedding import EmbeddingEnsemble
-from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
+from .convex_tests import (ConvexTest, _gaussian_abs_moment, _gaussian_sum,
+                           bl2_correction, bl3_constant,
                            integrate_against_second_derivative, p1_limit_bounds)
 from .gaussian_core import std_normal_pdf, std_normal_quantile
 from .local_time import expected_local_time_array
@@ -76,10 +73,10 @@ __all__ = [
 
 # Slack of the bl1 margin lhs - rhs.  Its Gaussian side takes almost none
 # of it: on test_verifier.py's TestMomentSides::
-# test_lhs_against_mpmath_closed_forms, moment_lhs is within 2.0e-15
-# relative (18 u at power(5), A = 1; 3.3e-13 absolute at power(5), A = 4)
-# of 40-digit closed forms.  With the Gaussian call value written out in
-# place of the local-time formula it was within 1.75e-15 (16 u).
+# test_lhs_against_mpmath_closed_forms, moment_lhs is within 1.5e-15
+# relative (13.5 u at call(1), A = 0.25, where the local-time formula
+# cancels; 4.1e-14 absolute at power(5), A = 4) of 40-digit closed forms.
+# Being absolute, it is below the rounding of large sides (ROADMAP item 6).
 BL1_TOL = 1e-8
 BL2_TOL = BL1_TOL
 BL3_TOL = 1e-8
@@ -177,14 +174,15 @@ class VerificationReport:
 
 def moment_lhs(psi: ConvexTest, variance: float) -> float:
     """E[psi(Y - EY)] for Gaussian Y of the given variance, by Tanaka's
-    formula: psi(0) plus half the expected local time E[L^y_A] integrated
-    against psi''(dy)."""
+    formula: psi(0) plus, in closed form, m E[L^y_A] / 2 per atom (y, m) of
+    psi'' and c E|Y|^(e+2) / ((e+1)(e+2)) per density term c |y|^e;
+    OverflowError beyond the float range."""
     if not (variance > 0.0):
         raise ValueError("variance must be positive")
-    sd = math.sqrt(variance)
-    return psi.value_at_zero + integrate_against_second_derivative(
-        psi, lambda y: 0.5 * expected_local_time_array(y, variance), sd,
-        12.0 * sd + 10.0)
+    return psi.value_at_zero + _gaussian_sum(
+        psi, variance, lambda y: 0.5 * expected_local_time_array(y, variance),
+        lambda e: _gaussian_abs_moment(e + 2.0, variance)
+        / ((e + 1.0) * (e + 2.0)))
 
 
 def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
@@ -217,26 +215,13 @@ def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
 # verdicts
 # ---------------------------------------------------------------------------
 
-def _gaussian_side(psi: ConvexTest, name: str, compute, *args) -> float:
-    """``compute(psi, *args)``, kept on psi under ``(name, *args)``.
-
-    For ``moment_lhs`` and ``bl3_constant``, which read psi and the Gaussian
-    alone: every verdict that shares the parsed psi reads the first value,
-    so each runs once per psi and arguments."""
-    key = (name, *args)
-    sides = psi._gaussian_sides
-    if key not in sides:
-        sides[key] = compute(psi, *args)
-    return sides[key]
-
-
 def _bl3_entries(psi, variance, rhs, lhs, delta, p_list):
     entries = []
     for p in p_list:
         if not (p > 1.0):
             raise ValueError(f"upper-bound exponents must exceed 1, got {p}")
         q = p / (p - 1.0)
-        c = _gaussian_side(psi, "bl3", bl3_constant, variance, q)
+        c = bl3_constant(psi, variance, q)
         corr = c * delta ** (1.0 / (2.0 * p))
         margin = rhs + corr - lhs
         entries.append(Bl3Entry(p=p, q=q, constant=c, upper_correction=corr,
@@ -250,7 +235,7 @@ def _verdict(kind: str, psi: ConvexTest, tmap: TransportMap,
     """The bl1/bl2/bl3 verdict of psi for the build ``tmap`` against
     N(0, tmap.A), shared by the theorem and appendix routes."""
     variance = tmap.A
-    lhs = _gaussian_side(psi, "lhs", moment_lhs, variance)
+    lhs = moment_lhs(psi, variance)
     rhs = moment_rhs(psi, tmap)
     var_x = tmap.var_mu
     corr = bl2_correction(psi, variance, var_x)
@@ -379,8 +364,7 @@ def verify_appendix(psi: ConvexTest, tmap: TransportMap,
         rep.passes["slope_bounds"] = slope.passed
         if slope.beta is not None:
             rep.lower_variance = 1.0 / slope.beta
-            rep.lower_lhs = _gaussian_side(psi, "lhs", moment_lhs,
-                                           rep.lower_variance)
+            rep.lower_lhs = moment_lhs(psi, rep.lower_variance)
             rep.lower_margin = rep.rhs - rep.lower_lhs
             rep.passes["lower"] = bool(rep.lower_margin >= -BL1_TOL)
     return rep

@@ -15,7 +15,7 @@ import blverify
 import blverify.potentials as potentials_mod
 from blverify.bass_embedding import ClarkIntegrand, simulate_embedding
 from blverify.convex_tests import convex_test_from_spec
-from blverify.cli import (_MARGIN_COLUMNS, _SUMMARY_COLUMNS, ConfigError,
+from blverify.cli import (_SUMMARY_COLUMNS, ConfigError,
                           ExperimentConfig, _parse_potential_entry,
                           _process_entry, _summary_rows,
                           default_matrix_config, main, run)
@@ -184,7 +184,6 @@ class TestRunCommand:
         assert (out / "report.json").exists()
         assert (out / "summary.csv").exists()
         assert (out / "ensemble.csv").exists()
-        assert (out / "plotdata" / "margins.csv").exists()
         assert (out / "plotdata" / "transport_quadratic_1.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is True
@@ -210,6 +209,38 @@ class TestRunCommand:
             # within the tables' own error (ROADMAP item 15): 1.3e-9
             var_x = 1.0 / (100.0 + 1.0 / variance)
             assert abs(float(rep["rhs"]) / var_x - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("variance, p_list", [
+        # E|Y|^22 is about 1.4e318
+        (1e28, [1.5, 2.0, 4.0]),
+        # q = 4.5e15 puts S^21 of the bl3 constant near 1e322, while E psi(Y)
+        # is about 1e172
+        (1e15, [1.0 + 2.0 ** -52])])
+    def test_gaussian_side_beyond_the_float_range_exits_2(
+            self, variance, p_list, tmp_path, capsys):
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "zero"}], "A": variance,
+            "psis": [{"power": 22}], "p_list": p_list, "n_paths": 0})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+        before = _tree(tmp_path)
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert _tree(tmp_path) == before
+        err = capsys.readouterr().err
+        assert "'power(22)'" in err and f"A = {variance:g}" in err
+
+    def test_call_value_far_out_of_the_money_is_zero(self, tmp_path):
+        # strike 1 is 1000 sd out, where Phi's floor 5e-324 would leave the
+        # local-time formula, and so E psi(Y), at -4.9e-324
+        cfg = write_config(tmp_path, overrides={
+            "potentials": [{"family": "zero"}], "A": 1e-6,
+            "psis": [{"call": 1.0}], "n_paths": 0})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rep, = json.loads((out / "report.json").read_text())[
+            "potentials"][0]["reports"]
+        assert rep["lhs"] == "0"
 
     def test_far_shifted_gaussian_passes(self, tmp_path):
         # linear(20) at A = 50 is N(-1000, 50): its g' round-off, 3.8e-12
@@ -456,8 +487,8 @@ class TestAtomicOutput:
         return tmp_path
 
     def test_report_path_taken_by_a_directory(self, workdir):
-        # a run that writes as it goes leaves summary.csv, margins.csv
-        # and the transport table behind before it fails on report.json
+        # a run that writes as it goes leaves summary.csv and the
+        # transport table behind before it fails on report.json
         (workdir / "out" / "report.json").mkdir(parents=True)
         (workdir / "out" / "report.json" / "x").write_text("kept")
         before = _tree(workdir)
@@ -502,8 +533,8 @@ class TestAtomicOutput:
         monkeypatch.setattr(os, "replace", replace)
         assert main(["verify", "--config", "config.json"]) == 0
         assert sorted(_tree(workdir / "out")) == [
-            "plotdata", "plotdata/margins.csv",
-            "plotdata/transport_abs_1.csv", "report.json", "summary.csv"]
+            "plotdata", "plotdata/transport_abs_1.csv", "report.json",
+            "summary.csv"]
 
     @pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
                         reason="root may write into a read-only directory")
@@ -544,7 +575,7 @@ class TestAtomicOutput:
         assert json.loads(tree["out/report.json"])["all_passed"]
         assert tree["out/other.txt"] == b"kept"
         assert sorted(tree) == ["config.json", "out", "out/other.txt",
-                                "out/plotdata", "out/plotdata/margins.csv",
+                                "out/plotdata",
                                 "out/plotdata/transport_abs_1.csv",
                                 "out/report.json", "out/summary.csv"]
 
@@ -711,9 +742,8 @@ class TestSubcommands:
 
 
 class TestSharedGaussianSide:
-    """A verdict's Gaussian side, E psi(Y) and the bl3 constants, reads no
-    measure: a run computes each once per psi and arguments, shared by every
-    potential, and each report still equals its verdict computed alone."""
+    """A verdict's measure side is computed once per verdict, and each
+    report of a run equals its verdict computed alone."""
 
     # two convex potentials at one A; a convex one beside the log-mixture,
     # whose declared alpha 0.25 gives the same A = 4 and whose beta 2 and
@@ -723,7 +753,6 @@ class TestSharedGaussianSide:
                    {"family": "abs", "params": {"c": 1.0}}],
         "appendix": [{"family": "zero"}, LOG_MIXTURE_ENTRY],
     }
-    VARIANCES = {"convex": (4.0,), "appendix": (4.0, 0.5, 1.0)}
 
     @staticmethod
     def _record(monkeypatch, name, key):
@@ -744,21 +773,6 @@ class TestSharedGaussianSide:
             "psis": ["square", {"power": 3}], "p_list": [1.5, 3.0],
             "n_paths": 0, "output_dir": str(tmp_path / "out")})
         assert run(cfg, mode="verify") == 0
-
-    @pytest.mark.parametrize("case", ["convex", "appendix"])
-    def test_gaussian_side_once_per_psi_and_arguments(self, tmp_path,
-                                                      monkeypatch, case):
-        lhs = self._record(monkeypatch, "moment_lhs",
-                           lambda psi, variance: (psi.label, variance))
-        bl3 = self._record(monkeypatch, "bl3_constant",
-                           lambda psi, variance, q: (psi.label, variance, q))
-        self._verify(tmp_path, self.POTENTIALS[case])
-        psis = ("square", "power(3)")
-        assert sorted(lhs) == sorted(
-            (psi, v) for psi in psis for v in self.VARIANCES[case])
-        # q = p / (p - 1) of p = 1.5 and 3; the improved build has no bl3
-        assert sorted(bl3) == sorted(
-            (psi, 4.0, q) for psi in psis for q in (3.0, 1.5))
 
     @pytest.mark.parametrize("case", ["convex", "appendix"])
     def test_measure_side_once_per_verdict(self, tmp_path, monkeypatch,
@@ -817,15 +831,12 @@ def test_csv_outputs_read_back_with_dictreader(tmp_path):
                 for entry in report["potentials"] for rep in entry["reports"]
                 for _ in rep["bl3"] or [None]]
     assert any("," in label for label, _ in expected)
-    for path, columns in ((out / "summary.csv", _SUMMARY_COLUMNS),
-                          (out / "plotdata" / "margins.csv", _MARGIN_COLUMNS)):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-        assert tuple(reader.fieldnames) == columns
-        assert all(None not in row and None not in row.values()
-                   for row in rows)
-        assert [(row["potential"], row["psi"]) for row in rows] == expected
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert tuple(reader.fieldnames) == _SUMMARY_COLUMNS
+    assert all(None not in row and None not in row.values() for row in rows)
+    assert [(row["potential"], row["psi"]) for row in rows] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -893,20 +904,6 @@ def _oracle_summary_rows(reports) -> list:
     return rows
 
 
-def _oracle_margin_lines(reports) -> list:
-    lines = []
-    for rep in reports:
-        if rep.bl3:
-            for e in rep.bl3:
-                lines.append(f"{rep.potential_label},{rep.psi_label},"
-                             f"{e.p:.17g},{rep.bl1_margin:.17g},"
-                             f"{rep.bl2_margin:.17g},{e.margin:.17g}")
-        else:
-            lines.append(f"{rep.potential_label},{rep.psi_label},,"
-                         f"{rep.bl1_margin:.17g},{rep.bl2_margin:.17g},")
-    return lines
-
-
 @pytest.fixture(scope="module")
 def oracle_reports():
     """Reports with and without Monte Carlo, with None fields and with
@@ -941,12 +938,6 @@ class TestSerializerOracles:
                 for row in _summary_rows(rep.to_json_dict())]
         assert ([{c: row[c] for c in _SUMMARY_COLUMNS} for row in rows]
                 == _oracle_summary_rows(oracle_reports))
-
-    def test_margin_rows_are_the_summary_projection(self, oracle_reports):
-        rows = [row for rep in oracle_reports
-                for row in _summary_rows(rep.to_json_dict())]
-        assert ([",".join(row[c] for c in _MARGIN_COLUMNS) for row in rows]
-                == _oracle_margin_lines(oracle_reports))
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_out():

@@ -91,12 +91,21 @@ class TestExpectedLocalTime:
         assert elt(0.5, 1.0) > elt(1.5, 1.0)
 
     def test_far_tail_clamped_nonnegative(self):
-        # the closed form cancels in the far tail (-4e-322 at level 40 and
-        # horizon 1/2); est1_lower, which evaluates it there, clamps at 0
-        assert expected_local_time_array(40.0, 0.5) < 0.0
+        # the closed form cancels in the far tail: Phi's floor 5e-324 leaves
+        # it at -4e-322 at level 40 and horizon 1/2; the clamp returns 0,
+        # also to est1_lower, which evaluates it there
+        assert closed_form_oracle(40.0, 0.5) < 0.0
+        assert expected_local_time_array(40.0, 0.5) == 0.0
         for x in (8.0, 20.0, 40.0):
             assert 0.0 <= est1_lower(x, 1.0, 0.3) <= 1e-12
         assert est1_lower(40.0, 1.0, 0.3) == 0.0
+
+    @pytest.mark.parametrize("t", [1e-6, 1.0, 1e3])
+    def test_nonnegative_out_to_sixty_sd(self, t):
+        # unclamped, the formula first dips below 0 near |x| / sqrt(t) = 38.3
+        z = np.linspace(0.0, 60.0, 60001)
+        x = np.concatenate([-z, z]) * math.sqrt(t)
+        assert np.all(expected_local_time_array(x, t) >= 0.0)
 
     def test_vectorized_form_matches_quadrature(self):
         xs = np.array([-2.0, -0.3, 0.0, 0.7, 1.9])

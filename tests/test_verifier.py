@@ -35,12 +35,16 @@ PSIS = [builtin_convex_test("abs"), builtin_convex_test("square"),
         builtin_convex_test("corridor", width=1.0)]
 
 
+# unit roundoff
+U = 2.0 ** -53
+
+
 class TestMomentSides:
     def test_lhs_square_is_variance(self):
-        assert moment_lhs(builtin_convex_test("square"), 1.0) == pytest.approx(
-            1.0, abs=1e-11)
-        assert moment_lhs(builtin_convex_test("square"), 4.0) == pytest.approx(
-            4.0, abs=1e-10)
+        # measured: 2 u at A = 1 and 4, the rounding of Gamma(3/2) / sqrt(pi)
+        for a in (1.0, 4.0):
+            assert moment_lhs(builtin_convex_test("square"), a) == \
+                pytest.approx(a, rel=4 * U, abs=0)
 
     def test_lhs_abs_gaussian_mad(self):
         assert moment_lhs(builtin_convex_test("abs"), 1.0) == pytest.approx(
@@ -90,18 +94,20 @@ class TestMomentSides:
             assert err <= 1e-14, (psi.label, float(err))
 
     def test_rhs_equals_lhs_for_zero_potential(self):
+        # measured: at most 7.5 u relative (power(3))
         tm = build_transport(builtin_potential("zero"), 1.0)
         for psi in PSIS:
             assert moment_rhs(psi, tm) == pytest.approx(
-                moment_lhs(psi, 1.0), abs=1e-10)
+                moment_lhs(psi, 1.0), rel=32 * U, abs=0)
 
     def test_rhs_square_is_variance(self):
+        # measured: 6 u (quadratic) and 8 u (linear) relative
         tq = build_transport(builtin_potential("quadratic"), 1.0)
         assert moment_rhs(builtin_convex_test("square"), tq) == pytest.approx(
-            0.5, abs=1e-11)
+            0.5, rel=32 * U, abs=0)
         tl = build_transport(builtin_potential("linear"), 1.0)
         assert moment_rhs(builtin_convex_test("square"), tl) == pytest.approx(
-            1.0, abs=1e-10)
+            1.0, rel=32 * U, abs=0)
 
     def test_rhs_against_sample_oracle(self):
         # independent oracle: direct quadrature of psi(x - m) rho(x)
@@ -115,10 +121,11 @@ class TestMomentSides:
         assert moment_rhs(psi, tq) == pytest.approx(oracle, abs=1e-9)
 
     def test_rhs_abs_potential_mad_oracle(self):
-        # frozen quadrature oracle: E|X| = 0.525135276160981 for the abs tilt
+        # frozen quadrature oracle: E|X| = 0.525135276160981 for the abs tilt,
+        # within its own 15-digit rounding (measured: 1.1e-16 off)
         ta = build_transport(builtin_potential("abs"), 1.0)
         assert moment_rhs(builtin_convex_test("abs"), ta) == pytest.approx(
-            0.525135276160981, abs=1e-10)
+            0.525135276160981, abs=1e-15)
 
 
 class TestVerifyTheorem:
@@ -164,14 +171,6 @@ class TestVerifyTheorem:
             rep = verify_theorem(builtin_convex_test("square"), tm, p_list=())
             assert rep.mad_ratio == (
                 moment_rhs(builtin_convex_test("abs"), tm) / tm.var_mu)
-
-    def test_kept_gaussian_sides_leave_eq_hash_and_repr(self):
-        psi = builtin_convex_test("abs")
-        before = hash(psi), repr(psi)
-        verify_theorem(psi, build_transport(builtin_potential("zero"), 1.0))
-        assert psi._gaussian_sides
-        assert (hash(psi), repr(psi)) == before
-        assert psi == builtin_convex_test("abs")
 
     def test_gap_p1_bound_for_finite_mass(self):
         tm = build_transport(builtin_potential("abs"), 1.0)
