@@ -13,7 +13,6 @@ from .bass_embedding import (ClarkIntegrand, EmbeddingEnsemble,
                              t_bound_check, wald_check)
 from .convex_tests import (ConvexTest, bl2_correction, bl3_constant,
                            builtin_convex_test, convex_test_from_spec,
-                           integrate_against_second_derivative,
                            p1_limit_bounds, second_derivative_mass)
 from .gaussian_core import std_normal_cdf, std_normal_pdf, std_normal_quantile
 from .local_time import (est1_lower, est2_upper, expected_local_time_array,

@@ -11,18 +11,18 @@ function itself is recovered as
 which is also the decomposition the inequality verifier exploits: every
 moment of psi reduces to call/put values integrated against psi''.
 
-The density is a sum of terms c |y|^e with c > 0 and 0 <= e <= 20.  Against
-a Gaussian kernel (E psi(Y), the bl3 constants) a psi''-integral is a sum in
-closed form; the others (``verifier.moment_rhs``, the bl2 correction) are an
-atom sum plus one adaptive quadrature of the density over a finite window:
-composite 7-point Gauss-Legendre panels, bisected where a panel and its two
-halves disagree, with f called on the whole array of a round's nodes, so the
-integrands of ``integrate_against_second_derivative`` must accept arrays.
+The density is a sum of terms c |y|^e with c > 0 and 0 <= e <= 20, so
+every psi''-integral of the verdicts is a sum: the kernel at each atom plus
+one closed-form value per density term.  Against a Gaussian kernel (E psi(Y),
+the bl3 constants) that value is a Gaussian absolute moment, against the
+bl2 kernel an incomplete gamma function (``bl2_correction``), and on the
+measure side (``verifier.moment_rhs``) a moment E|X - EX|^(e+2) of the
+transport tables.
 
 Every such integral is finite.  mu is sqrt(A)-Lipschitz-Gaussian (Caffarelli,
 Harge), so both moment sides and every constant weigh a polynomial density
-against Gaussian tails; the exponent cap keeps the part of each quadrature
-beyond its window below 1.3e-18 of it (the window sizes are at the callers).
+against Gaussian tails; the exponent cap keeps the part of each table moment
+beyond the tables' window below 1.7e-19 of it.
 """
 
 from __future__ import annotations
@@ -36,30 +36,31 @@ import numpy as np
 from .local_time import check_variance_pair, est1_lower
 from .gaussian_core import std_normal_pdf
 from .potentials import _from_catalog, _real_number
-from .transport import _GL_W, _panel_nodes
 
 __all__ = [
     "ConvexTest",
     "builtin_convex_test",
     "convex_test_from_spec",
     "second_derivative_mass",
-    "integrate_against_second_derivative",
     "bl2_correction",
     "bl3_constant",
     "p1_limit_bounds",
     "P1LimitBounds",
 ]
 
-# Largest exponent e of a density term c |y|^e.  As A grows, the share of
-# the bl2 and moment_rhs quadratures beyond their windows (12 and 11.43 sd)
-# tends to (mpmath) 3.5e-21 and 1.3e-18 at e = 20, 3.7e-17 and 8.1e-15 at
-# e = 30, and 4.8e-9 and 2.5e-7 at e = 60.
+# Largest exponent e of a density term c |y|^e.  The measure side takes
+# E|X - EX|^(e+2) from the transport tables, which end at the mode
+# +- (12 sqrt(A) + 2).  For X ~ N(0, A) the share of E|X - EX|^22 beyond
+# them is (mpmath) 2.1e-29 at A = 1 and tends to 1.7e-19 as A grows; at
+# e = 30 it tends to 8.1e-16, at e = 60 to 2.8e-8.
 _MAX_EXPONENT = 20
 _SQRT_PI = math.sqrt(math.pi)
 
-# The psi'' integrals use the 7-point Gauss-Legendre panels of the
-# transport tables.
-_PANEL_BUDGET = 400       # most panels per integral, as quad's limit=400
+# Most terms of the continued fraction of the bl2 terms.  bl2 evaluates it
+# at a = -e/2 - 1 in [-11, -1] and z = A / 2h >= 1/2, where it converges in
+# at most 160 terms (z = 1/2; test_convex_tests.py::TestBl2Correction::
+# test_upper_gamma_scaled_against_mpmath); the cap is 2.5 times that.
+_CF_MAX_TERMS = 400
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,6 @@ class ConvexTest:
             if not (0.0 < c < math.inf and 0 <= e <= _MAX_EXPONENT):
                 raise ValueError(f"density term {c:g} |y|^{e:g} needs "
                                  f"0 < c < inf and 0 <= e <= {_MAX_EXPONENT}")
-
-    def density_at(self, y) -> np.ndarray:
-        """The psi'' density sum c |y|^e at the points y."""
-        ay = np.abs(np.asarray(y, float))
-        return sum(c * ay ** e for c, e in self.density)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +245,31 @@ def _gaussian_abs_moment(m: float, variance: float) -> float:
     return (2.0 * variance) ** (0.5 * m) * math.gamma(0.5 * m + 0.5) / _SQRT_PI
 
 
+def _upper_gamma_scaled(a: float, z: float) -> float:
+    """G(a, z) = e^z z^(-a) Gamma(a, z) for a <= -1 and z >= 1/2, by
+    Legendre's continued fraction
+
+        G(a, z) = 1 / (z + 1 - a - 1 (1 - a) / (z + 3 - a - 2 (2 - a) / ...)),
+
+    evaluated by Lentz's method: there each denominator stays above half of
+    its z + 2i + 1 - a, so none needs a guard against 0.  RuntimeError when
+    _CF_MAX_TERMS terms leave it unconverged."""
+    b = z + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    g = d
+    for i in range(1, _CF_MAX_TERMS + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = c * d
+        g *= step
+        if abs(step - 1.0) <= 2.0 ** -52:
+            return g
+    raise RuntimeError(f"the continued fraction of Gamma({a:g}, {z:g}) did "
+                       f"not converge in {_CF_MAX_TERMS} terms")
+
+
 def _gaussian_sum(psi: ConvexTest, variance: float, at_atoms: Callable,
                   per_term: Callable, factor: float = 1.0) -> float:
     """factor (sum of m at_atoms(y) over atoms (y, m) + sum of c per_term(e)
@@ -264,79 +285,6 @@ def _gaussian_sum(psi: ConvexTest, variance: float, at_atoms: Callable,
     return total
 
 
-def integrate_against_second_derivative(psi: ConvexTest, f: Callable,
-                                        scale: float, window: float) -> float:
-    """int f(y) psi''(dy) over |y| <= window: atom sum plus density
-    quadrature.
-
-    ``f`` is vectorized: it is called once on the array of atom locations
-    and once per refinement round on the flat array of quadrature nodes.
-    ``scale`` is the width of f's bulk: each half-line starts from 16
-    equal panels with added edges at scale 2^k (k >= -3), so that a kernel
-    far narrower than the window still meets nodes.
-    """
-    total = _atom_sum(psi, f)
-    if psi.density:
-        h = lambda y: psi.density_at(y) * np.asarray(f(y), float)
-        k = np.arange(-3, math.ceil(math.log2(window / scale)))
-        grades = scale * 2.0 ** k
-        edges = np.union1d(np.linspace(0.0, window, 17),
-                           grades[grades < window])
-        # split at 0: power-law densities have a corner there
-        total += (_gauss_legendre(h, -edges[::-1], 1e-13, 1e-11)
-                  + _gauss_legendre(h, edges, 1e-13, 1e-11))
-    return total
-
-
-def _panel_values(h: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """7-point Gauss-Legendre value of h on each panel [lo_i, hi_i], with h
-    called once on the flat array of all nodes."""
-    nodes, half = _panel_nodes(lo, hi)
-    vals = np.broadcast_to(np.asarray(h(nodes.ravel()), float), nodes.size)
-    return half * (vals.reshape(nodes.shape) @ _GL_W)
-
-
-def _gauss_legendre(h: Callable, edges: np.ndarray,
-                    epsabs: float, epsrel: float) -> float:
-    """Adaptive composite 7-point Gauss-Legendre quadrature of h on
-    [edges[0], edges[-1]], started from the panels between ``edges``.
-
-    Every round evaluates the two halves of each open panel in one call of
-    h.  A panel is accepted when its one-panel and two-half values differ by
-    at most its width share of max(epsabs, epsrel |estimate|); the others
-    are bisected.  When bisecting would exceed ``_PANEL_BUDGET`` panels the
-    current estimate is returned, as quad does at its subinterval limit.
-    """
-    lo, hi = edges[0], edges[-1]
-    a, b = edges[:-1], edges[1:]
-    n = a.size
-    m = 0.5 * (a + b)
-    vals = _panel_values(h, np.concatenate([a, a, m]), np.concatenate([b, m, b]))
-    whole, left, right = vals[:n], vals[n:2 * n], vals[2 * n:]
-    accepted = 0.0
-    n_panels = n
-    while True:
-        halves = left + right
-        estimate = accepted + float(np.sum(halves))
-        if not math.isfinite(estimate):
-            return estimate     # overflowing integrand: nothing can converge
-        tol = max(epsabs, epsrel * abs(estimate))
-        ok = np.abs(whole - halves) <= (b - a) / (hi - lo) * tol
-        accepted += float(np.sum(halves[ok]))
-        bad = ~ok
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0 or n_panels + n_bad > _PANEL_BUDGET:
-            return accepted + float(np.sum(halves[bad]))
-        n_panels += n_bad
-        a = np.concatenate([a[bad], m[bad]])
-        b = np.concatenate([m[bad], b[bad]])
-        whole = np.concatenate([left[bad], right[bad]])
-        m = 0.5 * (a + b)
-        n = a.size
-        vals = _panel_values(h, np.concatenate([a, m]), np.concatenate([m, b]))
-        left, right = vals[:n], vals[n:]
-
-
 # ---------------------------------------------------------------------------
 # inequality constants
 # ---------------------------------------------------------------------------
@@ -347,16 +295,28 @@ def bl2_correction(psi: ConvexTest, variance: float, var_x: float) -> float:
         (1/2) int psi''(dx) est1_lower(x, A, var_x),
 
     half the closed-form lower bound of ``local_time.est1_lower`` for the
-    residual local time E[L^x_A - L^x_T], integrated against psi'' on whole
-    node arrays.  Zero when var_x = A, nondecreasing as var_x drops; var_x
-    above A beyond rounding raises ValueError (``check_variance_pair``).
+    residual local time E[L^x_A - L^x_T] integrated against psi'', in
+    closed form: an atom (x, m) adds m est1_lower(x), and by the occupation
+    formula and Fubini a density term c |x|^e adds
+
+        c int_0^h E|sqrt(s) Z|^e e^(-A/2s) ds
+            = c h E|sqrt(h) Z|^e e^(-z) G(-e/2 - 1, z),
+
+    with h = (A - var_x)^2 / A, z = A / 2h and G(a, z) = e^z z^(-a)
+    Gamma(a, z).  Zero when var_x = A, nondecreasing as var_x drops; var_x
+    above A beyond rounding raises ValueError (``check_variance_pair``),
+    and a sum beyond the float range OverflowError.
     """
     var_x = check_variance_pair(variance, var_x)
-    if var_x == variance:
+    h = (variance - var_x) ** 2 / variance
+    if h == 0.0:
         return 0.0
-    sd = math.sqrt(variance)
-    return 0.5 * integrate_against_second_derivative(
-        psi, lambda x: est1_lower(x, variance, var_x), sd, 12.0 * sd + 10.0)
+    z = 0.5 * variance / h
+    return _gaussian_sum(
+        psi, variance, lambda x: est1_lower(x, variance, var_x),
+        lambda e: (h * _gaussian_abs_moment(e, h) * math.exp(-z)
+                   * _upper_gamma_scaled(-0.5 * e - 1.0, z)),
+        factor=0.5)
 
 
 def bl3_constant(psi: ConvexTest, variance: float, q: float) -> float:

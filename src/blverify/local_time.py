@@ -24,8 +24,9 @@ embedded law of variance var_x and the horizon A:
     upper:  2 (A(1+q))^{1/(2q)} p(1; x / sqrt(A(1+q))) (A - var_x)^{1/(2p)}
 
 with q the conjugate exponent of p.  By Tanaka's formula the bl2 correction
-is (1/2) int psi''(dx) of the lower bound, so ``convex_tests`` integrates
-``est1_lower`` itself.  ``local_time_gap_mc`` estimates the residual from
+is (1/2) int psi''(dx) of the lower bound: ``convex_tests`` evaluates
+``est1_lower`` at the atoms of psi'' and integrates its occupation form
+against the density in closed form.  ``local_time_gap_mc`` estimates the residual from
 an embedding ensemble through the strong Markov representation
 E[ E[L^{x-z}_{A-t}] at (t, z) = (T, B(T)) ].
 """
@@ -56,8 +57,8 @@ def expected_local_time_array(x, t):
 
     Exactly the occupation formula in closed form; entries with t <= 0, and
     those that Phi's floor 5e-324 leaves below 0 (|x| / sqrt(t) beyond 38.3),
-    evaluate to 0.  Used per path by the gap estimator, per atom by the
-    Gaussian moment side and per quadrature node by the bl2 correction.
+    evaluate to 0.  Used per path by the gap estimator, and per atom by the
+    Gaussian moment side and the bl2 correction.
     """
     x = np.asarray(x, float)
     t = np.asarray(t, float)

@@ -12,14 +12,16 @@ together with the p -> 1 finite-mass gap bound and the mean-absolute-
 deviation ratio bound E|X - EX| / var(X) >= 1 / sqrt(2 pi A).
 
 Both sides reduce, through the second-derivative measure of psi, to
-integrals of call/put values.  The Gaussian side, like each bl3 constant,
-is a closed-form sum (half the expected local time of ``local_time`` per
-atom, a Gaussian absolute moment per density term).  The tilted side is a
-quadrature of the transport build's partial-moment tables: ``moment_rhs``
-evaluates their call values on a round's nodes y >= 0 and their put values
-on the nodes y < 0.  ``moment_check`` rules on the moments of a simulating
-run's embedded values; the variance entering the corrections is always the
-quadrature value, and the MAD ratio is one table call value.
+call/put values at the psi'' atoms plus one moment per density term.  The
+Gaussian side, like each bl3 constant and the bl2 correction, is a
+closed-form sum (half the expected local time of ``local_time`` per atom, a
+Gaussian absolute moment per density term).  The tilted side reads the
+transport build's tables: ``moment_rhs`` takes their call values at the
+atoms y >= 0, their put values at the atoms y < 0, and their moments
+E|X - EX|^(e+2) for the density terms.  ``moment_check`` rules on the
+moments of a simulating run's embedded values; the variance entering the
+corrections is always the tables' value, and the MAD ratio is one table
+call value.
 
 The appendix route covers non-convex potentials generated by a slope map k
 with k' >= sqrt(alpha): the same machinery applies verbatim with effective
@@ -41,14 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bass_embedding import EmbeddingEnsemble
-from .convex_tests import (ConvexTest, _gaussian_abs_moment, _gaussian_sum,
-                           bl2_correction, bl3_constant,
-                           integrate_against_second_derivative, p1_limit_bounds)
+from .convex_tests import (ConvexTest, _atom_sum, _gaussian_abs_moment,
+                           _gaussian_sum, bl2_correction, bl3_constant,
+                           p1_limit_bounds)
 from .gaussian_core import std_normal_pdf, std_normal_quantile
 from .local_time import expected_local_time_array
 from .potentials import (_GRID, Potential, SlopeBoundReport, SlopeMap,
                          check_slope_bounds)
-from .transport import (_G_XMAX, _GL_W, NonConvexPotentialError,
+from .transport import (_G_XMAX, _GL_W, _GRADES, NonConvexPotentialError,
                         TransportMap, _panel_nodes, build_transport)
 
 __all__ = [
@@ -58,6 +60,7 @@ __all__ = [
     "BL1_TOL",
     "BL2_TOL",
     "BL3_TOL",
+    "SIDE_REL_TOL",
     "MAD_TOL",
     "moment_lhs",
     "moment_rhs",
@@ -71,19 +74,24 @@ __all__ = [
     "format_floats",
 ]
 
-# Slack of the bl1 margin lhs - rhs.  Its Gaussian side takes almost none
-# of it: on test_verifier.py's TestMomentSides::
-# test_lhs_against_mpmath_closed_forms, moment_lhs is within 1.5e-15
-# relative (13.5 u at call(1), A = 0.25, where the local-time formula
-# cancels; 4.1e-14 absolute at power(5), A = 4) of 40-digit closed forms.
-# Being absolute, it is below the rounding of large sides (ROADMAP item 6).
+# A margin's slack is the floor BLn_TOL plus SIDE_REL_TOL times the largest
+# side it subtracts, so that equalities of sides near 1e13 pass.  That is 4
+# times the measured side errors, 30 u for moment_lhs and bl3_constant
+# (test_convex_tests.py::test_lhs_and_bl3_against_closed_forms) plus 214 u
+# for moment_rhs's table moments (test_transport.py::
+# test_central_abs_moments_of_gaussians), rounded up to 1000 u.  Whether
+# the 1e-8 floor is earned is ROADMAP item 6.
 BL1_TOL = 1e-8
 BL2_TOL = BL1_TOL
 BL3_TOL = 1e-8
+SIDE_REL_TOL = 1000 * 2.0 ** -53
 MAD_TOL = 1e-9
 GAP_P1_TOL = 1e-8
-# 9x and 7.9x the largest relative and absolute errors (2.2e-14, 7.6e-30) of
-# test_verifier.py::TestMomentCheck::test_moment_tolerances_cover_measured_round_off
+# 9x and 19x the largest relative and absolute errors of
+# test_verifier.py::TestMomentCheck::test_moment_tolerances_cover_measured_round_off:
+# 2.2e-14 (call(5) on zero at A = 1; fractional powers up to 1.3e-14,
+# power(2.5) on the cubic map at A = 1) and 3.2e-30 (corridor(4) on
+# linear(1) at A = 1/4)
 MOMENT_REL_TOL = 2e-13
 MOMENT_ABS_TOL = 6e-29
 
@@ -186,13 +194,14 @@ def moment_lhs(psi: ConvexTest, variance: float) -> float:
 
 
 def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
-    """E[psi(X - EX)] against the transport build of mu, by quadrature of
-    table call/put values against psi'' (one vectorized table lookup per
-    sign and refinement round)."""
+    """E[psi(X - EX)] against the transport build of mu: psi(0), the table
+    call/put values at the psi'' atoms (one vectorized lookup per sign) and
+    c E|X - EX|^(e+2) / ((e+1)(e+2)) per density term c |y|^e, the moment
+    from the tables (``TransportMap.central_abs_moments``)."""
     m = tmap.mean_mu
 
     def centered_option(y):
-        # calls on y >= 0, puts on y < 0; each branch only on its own nodes
+        # calls on y >= 0, puts on y < 0; each branch only on its own atoms
         out = np.empty_like(y)
         up = y >= 0.0
         if np.any(up):
@@ -201,19 +210,23 @@ def moment_rhs(psi: ConvexTest, tmap: TransportMap) -> float:
             out[~up] = tmap.lower_put_value(m + y[~up])
         return out
 
-    # Call/put values vanish identically beyond the tables' reach.  The
-    # window stays inside it; at reach = 12 sqrt(A) + 2 it is 11.43 sd of
-    # N(0, A) as A grows, beyond which a psi'' term of exponent <= 20 has
-    # less than 1.3e-18 of the integral (convex_tests._MAX_EXPONENT).
-    reach = min(m - tmap.window[0], tmap.window[1] - m)
-    window = (reach - 0.5) / 1.05
-    return psi.value_at_zero + integrate_against_second_derivative(
-        psi, centered_option, math.sqrt(tmap.var_mu), window)
+    moments = (tmap.central_abs_moments([e + 2.0 for _, e in psi.density])
+               if psi.density else ())
+    return psi.value_at_zero + (
+        _atom_sum(psi, centered_option)
+        + sum(c * float(mk) / ((e + 1.0) * (e + 2.0))
+              for (c, e), mk in zip(psi.density, moments)))
 
 
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
+
+def _slack(floor: float, *sides: float) -> float:
+    """floor plus SIDE_REL_TOL times the largest of the sides a margin
+    subtracts."""
+    return floor + SIDE_REL_TOL * max(abs(side) for side in sides)
+
 
 def _bl3_entries(psi, variance, rhs, lhs, delta, p_list):
     entries = []
@@ -224,9 +237,9 @@ def _bl3_entries(psi, variance, rhs, lhs, delta, p_list):
         c = bl3_constant(psi, variance, q)
         corr = c * delta ** (1.0 / (2.0 * p))
         margin = rhs + corr - lhs
-        entries.append(Bl3Entry(p=p, q=q, constant=c, upper_correction=corr,
-                                margin=margin,
-                                passed=bool(margin >= -BL3_TOL)))
+        entries.append(Bl3Entry(
+            p=p, q=q, constant=c, upper_correction=corr, margin=margin,
+            passed=bool(margin >= -_slack(BL3_TOL, rhs, corr, lhs))))
     return tuple(entries)
 
 
@@ -248,8 +261,8 @@ def _verdict(kind: str, psi: ConvexTest, tmap: TransportMap,
         lhs=lhs, rhs=rhs, mean_x=tmap.mean_mu, var_x=var_x,
         bl1_margin=bl1_margin, bl2_correction=corr, bl2_margin=bl2_margin,
         bl3=bl3,
-        passes={"bl1": bool(bl1_margin >= -BL1_TOL),
-                "bl2": bool(bl2_margin >= -BL2_TOL),
+        passes={"bl1": bool(bl1_margin >= -_slack(BL1_TOL, lhs, rhs)),
+                "bl2": bool(bl2_margin >= -_slack(BL2_TOL, lhs, rhs, corr)),
                 "bl3": all(e.passed for e in bl3)})
 
 
@@ -366,7 +379,8 @@ def verify_appendix(psi: ConvexTest, tmap: TransportMap,
             rep.lower_variance = 1.0 / slope.beta
             rep.lower_lhs = moment_lhs(psi, rep.lower_variance)
             rep.lower_margin = rep.rhs - rep.lower_lhs
-            rep.passes["lower"] = bool(rep.lower_margin >= -BL1_TOL)
+            rep.passes["lower"] = bool(rep.lower_margin >= -_slack(
+                BL1_TOL, rep.rhs, rep.lower_lhs))
     return rep
 
 
@@ -377,8 +391,8 @@ def verify_appendix(psi: ConvexTest, tmap: TransportMap,
 def moment_check(ensemble: EmbeddingEnsemble, psis,
                  references) -> list[tuple[float, bool]]:
     """E psi(g(W) - E g) = E psi(B(T)) for each psi, by one Gauss-Legendre
-    rule in w with panel edges at the w-images of 0 and of the psi'' atoms,
-    and whether it is within MOMENT_REL_TOL (1 + |E X| / sd(X)) E|psi| +
+    rule in w with panel edges at the w-images of 0 (graded toward it) and
+    of the psi'' atoms, and whether it is within MOMENT_REL_TOL (1 + |E X| / sd(X)) E|psi| +
     MOMENT_ABS_TOL of that psi's rhs in ``references``."""
     if any(psi.closed_form is None for psi in psis):
         raise ValueError("moment_check needs every psi's closed form")
@@ -387,6 +401,9 @@ def moment_check(ensemble: EmbeddingEnsemble, psis,
     cdf, sf = tmap.cdf(x), tmap.survival(x)     # w-images, upper tail by sf
     w = (np.where(cdf <= sf, 1.0, -1.0)
          * std_normal_quantile(np.maximum(np.minimum(cdf, sf), 1e-300)))
+    # the 0.2-wide panels graded toward the w-image of E g, where |y|^p is
+    # not smooth
+    w = np.concatenate([w, w[0] - 0.2 * _GRADES, w[0] + 0.2 * _GRADES])
     edges = np.union1d(np.linspace(-_G_XMAX, _G_XMAX, 116),
                        w[np.abs(w) < _G_XMAX])
     nodes, half = _panel_nodes(edges[:-1], edges[1:])

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,39 @@ def test_call_put_values_match_two_pass_composition(key, matrix_transports):
 
 
 # 20000 normal points and the 8833-node lattice j/384 of [-11.5, 11.5]
+# Gaussian transports: (family, c, variance of mu at A)
+GAUSSIAN_FAMILIES = [("zero", None, lambda a, c: a),
+                     ("linear", 1.0, lambda a, c: a),
+                     ("linear", -7.0, lambda a, c: a),
+                     ("linear", 20.0, lambda a, c: a),
+                     ("quadratic", 0.1, lambda a, c: a / (1 + c * a)),
+                     ("quadratic", 10.0, lambda a, c: a / (1 + c * a))]
+
+
+@pytest.mark.parametrize("family,c,variance", GAUSSIAN_FAMILIES,
+                         ids=[f if c is None else f"{f}({c:g})"
+                              for f, c, _ in GAUSSIAN_FAMILIES])
+def test_central_abs_moments_of_gaussians(family, c, variance):
+    # E|X - EX|^k = (2 s^2)^(k/2) Gamma((k+1)/2) / sqrt(pi): measured at most
+    # 17.1 u (1 + |E X| / sd(X)) (quadratic(0.1) at A = 0.01, k = 22), which
+    # grows with the shift (214 u unscaled, linear(20) at A = 50, k = 16,
+    # where |x - EX| cancels 141 sd from 0); the bound is 40 u times it
+    ks = [2.0, 2.1, 2.5, 3.0, 4.7, 7.0, 11.3, 16.0, 19.9, 22.0]
+    for a in (0.01, 0.25, 4.0, 50.0):
+        params = None if c is None else {"c": c}
+        tmap = build_transport(builtin_potential(family, params), a)
+        scale = 1.0 + abs(tmap.mean_mu) / math.sqrt(tmap.var_mu)
+        got = tmap.central_abs_moments(ks)
+        with mpmath.workdps(40):
+            two_var = 2 * mpmath.mpf(variance(a, c))
+            for k, value in zip(ks, got):
+                k = mpmath.mpf(k)
+                exact = (two_var ** (k / 2) * mpmath.gamma((k + 1) / 2)
+                         / mpmath.sqrt(mpmath.pi))
+                assert abs(value / exact - 1) <= 40 * 2.0 ** -53 * scale, \
+                    (a, float(k))
+
+
 PUSH_W = np.concatenate([np.random.default_rng(5).standard_normal(20000),
                          np.arange(-4416, 4417) / 384])
 
